@@ -175,7 +175,7 @@ def cli_main(argv=None) -> int:
             out = ecfg.out or "report.csv"
             write_report(rows, out, comments)
             print(f"wrote {len(rows)} rows to {out}")
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RareccError as exc:

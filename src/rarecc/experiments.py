@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ParameterError
 from .limits import (RateFunction, angular_moment, limit_to_decision,
                      solve_ht_limit, solve_lt_limit)
-from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
-                      cvar_solve, scenario_solve, violation_prob,
+from .methods import (_STREAM_CHUNK, analytic_ccp_value, analytic_cvar_value,
+                      ccp_oracle, cvar_solve, scenario_solve, violation_prob,
                       wilson_halfwidth)
 from .model import ProblemInstance, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, TailModel, draws_range,
@@ -29,8 +29,6 @@ from .search import mix_seed
 
 EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
                     "frechet_check", "tail_ratio")
-
-_STREAM_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,11 @@ class ExperimentConfig:
             raise ParameterError(f"{self.kind} needs a nonempty k_grid")
         if self.kind == "tail_ratio" and not self.r_grid:
             raise ParameterError("tail_ratio needs a nonempty r_grid")
+        for name in ("delta_grid", "k_grid", "r_grid"):
+            # report rows are grouped by grid value, so a repeat would merge groups
+            grid = [float(g) for g in getattr(self, name)]
+            if len(set(grid)) != len(grid):
+                raise ParameterError(f"{name} has duplicate values")
 
 
 @dataclass(frozen=True)

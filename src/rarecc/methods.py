@@ -5,11 +5,13 @@
 * :func:`cvar_solve` - the sample-average Rockafellar-Uryasev linear program.
 * :func:`scenario_solve` - the sampled-constraint linear program.
 
-The CVaR program over N samples has one slack variable and one row per
-sample; far fewer than N of them can be active (only the upper delta-tail),
-so for large N the solver keeps only the highest-loss scenarios, solves the
-reduced LP, then verifies every dropped row at the solution and re-expands
-violations until the reduced solution is certified optimal for the full LP.
+Both linear programs have the form  max c^T x  over a box, subject to
+g(x) <= radius  for a polyhedral, convex, degree-1 homogeneous g: the sample
+CVaR of the loss, or the largest sampled row value.  Neither is assembled in
+full.  One cutting-plane loop (Kelley 1960) serves both: it solves a small LP
+in the m decision variables over the cuts found so far, evaluates g and a
+subgradient at its optimum with one pass over the sample, and adds that cut,
+until g(x) <= radius (1 + 1e-12).  The result is the optimum of the full LP.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
 from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
-_STREAM_CHUNK = 1 << 18
-_DIRECT_CVAR_LIMIT = 600   # largest sample count solved without row pruning
+_STREAM_CHUNK = 1 << 18    # draws per block when streaming a Monte Carlo budget
+_MAX_CUT_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
         raise ParameterError("need delta * budget >= 100 for a stable quantile")
     draws = draws_range(tail, seed, 0, budget)
     rank = math.ceil(budget * (1.0 - delta))
-    best_val, best_x = -math.inf, None
+    best_val, best = -math.inf, None
     for u in _oracle_directions(problem.m):
         scores = phi_many(problem, u, draws)
         q = float(np.partition(scores, rank - 1)[rank - 1])
@@ -116,8 +118,14 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
             x = box_clip(problem, u / q)
         val = float(problem.c @ x)
         if val > best_val:
-            best_val, best_x = val, x
-    hits = int((phi_many(problem, best_x, draws) > 1.0).sum())
+            best_val, best = val, (u, x, scores, q)
+    u, best_x, scores, q = best
+    if q > 0.0 and (u / q <= problem.h).all():
+        # loss(u/q, L) = score/q, but evaluating it at x can round the
+        # boundary draw's loss up to 1 + ulp; compare the scores with q
+        hits = int((scores > q).sum())
+    else:
+        hits = int((phi_many(problem, best_x, draws) > 1.0).sum())
     return MethodResult(
         x=best_x, value=best_val, delta=delta,
         violation_estimate=hits / budget,
@@ -127,48 +135,45 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     )
 
 
-def _cvar_lp(problem: ProblemInstance, draws: np.ndarray, kept: np.ndarray,
-             rows: list, delta: float, n_total: int):
-    """Assemble and solve the reduced Rockafellar-Uryasev LP.
+def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
+    """Kelley's cutting-plane method for  max c^T x  s.t.  0 <= x <= upper,
+    g(x) <= radius,  with g convex and positively homogeneous of degree 1.
 
-    Variables are (x, tau, s_j for j in kept); ``rows`` holds global (j, i)
-    pairs, one constraint  x^T A_i L_j - tau - s_j <= 1  each, plus the
-    aggregate row  tau + (1/(delta N)) sum_j s_j <= 0.
+    ``separate(x)`` returns ``(g(x), s)`` with s a subgradient at x, so that
+    g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
+    therefore valid.  Every round solves the small LP over the box and the
+    cuts so far, whose optimum bounds the true one from above, and separates
+    there.  The loop stops at the first iterate with g(x) <= radius (1 + 1e-12)
+    and returns (x, g(x), cut count, pivots).
     """
-    m, nvar = problem.m, problem.m + 1 + kept.size
-    pos = {int(j): loc for loc, j in enumerate(kept)}
-    mat = np.zeros((len(rows) + 1, nvar))
-    rhs = np.ones(len(rows) + 1)
-    for r, (j, i) in enumerate(rows):
-        mat[r, :m] = problem.A[i] @ draws[j]
-        mat[r, m] = -1.0
-        mat[r, m + 1 + pos[j]] = -1.0
-    mat[-1, m] = 1.0
-    mat[-1, m + 1:] = 1.0 / (delta * n_total)
-    rhs[-1] = 0.0
-    lo = np.zeros(nvar)
-    lo[m] = -1.0
-    hi = np.full(nvar, np.inf)
-    hi[:m] = problem.h
-    hi[m] = 0.0
-    f = np.zeros(nvar)
-    f[:m] = problem.c
-    res = solve_lp(LinearProgram(objective=f, A=mat, b=rhs, lo=lo, hi=hi))
-    if res.status != "optimal":
-        raise RareccError("CVaR LP reported infeasible; x = 0 should be feasible")
-    return res, pos
+    x = np.where(c > 0, upper, 0.0)
+    cuts: list[np.ndarray] = []
+    pivots = 0
+    for _ in range(_MAX_CUT_ROUNDS):
+        g, s = separate(x)
+        if g <= radius * (1.0 + 1e-12):
+            return x, g, len(cuts), pivots
+        cuts.append(s)
+        res = solve_lp(LinearProgram(objective=c, A=np.array(cuts),
+                                     b=np.full(len(cuts), radius), hi=upper))
+        if res.status != "optimal":
+            raise RareccError("cut LP reported infeasible; x = 0 should be feasible")
+        pivots += res.iterations
+        x = res.x
+    raise RareccError(f"cutting-plane loop did not converge in {_MAX_CUT_ROUNDS} rounds")
 
 
 def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
                sample_count: int, seed: int) -> MethodResult:
-    """Solve the sample-average CVaR relaxation as a linear program.
+    """Solve the sample-average CVaR relaxation  max c^T x  s.t.
+    CVaR_delta(loss(x, L_j)) <= 1  over the box.
 
-    For sample counts beyond what a dense simplex tableau tolerates, only
-    the scenarios with the largest losses at a reference direction keep
-    their slack variable; the pruning is certified after the solve (every
-    dropped scenario must satisfy loss <= 1 + tau at the optimum) and
-    violated scenarios are re-admitted until the certificate holds, so the
-    returned solution is exactly the full-LP optimum.
+    This is the Rockafellar-Uryasev linear program, solved by the cut loop in
+    the m decision variables: with k = ceil(delta N), the sample CVaR at x
+    weights the k largest losses by 1/(delta N) each, the smallest of them by
+    the fractional remainder, and the same weights on the loss-attaining rows
+    A_i L_j give the subgradient.  ``tau`` is the value-at-risk (the k-th
+    largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
@@ -176,78 +181,30 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         raise ParameterError("need delta * sample_count >= 100")
     n_total = int(sample_count)
     draws = draws_range(tail, seed, 0, n_total)
+    dn = delta * n_total
+    k = math.ceil(dn)
+    weights = np.full(k, 1.0 / dn)
+    weights[0] = (dn - (k - 1)) / dn          # top[0] is the k-th largest loss
+    losses = top = None
 
-    u0 = problem.c / problem.c.sum()
-    ref_scores = phi_many(problem, u0, draws)
-    if n_total <= _DIRECT_CVAR_LIMIT:
-        kept = np.arange(n_total)
-    else:
-        base = math.ceil(delta * n_total)
-        t_keep = min(n_total, base + max(200, base // 4))
-        kept = np.sort(np.argpartition(-ref_scores, t_keep - 1)[:t_keep])
+    def separate(x):
+        nonlocal losses, top
+        losses = phi_many(problem, x, draws)
+        top = np.argpartition(losses, n_total - k)[n_total - k:]
+        attain = (draws[top] @ (x @ problem.A).T).argmax(axis=1)   # loss-attaining i
+        rows = np.einsum("jmn,jn->jm", problem.A[attain], draws[top])
+        return float(weights @ losses[top]), weights @ rows
 
-    w0 = u0 @ problem.A                       # (d, n)
-    rows = [(int(j), int(np.argmax(draws[j] @ w0.T))) for j in kept]
-    outer = 0
-    while True:
-        outer += 1
-        res, pos = _cvar_lp(problem, draws, kept, rows, delta, n_total)
-        x_star = res.x[:problem.m]
-        tau_star = float(res.x[problem.m])
-        s_star = res.x[problem.m + 1:]
-        w = x_star @ problem.A                # (d, n)
-        scores_all = draws @ w.T              # (N, d)
-        phi_all = scores_all.max(axis=1)
-        tol = 1e-7 * (1.0 + abs(1.0 + tau_star))
-
-        in_kept = np.zeros(n_total, dtype=bool)
-        in_kept[kept] = True
-        missing = np.flatnonzero(~in_kept & (phi_all > 1.0 + tau_star + tol))
-        have = set(rows)
-        slack_gap = scores_all[kept] - 1.0 - tau_star - s_star[:, None]   # (T, d)
-        extra = [(int(kept[loc]), int(i))
-                 for loc, i in np.argwhere(slack_gap > tol)
-                 if (int(kept[loc]), int(i)) not in have]
-        if missing.size == 0 and not extra:
-            break
-        if outer > 25:
-            raise RareccError("CVaR scenario re-expansion failed to settle")
-        kept = np.sort(np.concatenate([kept, missing]))
-        rows.extend((int(j), int(np.argmax(scores_all[j]))) for j in missing)
-        rows.extend(extra)
-
-    hits = int((phi_all > 1.0).sum())
+    x, g, cuts, pivots = _cut_loop(problem.c, np.full(problem.m, problem.h), 1.0, separate)
+    hits = int((losses > 1.0).sum())
     return MethodResult(
-        x=x_star, value=float(problem.c @ x_star), delta=delta,
+        x=x, value=float(problem.c @ x), delta=delta,
         violation_estimate=hits / n_total,
         violation_halfwidth=wilson_halfwidth(hits, n_total),
         meta={"method": "cvar", "seed": seed, "samples": n_total,
-              "tau": tau_star, "kept_scenarios": int(kept.size),
-              "outer_iterations": outer, "lp_iterations": res.iterations},
+              "tau": min(float(losses[top[0]]) - 1.0, 0.0), "kept_scenarios": k,
+              "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0},
     )
-
-
-def _pareto_max_rows(W: np.ndarray) -> np.ndarray:
-    """Rows of W not coordinatewise dominated by another row (y >= 0 makes
-    dominated constraint rows redundant)."""
-    if W.shape[1] == 1:
-        return W.max(axis=0, keepdims=True)
-    if W.shape[1] == 2:
-        # descending in column 0: a row survives iff its column 1 strictly
-        # exceeds every earlier row's column 1
-        order = np.lexsort((-W[:, 1], -W[:, 0]))
-        S = W[order]
-        run = np.maximum.accumulate(S[:, 1])
-        keep = np.concatenate([[True], S[1:, 1] > run[:-1]])
-        return S[keep]
-    order = np.argsort(-W.sum(axis=1), kind="stable")
-    kept: list[np.ndarray] = []
-    for idx in order:
-        row = W[idx]
-        if kept and (np.asarray(kept) >= row[None, :]).all(axis=1).any():
-            continue
-        kept.append(row)
-    return np.asarray(kept)
 
 
 def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
@@ -256,8 +213,10 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
 
     maximize c^T y  s.t.  y in [0, h radius]^m  and  y^T A_i L_j <= radius
     for every matrix i and scenario j; radius 1 recovers the plain scenario
-    program, the regime radii give its scaled variants.  Dominated rows are
-    removed before the LP solve; the optimum is unchanged.
+    program, the regime radii give its scaled variants.  Solved by the cut
+    loop: each round adds the sampled row with the largest y^T A_i L_j.
+    ``binding_candidates`` counts the rows added, ``gap`` is the largest
+    row value over the radius, minus 1, at exit.
     """
     if batch.count < 1:
         raise ParameterError("scenario batch must be nonempty")
@@ -266,23 +225,21 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
     if batch.n != problem.n:
         raise ContractError("batch dimension disagrees with problem")
     W = np.einsum("imn,jn->jim", problem.A, batch.samples).reshape(-1, problem.m)
-    W = _pareto_max_rows(W)
-    lp = LinearProgram(
-        objective=problem.c,
-        A=W,
-        b=np.full(W.shape[0], float(radius)),
-        lo=np.zeros(problem.m),
-        hi=np.full(problem.m, problem.h * radius),
-    )
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise RareccError("scenario LP unexpectedly infeasible")
+
+    def separate(y):
+        scores = W @ y
+        j = int(np.argmax(scores))
+        return float(scores[j]), W[j]
+
+    radius = float(radius)
+    x, g, cuts, pivots = _cut_loop(problem.c, np.full(problem.m, problem.h * radius),
+                                   radius, separate)
     return MethodResult(
-        x=res.x, value=float(res.objective), delta=None,
+        x=x, value=float(problem.c @ x), delta=None,
         violation_estimate=None, violation_halfwidth=None,
-        meta={"method": "scenario", "seed": batch.seed, "radius": float(radius),
-              "scenarios": batch.count, "binding_candidates": int(W.shape[0]),
-              "lp_iterations": res.iterations},
+        meta={"method": "scenario", "seed": batch.seed, "radius": radius,
+              "scenarios": batch.count, "binding_candidates": cuts,
+              "lp_iterations": pivots, "gap": g / radius - 1.0},
     )
 
 

@@ -92,12 +92,6 @@ def phi_many(problem: ProblemInstance, x: np.ndarray, draws: np.ndarray) -> np.n
     return (draws @ w.T).max(axis=1)
 
 
-def argmax_matrix(problem: ProblemInstance, x: np.ndarray, L: np.ndarray) -> int:
-    """Index of the loss-attaining matrix; the smallest index wins ties."""
-    vals = np.einsum("imn,m,n->i", problem.A, x, L)
-    return int(np.argmax(vals))
-
-
 def box_clip(problem: ProblemInstance, x) -> np.ndarray:
     """Coordinatewise projection of x onto the box X = [0, h]^m."""
     x = np.asarray(x, dtype=float)

@@ -156,12 +156,11 @@ def _heavy_radii_block(model: HeavyTailModel, seed: int, block: int) -> np.ndarr
     return u ** (-1.0 / model.alpha)
 
 
-def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
-    """Draws with indices [start, stop); bit-identical however the range is split."""
+def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple) -> np.ndarray:
+    """Rows [start, stop) of the concatenated per-block streams of block_fn."""
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
-    block_fn = _light_block if isinstance(model, LightTailModel) else _heavy_block
-    out = np.empty((stop - start, model.n))
+    out = np.empty((stop - start,) + row_shape)
     pos = 0
     for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
         blk = block_fn(model, seed, b)
@@ -172,17 +171,15 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
     return out
 
 
+def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws with indices [start, stop); bit-identical however the range is split."""
+    block_fn = _light_block if isinstance(model, LightTailModel) else _heavy_block
+    return _splice(block_fn, model, seed, start, stop, (model.n,))
+
+
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Radii of the heavy draws with indices [start, stop)."""
-    out = np.empty(stop - start)
-    pos = 0
-    for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
-        blk = _heavy_radii_block(model, seed, b)
-        lo = max(start - b * _BLOCK, 0)
-        hi = min(stop - b * _BLOCK, _BLOCK)
-        out[pos:pos + hi - lo] = blk[lo:hi]
-        pos += hi - lo
-    return out
+    return _splice(_heavy_radii_block, model, seed, start, stop, ())
 
 
 def _checked_count(count) -> int:

@@ -1,14 +1,18 @@
 """Independent reference computations used as test oracles.
 
 Everything here is deliberately written from first principles (sorting,
-enumeration, closed forms) rather than through the package's own code
-paths, so agreement is evidence and not tautology.
+enumeration, closed forms, linear programs assembled in full) rather than
+through the package's own code paths, so agreement is evidence and not
+tautology.  The full linear programs are handed to the package's simplex,
+which is itself checked against :func:`brute_force_lp`.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from rarecc.lpsolve import LinearProgram, solve_lp
 
 
 def empirical_cvar(losses: np.ndarray, delta: float) -> float:
@@ -26,6 +30,38 @@ def empirical_cvar(losses: np.ndarray, delta: float) -> float:
     k = np.arange(k_max)
     vals = s * (1.0 - k / (delta * n)) + prefix / (delta * n)
     return float(vals.min())
+
+
+def ru_cvar_lp(c, h, A, draws, delta):
+    """Optimal (value, x) of the full Rockafellar-Uryasev LP
+
+        max c^T x  s.t.  t + (1/(delta N)) sum_j s_j <= 1,
+                         x^T A_i L_j - t - s_j <= 0   for every i and j,
+                         0 <= x <= h,  t >= 0,  s >= 0,
+
+    one slack per draw and one row per (matrix, draw) pair.  Losses are
+    nonnegative, so restricting the threshold t to t >= 0 loses nothing.
+    """
+    A = np.asarray(A, dtype=float)
+    d, m, _ = A.shape
+    N = draws.shape[0]
+    rows = np.zeros((d * N + 1, m + 1 + N))
+    rows[0, m] = 1.0
+    rows[0, m + 1:] = 1.0 / (delta * N)
+    for i in range(d):
+        block = rows[1 + i * N:1 + (i + 1) * N]
+        block[:, :m] = draws @ A[i].T
+        block[:, m] = -1.0
+        block[np.arange(N), m + 1 + np.arange(N)] = -1.0
+    b = np.zeros(d * N + 1)
+    b[0] = 1.0
+    f = np.zeros(m + 1 + N)
+    f[:m] = c
+    hi = np.full(m + 1 + N, np.inf)
+    hi[:m] = h
+    res = solve_lp(LinearProgram(objective=f, A=rows, b=b, hi=hi))
+    assert res.status == "optimal"
+    return res.objective, res.x[:m]
 
 
 def ks_distance(samples, cdf) -> float:

@@ -64,6 +64,18 @@ def test_wrong_tail_kind_exit_2(lt_cfg):
     assert cli_main(["ht-limit", lt_cfg]) == 2
 
 
+def test_duplicate_grid_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "dup.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "frechet_check", "k_grid": [100, 100],
+                       "replications": 3},
+    })
+    assert cli_main(["experiment", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "k_grid" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_experiment_deterministic_bytes(ht_cfg, tmp_path, capsys):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert cli_main(["experiment", ht_cfg, "--out", str(out1), "--seed", "7"]) == 0

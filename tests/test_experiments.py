@@ -194,3 +194,8 @@ def test_config_validation():
         heavy_cfg(kind="frechet_check", k_grid=(10,), replications=0)
     with pytest.raises(ParameterError):
         run_experiment(light_cfg(kind="tail_ratio", r_grid=(10.0,)))
+    # rows are grouped by grid value: a repeat would double every group
+    with pytest.raises(ParameterError):
+        heavy_cfg(kind="frechet_check", k_grid=(100, 100), replications=3)
+    with pytest.raises(ParameterError):
+        heavy_cfg(kind="cvar_ratio", delta_grid=(1e-2, 0.01))

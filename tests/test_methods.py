@@ -5,13 +5,14 @@ import pytest
 
 import rarecc.methods
 from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
-                      pareto_cc_value, pareto_cvar_value)
+                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
 from rarecc import (HeavyTailModel, InputError, LightTailModel,
-                    ParameterError, ProblemInstance, SampleBatch,
+                    ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                     cvar_solve, sample_heavy, sample_size_rule,
                     scenario_solve, violation_prob, wilson_halfwidth)
-from rarecc.sampler import draws_range
+from rarecc.lpsolve import LinearProgram, solve_lp
+from rarecc.sampler import draws_range, sample_tail
 
 
 # ------------------------------------------------------- violation_prob
@@ -87,6 +88,14 @@ def test_oracle_saturates_budgeted_constraint(scalar_problem, scalar_pareto2):
     assert abs(est - delta) <= 0.1 * delta
 
 
+def test_oracle_in_sample_violation_within_delta(identity_problem2, two_atom_model):
+    # seed 7: the boundary draw's loss at u/q evaluates to 1 + ulp
+    delta, budget = 1e-2, 20_000
+    res = ccp_oracle(identity_problem2, two_atom_model, delta, budget, 7)
+    assert res.violation_estimate <= delta
+    assert res.value == pytest.approx(0.19672571022291754, rel=1e-12)
+
+
 def test_oracle_pre_violation(scalar_problem, scalar_pareto2):
     with pytest.raises(ParameterError):
         ccp_oracle(scalar_problem, scalar_pareto2, 1e-4, 100_000, 1)
@@ -98,7 +107,8 @@ def test_cvar_matches_sort_reduction_scalar(scalar_problem, scalar_pareto2,
                                             scalar_exp):
     for tail, delta, n in [(scalar_pareto2, 1e-3, 150_000),
                            (scalar_exp, 1e-3, 150_000),
-                           (scalar_pareto2, 0.25, 500)]:
+                           (scalar_pareto2, 0.25, 500),
+                           (scalar_exp, 0.3, 401)]:
         res = cvar_solve(scalar_problem, tail, delta, n, 13)
         losses = draws_range(tail, 13, 0, n).ravel()
         ref = 1.0 / empirical_cvar(losses, delta)
@@ -112,17 +122,31 @@ def test_cvar_scalar_analytic_sanity(scalar_problem, scalar_pareto2, scalar_exp)
     assert res.value == pytest.approx(exp_cvar_value(1e-3), rel=0.05)
 
 
-def test_cvar_pruned_equals_direct(monkeypatch):
+def _heavy_two_matrix():
     prob = ProblemInstance(c=[1.0, 0.5], h=10.0,
                            A=[np.array([[1.0, 0.2], [0.1, 0.9]]),
                               np.array([[0.3, 0.8], [1.0, 0.1]])])
     tail = HeavyTailModel.from_pairs(n=2, alpha=2.0,
                                      pairs=[(0.4, [1, 0]), (0.6, [0.3, 0.7])])
-    direct = cvar_solve(prob, tail, 0.25, 500, 9)
-    monkeypatch.setattr(rarecc.methods, "_DIRECT_CVAR_LIMIT", 10)
-    pruned = cvar_solve(prob, tail, 0.25, 500, 9)
-    assert pruned.value == pytest.approx(direct.value, rel=1e-8)
-    assert np.allclose(pruned.x, direct.x, atol=1e-7)
+    return prob, tail
+
+
+def test_cvar_equals_full_ru_lp():
+    prob, tail = _heavy_two_matrix()
+    res = cvar_solve(prob, tail, 0.25, 500, 9)
+    value, x = ru_cvar_lp(prob.c, prob.h, prob.A, draws_range(tail, 9, 0, 500), 0.25)
+    assert res.value == pytest.approx(value, rel=1e-8)
+    assert np.allclose(res.x, x, atol=1e-7)
+    assert res.meta["outer_iterations"] > 2
+    assert res.meta["kept_scenarios"] == 125
+    assert res.meta["gap"] <= 1e-12
+
+
+def test_cut_loop_round_cap(monkeypatch):
+    prob, tail = _heavy_two_matrix()
+    monkeypatch.setattr(rarecc.methods, "_MAX_CUT_ROUNDS", 1)
+    with pytest.raises(RareccError):
+        cvar_solve(prob, tail, 0.25, 500, 9)
 
 
 def test_cvar_zero_always_feasible(scalar_problem, scalar_exp):
@@ -173,6 +197,20 @@ def test_scenario_scale_equivariance(identity_problem2, two_atom_model):
     for r in (0.5, 3.0, 117.0):
         scaled = scenario_solve(identity_problem2, batch, r)
         assert scaled.value == pytest.approx(r * base.value, rel=1e-9)
+
+
+def test_scenario_equals_full_lp():
+    prob = ProblemInstance(c=[3.0, 2.0, 1.0], h=1000.0,
+                           A=[np.diag([1.0, 2.0, 4.0]),
+                              np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])])
+    batch = sample_tail(LightTailModel(n=3, beta=0.5, theta=2.0), 17, 2000)
+    res = scenario_solve(prob, batch, 1.5)
+    rows = np.concatenate([batch.samples @ a.T for a in prob.A])
+    full = solve_lp(LinearProgram(objective=prob.c, A=rows, b=np.full(rows.shape[0], 1.5),
+                                  hi=np.full(3, prob.h * 1.5)))
+    assert res.value == pytest.approx(full.objective, rel=1e-9)
+    assert res.meta["binding_candidates"] >= 2
+    assert res.meta["gap"] <= 1e-12
 
 
 def test_scenario_parameter_errors(scalar_problem):
