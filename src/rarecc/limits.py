@@ -3,10 +3,11 @@
 The light-tail limit program maximizes c^T y over {y >= 0 : J(y) >= 1},
 where J aggregates the decay rate I of the loss tail; the heavy-tail limit
 program maximizes c^T y over {y >= 0 : sum_k w_k phi(y, theta_k)^alpha <= 1}.
-Both feasible sets are scale-star-shaped thanks to the homogeneity of the
-constraint functions, so each program reduces to a one-dimensional ray
-problem per direction of the unit simplex; a deterministic grid scan plus
-Nelder-Mead refinement solves the reduced problem.
+Both constraints read g(y) <= 1 for a monotone, convex, degree-1 homogeneous
+g: max_i ||A_i^T y||_p for light tails, (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
+for heavy ones.  Both programs are solved by the cutting-plane loop of
+:mod:`rarecc.methods` with gradient cuts, polished by Newton steps on the KKT
+system, and report the relative gap to the loop's upper bound.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import search
-from .errors import (ContractError, InfeasibleError, InputError,
-                     ParameterError, UnboundedError)
+from .errors import ContractError, InputError, ParameterError, UnboundedError
+from .methods import _cut_loop
 from .model import ProblemInstance, box_clip
 from .sampler import (HeavyTailModel, LightTailModel, TailModel,
                       copula_exponent, tail_radius)
@@ -26,6 +26,8 @@ from .sampler import (HeavyTailModel, LightTailModel, TailModel,
 #: Distinguished value for "the rate constraint can never bind" (b = 0 or
 #: zero loss rows).  Callers must branch on it; it never enters arithmetic.
 INFEASIBLE_RATE = math.inf
+_NEWTON_STEPS = 4          # KKT polishing steps after the cut loop
+_METHOD = "ray-search"     # LimitSolution.method label written to the CLI's JSON
 
 
 def is_infeasible_rate(value: float) -> bool:
@@ -61,6 +63,7 @@ class LimitSolution:
     value: float
     residual: float
     method: str
+    gap: float = 0.0     # relaxation upper bound over value, minus 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,18 +93,26 @@ def _check_b(b, n: int) -> np.ndarray:
     return b
 
 
+def _dual_norm_order(model: LightTailModel) -> float:
+    """The p with I(b) = ||b||_p^(-beta): 1 for theta = inf, inf for
+    gamma = beta theta <= 1, and gamma / (gamma - 1) otherwise."""
+    gamma = model.beta * model.theta
+    if math.isinf(gamma):
+        return 1.0
+    if gamma <= 1.0:
+        return math.inf
+    return gamma / (gamma - 1.0)
+
+
 def _rate_closed(model: LightTailModel, b: np.ndarray) -> float:
-    beta, theta = model.beta, model.theta
-    if math.isinf(theta):
+    p = _dual_norm_order(model)
+    if p == 1.0:
         norm = b.sum()
+    elif math.isinf(p):
+        norm = b.max()
     else:
-        gamma = beta * theta
-        if gamma <= 1.0:
-            norm = b.max()
-        else:
-            p = gamma / (gamma - 1.0)
-            norm = float(np.sum(b ** p) ** (1.0 / p))
-    return norm ** (-beta)
+        norm = float(np.sum(b ** p) ** (1.0 / p))
+    return norm ** (-model.beta)
 
 
 def _project_scaled_simplex(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,69 +230,119 @@ def angular_moment(model: HeavyTailModel, problem: ProblemInstance, y) -> float:
     return float(np.sum(model.weights * phis ** model.alpha))
 
 
+def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
+    """Maximize c^T y over {y >= 0 : g(y) <= 1} for a monotone, convex,
+    degree-1 homogeneous g given by ``separate(y) = (g(y), gradient)``.
+
+    Since g(y) >= y_j g(e_j), the box y_j <= 1/g(e_j) cuts off nothing, and a
+    profitable coordinate with g(e_j) = 0 makes the program unbounded.  The
+    cut loop's last relaxation optimum x bounds the value from above and
+    y = x / g(x) is feasible.  On a smooth boundary that pins y only to about
+    the square root of the value gap, so a few Newton steps on the KKT system
+    c_S = (c^T y) grad_S g(y) over the support S of y follow, the Jacobian
+    taken from central differences of the gradient; a step is kept only if
+    it lowers the KKT residual without lowering c^T y.  Returns (y, gap),
+    the gap being the relaxation value over c^T y, minus 1, clipped at 0
+    because rounding can put an exact optimum an ulp above the relaxation.
+    """
+    m = c.size
+    ge = np.array([separate(e)[0] for e in np.eye(m)])
+    if ((c > 0) & (ge == 0.0)).any():
+        raise UnboundedError("a profitable coordinate carries no tail risk")
+    upper = np.divide(1.0, ge, out=np.zeros(m), where=ge > 0.0)
+    x, g, _, _ = _cut_loop(c, upper, 1.0, separate)
+    y = x / g
+
+    S = np.flatnonzero(y > 0.0)
+
+    def kkt(z):
+        return c[S] - (c @ z) * separate(z)[1][S]
+
+    r = kkt(y)
+    for _ in range(_NEWTON_STEPS):
+        H = np.empty((S.size, S.size))
+        for col, j in enumerate(S):
+            step = np.zeros(m)
+            step[j] = 1e-5 * y[j]
+            H[:, col] = (separate(y + step)[1][S] - separate(y - step)[1][S]) / (2.0 * step[j])
+        jac = -np.outer(separate(y)[1][S], c[S]) - (c @ y) * H
+        try:
+            delta = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            break
+        z = y.copy()
+        z[S] += delta
+        if not (np.isfinite(z).all() and (z[S] > 0.0).all()):
+            break
+        z /= separate(z)[0]
+        r_z = kkt(z)
+        if not (np.linalg.norm(r_z) < np.linalg.norm(r) and c @ z >= c @ y):
+            break
+        y, r = z, r_z
+    return y, max(float(c @ x) / float(c @ y) - 1.0, 0.0)
+
+
 def solve_lt_limit(rf: RateFunction, problem: ProblemInstance) -> LimitSolution:
     """Maximize c^T y subject to y >= 0 and J(y) >= 1.
 
-    Since J(t u) = t^(-beta) J(u), the best feasible scale along direction u
-    is t(u) = J(u)^(1/beta); the solver maximizes t(u) c^T u over the unit
-    simplex with a deterministic multi-start scheme.
+    With the closed-form rate, J(y) = g(y)^(-beta) for the convex, degree-1
+    homogeneous g(y) = max_i ||A_i^T y||_p, the dual norm of
+    :func:`_dual_norm_order`, so the program is  max c^T y  s.t.  g(y) <= 1,
+    solved by :func:`_solve_limit`.  The solver always uses this dual norm;
+    ``rf.mode`` only selects how :func:`rate_I` evaluates the residual.
     """
     if rf.model.n != problem.n:
         raise ContractError("rate function and problem disagree on n")
-    c, beta, m = problem.c, rf.model.beta, problem.m
+    p = _dual_norm_order(rf.model)
+    A = problem.A
 
-    def value_fn(u):
-        j = rate_J(rf, problem, u)
-        cu = float(c @ u)
-        if is_infeasible_rate(j):
-            return math.inf if cu > 0 else -math.inf
-        return j ** (1.0 / beta) * cu
+    def separate(y):
+        B = y @ A                                   # rows b_i = A_i^T y, (d, n)
+        top = B.max(axis=1)
+        Z = B / np.where(top > 0.0, top, 1.0)[:, None]
+        norms = top * np.sum(Z ** p, axis=1) ** (1.0 / p)
+        i = int(np.argmax(norms))
+        if norms[i] == 0.0:
+            return 0.0, np.zeros(problem.m)
+        if math.isinf(p):
+            grad = np.zeros(problem.n)
+            grad[np.argmax(B[i])] = 1.0
+        else:
+            grad = (B[i] / norms[i]) ** (p - 1.0)
+        return float(norms[i]), A[i] @ grad
 
-    u, val = search.maximize_over_simplex(value_fn, m)
-    if math.isinf(val):
-        raise UnboundedError("a profitable direction carries no tail risk")
-    if not val > 0:
-        raise InfeasibleError("no direction admits a positive feasible scale")
-    t = rate_J(rf, problem, u) ** (1.0 / beta)
-    y = t * u
+    y, gap = _solve_limit(problem.c, separate)
     residual = abs(rate_J(rf, problem, y) - 1.0)
-    return LimitSolution(y_star=y, value=float(c @ y), residual=residual,
-                         method="ray-search")
+    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual,
+                         method=_METHOD, gap=gap)
 
 
 def solve_ht_limit(model: HeavyTailModel, problem: ProblemInstance) -> LimitSolution:
     """Maximize c^T y subject to y >= 0 and sum_k w_k phi(y, theta_k)^alpha <= 1.
 
     The constraint function g(y) = (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
-    is convex and degree-1 homogeneous, so the optimum is the best of
-    c^T u / g(u) over simplex directions.
+    is convex and degree-1 homogeneous, so the program is  max c^T y  s.t.
+    g(y) <= 1, solved by :func:`_solve_limit`.
     """
     if model.n != problem.n:
         raise ContractError("tail model and problem disagree on n")
-    c, alpha, m = problem.c, model.alpha, problem.m
+    alpha, w = model.alpha, model.weights
     v = np.einsum("imn,kn->kim", problem.A, model.atoms)   # (K, d, m)
-    w = model.weights
+    k = np.arange(w.size)
 
-    def g(u):
-        phis = (v @ u).max(axis=1)
-        return float(np.sum(w * phis ** alpha) ** (1.0 / alpha))
+    def separate(y):
+        vals = v @ y                                          # (K, d)
+        top = vals.argmax(axis=1)
+        phis = vals[k, top]
+        g = float(np.sum(w * phis ** alpha) ** (1.0 / alpha))
+        if g == 0.0:
+            return 0.0, np.zeros(problem.m)
+        return g, (w * (phis / g) ** (alpha - 1.0)) @ v[k, top]
 
-    def value_fn(u):
-        gu = g(u)
-        cu = float(c @ u)
-        if gu <= 0.0:
-            return math.inf if cu > 0 else -math.inf
-        return cu / gu
-
-    u, val = search.maximize_over_simplex(value_fn, m)
-    if math.isinf(val):
-        raise UnboundedError("the angular loss vanishes along a profitable direction")
-    if not val > 0:
-        raise InfeasibleError("no direction admits a positive feasible scale")
-    y = u / g(u)
+    y, gap = _solve_limit(problem.c, separate)
     residual = abs(angular_moment(model, problem, y) - 1.0)
-    return LimitSolution(y_star=y, value=float(c @ y), residual=residual,
-                         method="ray-search")
+    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual,
+                         method=_METHOD, gap=gap)
 
 
 def limit_to_decision(sol: LimitSolution, tail: TailModel, delta: float,

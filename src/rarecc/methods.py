@@ -8,7 +8,8 @@
 Both linear programs have the form  max c^T x  over a box, subject to
 g(x) <= radius  for a polyhedral, convex, degree-1 homogeneous g: the sample
 CVaR of the loss, or the largest sampled row value.  Neither is assembled in
-full.  One cutting-plane loop (Kelley 1960) serves both: it solves a small LP
+full.  One cutting-plane loop (Kelley 1960) serves both, and the limit
+programs of :mod:`rarecc.limits` with gradient cuts: it solves a small LP
 in the m decision variables over the cuts found so far, evaluates g and a
 subgradient at its optimum with one pass over the sample, and adds that cut,
 until g(x) <= radius (1 + 1e-12).  The result is the optimum of the full LP.
@@ -144,13 +145,18 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     therefore valid.  Every round solves the small LP over the box and the
     cuts so far, whose optimum bounds the true one from above, and separates
     there.  The loop stops at the first iterate with g(x) <= radius (1 + 1e-12)
-    and returns (x, g(x), cut count, pivots).
+    and returns (x, g(x), cut count, pivots).  Once the LP's cost tolerance
+    cannot resolve the newest cut, it returns the iterate it was given; the
+    loop then stops and returns the least-violated iterate so far.
     """
     x = np.where(c > 0, upper, 0.0)
     cuts: list[np.ndarray] = []
     pivots = 0
+    best = None
     for _ in range(_MAX_CUT_ROUNDS):
         g, s = separate(x)
+        if best is None or g < best[1]:
+            best = (x, g)
         if g <= radius * (1.0 + 1e-12):
             return x, g, len(cuts), pivots
         cuts.append(s)
@@ -159,6 +165,8 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
         if res.status != "optimal":
             raise RareccError("cut LP reported infeasible; x = 0 should be feasible")
         pivots += res.iterations
+        if np.array_equal(res.x, x):
+            return *best, len(cuts), pivots
         x = res.x
     raise RareccError(f"cutting-plane loop did not converge in {_MAX_CUT_ROUNDS} rounds")
 

@@ -112,6 +112,18 @@ def diag_lt_optimum(a, c, gamma):
     return y, float(s ** (1.0 / gamma))
 
 
+def holder_ht_optimum(w, c, alpha):
+    """Solution of  max c^T y  s.t.  sum_j w_j y_j^alpha <= 1  by Hoelder's
+    inequality: the heavy limit program for A = I with one atom per axis.
+    With q = alpha/(alpha-1) and S = sum_j c_j^q w_j^(1-q), the optimum is
+    S^(1/q), attained at y_j = (c_j/w_j)^(q-1) S^(-1/alpha)."""
+    w = np.asarray(w, dtype=float)
+    c = np.asarray(c, dtype=float)
+    q = alpha / (alpha - 1.0)
+    s = np.sum(c ** q * w ** (1.0 - q))
+    return (c / w) ** (q - 1.0) * s ** (-1.0 / alpha), float(s ** (1.0 / q))
+
+
 def pareto_cc_value(alpha: float, delta: float, a: float = 1.0, c: float = 1.0) -> float:
     """Exact scalar chance-constrained optimum for a Pareto(alpha) factor."""
     return c * delta ** (1.0 / alpha) / a

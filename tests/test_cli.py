@@ -49,6 +49,20 @@ def test_ht_limit_json(ht_cfg, capsys):
     assert out["value"] == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("command, tail", [
+    ("lt-limit", {"kind": "light", "beta": 0.5, "theta": 1.0}),
+    ("ht-limit", {"kind": "heavy", "alpha": 2.0,
+                  "atoms": [[0.5, [1.0, 0.0]], [0.5, [0.0, 1.0]]]}),
+])
+def test_unbounded_limit_exit_1(tmp_path, capsys, command, tail):
+    cfg = write_cfg(tmp_path / "unbounded.json", {
+        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.5], [0.0, 0.0]]]},
+        "tail": tail,
+    })
+    assert cli_main([command, cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(capsys):
     assert cli_main(["lt-limit", "/nonexistent/cfg.json"]) == 2
     assert "/nonexistent/cfg.json" in capsys.readouterr().err

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import diag_lt_optimum
+from _oracles import diag_lt_optimum, holder_ht_optimum
 from rarecc import (HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
-                    ProblemInstance, RateFunction, angular_moment,
+                    ProblemInstance, RateFunction, UnboundedError, angular_moment,
                     is_infeasible_rate, lambda_eval, limit_to_decision,
                     rate_I, rate_J, solve_ht_limit, solve_lp, solve_lt_limit)
 
@@ -176,18 +176,36 @@ def test_lt_scalar():
         assert sol.y_star[0] == pytest.approx(1.0, rel=1e-9)
 
 
+def _assert_certified(sol, v_ref):
+    """0 <= gap <= 1e-8 and the optimum lies in [value, value (1 + gap)]."""
+    assert 0.0 <= sol.gap <= 1e-8
+    assert sol.value * (1.0 - 1e-12) <= v_ref <= sol.value * (1.0 + sol.gap) * (1.0 + 1e-12)
+
+
 def test_lt_matches_kkt_oracle_random_diag():
     rng = np.random.default_rng(12)
-    for gamma, theta in [(1.5, 1.0), (3.0, 2.0), (0.8, 1.0)]:
+    cases = [(gamma, theta, rng.uniform(0.5, 3.0, size=2), rng.uniform(0.5, 3.0, size=2))
+             for gamma, theta in [(1.5, 1.0), (3.0, 2.0), (0.8, 1.0)] for _ in range(5)]
+    # m = 5, gamma = 3: a smooth optimum with all five coordinates active
+    rng = np.random.default_rng(5)
+    cases.append((3.0, 2.0, rng.uniform(0.5, 3.0, size=5), rng.uniform(0.5, 3.0, size=5)))
+    for gamma, theta, a, c in cases:
         beta = gamma / theta
-        for _ in range(5):
-            a = rng.uniform(0.5, 3.0, size=2)
-            c = rng.uniform(0.5, 3.0, size=2)
-            prob = diag_problem(a, c)
-            sol = solve_lt_limit(RateFunction(LightTailModel(n=2, beta=beta, theta=theta)), prob)
-            y_ref, v_ref = diag_lt_optimum(a, c, gamma)
-            assert sol.value == pytest.approx(v_ref, rel=1e-6)
-            assert np.allclose(sol.y_star, y_ref, rtol=1e-5)
+        prob = diag_problem(a, c)
+        sol = solve_lt_limit(RateFunction(LightTailModel(n=a.size, beta=beta, theta=theta)),
+                             prob)
+        y_ref, v_ref = diag_lt_optimum(a, c, gamma)
+        assert sol.value == pytest.approx(v_ref, rel=1e-6)
+        assert np.allclose(sol.y_star, y_ref, rtol=1e-5)
+        _assert_certified(sol, v_ref)
+
+
+def test_lt_unbounded_when_profitable_coordinate_carries_no_risk():
+    # y_2 enters no loss row, and c_2 > 0: c^T y grows without bound
+    prob = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[[[1.0, 0.5], [0.0, 0.0]]])
+    for beta, theta in [(0.5, 1.0), (2.0, 1.5), (1.0, math.inf)]:
+        with pytest.raises(UnboundedError):
+            solve_lt_limit(RateFunction(LightTailModel(n=2, beta=beta, theta=theta)), prob)
 
 
 # ------------------------------------------------------------ HT program
@@ -258,6 +276,32 @@ def test_ht_matches_lp_on_single_atom_instances():
         ref = solve_lp(lp)
         assert ref.status == "optimal"
         assert sol.value == pytest.approx(ref.objective, rel=1e-6), trial
+
+
+def test_ht_matches_holder_oracle_axis_atoms():
+    # m from 2 to 5; seed 43 (m = 4, alpha = 1.32) has a strongly curved boundary
+    for seed in range(40, 60):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        alpha = float(rng.uniform(1.2, 4.0))
+        w = rng.uniform(0.2, 1.0, m)
+        w /= w.sum()
+        c = rng.uniform(0.5, 2.0, m)
+        model = HeavyTailModel.from_pairs(n=m, alpha=alpha,
+                                          pairs=[(w[j], np.eye(m)[j]) for j in range(m)])
+        sol = solve_ht_limit(model, ProblemInstance(c=c, h=1000.0, A=[np.eye(m)]))
+        y_ref, v_ref = holder_ht_optimum(w, c, alpha)
+        assert sol.value == pytest.approx(v_ref, rel=1e-9), seed
+        assert np.allclose(sol.y_star, y_ref, rtol=1e-7), seed
+        _assert_certified(sol, v_ref)
+
+
+def test_ht_unbounded_when_profitable_coordinate_carries_no_risk():
+    prob = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[[[1.0, 0.5], [0.0, 0.0]]])
+    model = HeavyTailModel.from_pairs(n=2, alpha=2.0,
+                                      pairs=[(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])])
+    with pytest.raises(UnboundedError):
+        solve_ht_limit(model, prob)
 
 
 # --------------------------------------------------- decision rescaling
