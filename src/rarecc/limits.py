@@ -63,7 +63,7 @@ class LimitSolution:
     value: float
     residual: float
     method: str
-    gap: float = 0.0     # relaxation upper bound over value, minus 1
+    gap: float           # upper bound on the optimum over value, minus 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,15 +104,17 @@ def _dual_norm_order(model: LightTailModel) -> float:
     return gamma / (gamma - 1.0)
 
 
+def _dual_norm(B: np.ndarray, p: float) -> np.ndarray:
+    """||b||_p of the nonnegative rows b of B (of b itself for a vector),
+    scaled by the largest entry so that b^p cannot overflow or underflow;
+    for p = inf the scaled entries below 1 vanish and the norm is the max."""
+    top = B.max(axis=-1)
+    Z = B / np.where(top > 0.0, top, 1.0)[..., None]
+    return top * np.sum(Z ** p, axis=-1) ** (1.0 / p)
+
+
 def _rate_closed(model: LightTailModel, b: np.ndarray) -> float:
-    p = _dual_norm_order(model)
-    if p == 1.0:
-        norm = b.sum()
-    elif math.isinf(p):
-        norm = b.max()
-    else:
-        norm = float(np.sum(b ** p) ** (1.0 / p))
-    return norm ** (-model.beta)
+    return float(_dual_norm(b, _dual_norm_order(model))) ** (-model.beta)
 
 
 def _project_scaled_simplex(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,23 +237,35 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
     degree-1 homogeneous g given by ``separate(y) = (g(y), gradient)``.
 
     Since g(y) >= y_j g(e_j), the box y_j <= 1/g(e_j) cuts off nothing, and a
-    profitable coordinate with g(e_j) = 0 makes the program unbounded.  The
-    cut loop's last relaxation optimum x bounds the value from above and
-    y = x / g(x) is feasible.  On a smooth boundary that pins y only to about
+    profitable coordinate with g(e_j) = 0 makes the program unbounded.
+    Every iterate z of the cut loop optimizes a relaxation (to the LP's cost
+    tolerance), so the smallest c^T z bounds the value from above, and z
+    scales to a feasible z / g(z); y starts as the best of these.  That holds
+    however the loop stops: past m = 6 it often stops at its round cap, where
+    the gap grows with m.  On a smooth boundary the gap pins y only to about
     the square root of the value gap, so a few Newton steps on the KKT system
     c_S = (c^T y) grad_S g(y) over the support S of y follow, the Jacobian
     taken from central differences of the gradient; a step is kept only if
     it lowers the KKT residual without lowering c^T y.  Returns (y, gap),
-    the gap being the relaxation value over c^T y, minus 1, clipped at 0
-    because rounding can put an exact optimum an ulp above the relaxation.
+    the gap being the bound over c^T y, minus 1, clipped at 0 because
+    rounding can put an exact optimum an ulp above the bound.
     """
     m = c.size
     ge = np.array([separate(e)[0] for e in np.eye(m)])
     if ((c > 0) & (ge == 0.0)).any():
         raise UnboundedError("a profitable coordinate carries no tail risk")
     upper = np.divide(1.0, ge, out=np.zeros(m), where=ge > 0.0)
-    x, g, _, _ = _cut_loop(c, upper, 1.0, separate)
-    y = x / g
+    y, value, bound = None, 0.0, math.inf
+
+    def separate_and_keep_best(z):
+        nonlocal y, value, bound
+        g, s = separate(z)
+        bound = min(bound, float(c @ z))
+        if c @ z > value * g:
+            y, value = z / g, float(c @ z) / g
+        return g, s
+
+    _cut_loop(c, upper, 1.0, separate_and_keep_best)
 
     S = np.flatnonzero(y > 0.0)
 
@@ -279,7 +293,7 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
         if not (np.linalg.norm(r_z) < np.linalg.norm(r) and c @ z >= c @ y):
             break
         y, r = z, r_z
-    return y, max(float(c @ x) / float(c @ y) - 1.0, 0.0)
+    return y, max(bound / float(c @ y) - 1.0, 0.0)
 
 
 def solve_lt_limit(rf: RateFunction, problem: ProblemInstance) -> LimitSolution:
@@ -298,9 +312,7 @@ def solve_lt_limit(rf: RateFunction, problem: ProblemInstance) -> LimitSolution:
 
     def separate(y):
         B = y @ A                                   # rows b_i = A_i^T y, (d, n)
-        top = B.max(axis=1)
-        Z = B / np.where(top > 0.0, top, 1.0)[:, None]
-        norms = top * np.sum(Z ** p, axis=1) ** (1.0 / p)
+        norms = _dual_norm(B, p)
         i = int(np.argmax(norms))
         if norms[i] == 0.0:
             return 0.0, np.zeros(problem.m)

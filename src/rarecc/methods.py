@@ -144,21 +144,20 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
     therefore valid.  Every round solves the small LP over the box and the
     cuts so far, whose optimum bounds the true one from above, and separates
-    there.  The loop stops at the first iterate with g(x) <= radius (1 + 1e-12)
-    and returns (x, g(x), cut count, pivots).  Once the LP's cost tolerance
-    cannot resolve the newest cut, it returns the iterate it was given; the
-    loop then stops and returns the least-violated iterate so far.
+    there.  The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
+    when the LP returns the iterate it was given (its cost tolerance cannot
+    resolve the newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
+    (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
+    relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
+    against the radius themselves.
     """
     x = np.where(c > 0, upper, 0.0)
     cuts: list[np.ndarray] = []
     pivots = 0
-    best = None
+    g, s = separate(x)
     for _ in range(_MAX_CUT_ROUNDS):
-        g, s = separate(x)
-        if best is None or g < best[1]:
-            best = (x, g)
         if g <= radius * (1.0 + 1e-12):
-            return x, g, len(cuts), pivots
+            break
         cuts.append(s)
         res = solve_lp(LinearProgram(objective=c, A=np.array(cuts),
                                      b=np.full(len(cuts), radius), hi=upper))
@@ -166,9 +165,19 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
             raise RareccError("cut LP reported infeasible; x = 0 should be feasible")
         pivots += res.iterations
         if np.array_equal(res.x, x):
-            return *best, len(cuts), pivots
+            break
         x = res.x
-    raise RareccError(f"cutting-plane loop did not converge in {_MAX_CUT_ROUNDS} rounds")
+        g, s = separate(x)
+    return x, g, len(cuts), pivots
+
+
+def _exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
+    """:func:`_cut_loop` for the sampled LPs, whose optimum it must reach."""
+    x, g, cuts, pivots = _cut_loop(c, upper, radius, separate)
+    if g > radius * (1.0 + 1e-12):
+        raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
+                          f"after {cuts} cuts")
+    return x, g, cuts, pivots
 
 
 def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
@@ -203,7 +212,8 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         rows = np.einsum("jmn,jn->jm", problem.A[attain], draws[top])
         return float(weights @ losses[top]), weights @ rows
 
-    x, g, cuts, pivots = _cut_loop(problem.c, np.full(problem.m, problem.h), 1.0, separate)
+    x, g, cuts, pivots = _exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0,
+                                         separate)
     hits = int((losses > 1.0).sum())
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=delta,
@@ -240,8 +250,8 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         return float(scores[j]), W[j]
 
     radius = float(radius)
-    x, g, cuts, pivots = _cut_loop(problem.c, np.full(problem.m, problem.h * radius),
-                                   radius, separate)
+    x, g, cuts, pivots = _exact_cut_loop(problem.c, np.full(problem.m, problem.h * radius),
+                                         radius, separate)
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=None,
         violation_estimate=None, violation_halfwidth=None,

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import rarecc.methods
 from rarecc import HeavyTailModel, LightTailModel, ProblemInstance
 
 
@@ -28,3 +31,12 @@ def two_atom_model():
 @pytest.fixture
 def identity_problem2():
     return ProblemInstance(c=[1.0, 1.0], h=100.0, A=[np.eye(2)])
+
+
+@pytest.fixture
+def stalled_lp(monkeypatch):
+    """Make every cut LP hand back the box corner the cut loop starts from."""
+    def solve(lp):
+        return SimpleNamespace(status="optimal", iterations=0,
+                               x=np.where(lp.objective > 0, lp.hi, 0.0))
+    monkeypatch.setattr(rarecc.methods, "solve_lp", solve)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rarecc.limits
+import rarecc.methods
 from _oracles import diag_lt_optimum, holder_ht_optimum
 from rarecc import (HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
                     ProblemInstance, RateFunction, UnboundedError, angular_moment,
                     is_infeasible_rate, lambda_eval, limit_to_decision,
                     rate_I, rate_J, solve_ht_limit, solve_lp, solve_lt_limit)
+from rarecc.methods import _cut_loop as cut_loop
 
 
 def diag_problem(a, c, h=1000.0):
@@ -200,6 +203,42 @@ def test_lt_matches_kkt_oracle_random_diag():
         _assert_certified(sol, v_ref)
 
 
+def test_lt_past_cut_round_cap_m7(monkeypatch):
+    # the cut loop stops at its round cap; c^T x still certifies the polished y
+    rounds = []
+
+    def counted(*args):
+        out = cut_loop(*args)
+        rounds.append(out[2])
+        return out
+    monkeypatch.setattr(rarecc.limits, "_cut_loop", counted)
+    rng = np.random.default_rng(1)
+    a, c = rng.uniform(0.5, 3.0, size=7), rng.uniform(0.5, 3.0, size=7)
+    sol = solve_lt_limit(RateFunction(LightTailModel(n=7, beta=1.5, theta=2.0)),
+                         diag_problem(a, c))
+    assert rounds == [rarecc.methods._MAX_CUT_ROUNDS]
+    y_ref, v_ref = diag_lt_optimum(a, c, 3.0)
+    assert sol.value == pytest.approx(v_ref, rel=1e-9)
+    assert np.allclose(sol.y_star, y_ref, rtol=1e-7)
+    _assert_certified(sol, v_ref)
+
+
+def test_limits_when_cut_lp_stalls(stalled_lp):
+    # the loop stops at once at the box corner; the scaled, polished corner
+    # is still feasible and the gap still covers the optimum
+    a, c = np.array([1.0, 2.0, 0.5]), np.array([2.0, 1.0, 1.5])
+    rf = RateFunction(LightTailModel(n=3, beta=1.5, theta=2.0))
+    sol = solve_lt_limit(rf, diag_problem(a, c))
+    _, v_ref = diag_lt_optimum(a, c, 3.0)
+    assert rate_J(rf, diag_problem(a, c), sol.y_star) >= 1.0 - 1e-12
+    assert sol.gap >= 0.0
+    assert sol.value * (1.0 - 1e-12) <= v_ref <= sol.value * (1.0 + sol.gap) * (1.0 + 1e-12)
+    model = HeavyTailModel.from_pairs(n=3, alpha=1.5, pairs=[(0.5, [1, 0, 0]), (0.5, [0, 0.5, 0.5])])
+    sol = solve_ht_limit(model, diag_problem(a, c))
+    assert angular_moment(model, diag_problem(a, c), sol.y_star) <= 1.0 + 1e-12
+    assert sol.gap >= 0.0
+
+
 def test_lt_unbounded_when_profitable_coordinate_carries_no_risk():
     # y_2 enters no loss row, and c_2 > 0: c^T y grows without bound
     prob = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[[[1.0, 0.5], [0.0, 0.0]]])
@@ -312,7 +351,7 @@ def test_limit_to_decision_heavy(scalar_pareto2):
     model = HeavyTailModel.from_pairs(n=2, alpha=2.0,
                                       pairs=[(0.5, [1, 0]), (0.5, [0, 1])])
     sol = LimitSolution(y_star=np.array([2.0, 0.0]), value=2.0, residual=0.0,
-                        method="ray-search")
+                        method="ray-search", gap=0.0)
     x = limit_to_decision(sol, model, 1e-4, 0.0, prob2)
     assert np.allclose(x, [0.02, 0.0])
 
@@ -320,7 +359,7 @@ def test_limit_to_decision_heavy(scalar_pareto2):
 def test_limit_to_decision_light_shrink(scalar_problem, scalar_exp):
     from rarecc.limits import LimitSolution
     sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0,
-                        method="ray-search")
+                        method="ray-search", gap=0.0)
     x = limit_to_decision(sol, scalar_exp, math.exp(-10.0), 0.1, scalar_problem)
     assert x[0] == pytest.approx(0.09, rel=1e-12)
     lt_half = LightTailModel(n=1, beta=0.5)
@@ -331,7 +370,7 @@ def test_limit_to_decision_light_shrink(scalar_problem, scalar_exp):
 def test_limit_to_decision_domain(scalar_problem, scalar_exp):
     from rarecc.limits import LimitSolution
     sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0,
-                        method="ray-search")
+                        method="ray-search", gap=0.0)
     with pytest.raises(ParameterError):
         limit_to_decision(sol, scalar_exp, 0.0, 0.0, scalar_problem)
     with pytest.raises(ParameterError):

@@ -149,6 +149,14 @@ def test_cut_loop_round_cap(monkeypatch):
         cvar_solve(prob, tail, 0.25, 500, 9)
 
 
+def test_sampled_lps_raise_when_cut_lp_stalls(stalled_lp):
+    prob, tail = _heavy_two_matrix()
+    with pytest.raises(RareccError):
+        cvar_solve(prob, tail, 0.25, 500, 9)
+    with pytest.raises(RareccError):
+        scenario_solve(prob, sample_tail(tail, 9, 200), 1.0)
+
+
 def test_cvar_zero_always_feasible(scalar_problem, scalar_exp):
     # the LP must never report infeasible: x = 0, tau = -1 satisfies it
     res = cvar_solve(scalar_problem, scalar_exp, 0.3, 400, 3)
