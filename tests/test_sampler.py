@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,42 @@ def test_light_determinism():
     b2 = sample_light(m, 99, 5000)
     assert b1.samples.tobytes() == b2.samples.tobytes()
     assert sample_light(m, 100, 5000).samples.tobytes() != b1.samples.tobytes()
+
+
+# one model per branch of the block samplers
+STREAM_MODELS = {
+    "light_indep": LightTailModel(n=3, beta=0.7, theta=1.0),
+    "light_dep": LightTailModel(n=3, beta=0.7, theta=2.5),
+    "light_comonotone": LightTailModel(n=3, beta=1.3, theta=math.inf),
+    "heavy_one_atom": HeavyTailModel.from_pairs(n=2, alpha=1.7,
+                                                pairs=[(1.0, [0.25, 0.75])]),
+    "heavy_three_atoms": HeavyTailModel.from_pairs(
+        n=2, alpha=2.5, pairs=[(0.2, [1, 0]), (0.5, [0.5, 0.5]), (0.3, [0, 1])]),
+}
+
+# sha256 of draws [1000, 10000) at seed 2024; these pin the stream format
+STREAM_DIGESTS = {
+    "light_indep": "c2e4ae1e3e397e4a0d7de1a2522f492b3984bfaf8d66193dab3e7a63cc786413",
+    "light_dep": "422b776bf6373172bdb3fa1d9f36e300bfe909c1045c3b9263e613f70e2a18ba",
+    "light_comonotone": "a726ffcb100fed139c2ee6696c90f411208010b50eea6cc33b18bbc8e3781e08",
+    "heavy_one_atom": "64fe97e24c945033d8bace25f2b5bfc28befebbd226d7ef9b084677bffb33808",
+    "heavy_three_atoms": "bcd5d4dc07a09656138fe348e6d0abf0cede17db9f7ec1ef4d1a98f8901d2208",
+}
+RADII_DIGEST = "deb51d57eb136629b6aef8b530a0b5a26ab0c85de55c2f5eb4866622ba955a69"
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
+def test_stream_digest(name):
+    assert _sha256(draws_range(STREAM_MODELS[name], 2024, 1000, 10_000)) == STREAM_DIGESTS[name]
+
+
+def test_radii_stream_digest():
+    radii = heavy_radii_range(STREAM_MODELS["heavy_three_atoms"], 2024, 1000, 10_000)
+    assert _sha256(radii) == RADII_DIGEST
 
 
 def test_shard_merge_invariance():
