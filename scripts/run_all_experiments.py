@@ -5,7 +5,8 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
-same bytes.  Takes about 15 s on one core.
+same bytes.  On a 2-vCPU Linux VM a run took 8.8-10.3 s (three runs),
+against 13.6-14.6 s before the sampler wrote its blocks in place.
 """
 
 import pathlib

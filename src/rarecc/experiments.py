@@ -279,6 +279,19 @@ def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
     return _run_grid(cfg, cfg.k_grid, task, agg)
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D block, accumulated column by column left to right.
+
+    Several times faster than ``block.sum(axis=1)`` on a tall, narrow block,
+    and bit-identical to it for up to 7 columns.  From 8 columns on numpy
+    sums pairwise; this stays left to right.
+    """
+    s = block[:, 0].copy()
+    for j in range(1, block.shape[1]):
+        s += block[:, j]
+    return s
+
+
 def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     """Monte Carlo check of the exceedance ratio against its angular moment.
 
@@ -303,7 +316,7 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
             hi = min(lo + _STREAM_CHUNK, cfg.budget)
             block = draws_range(tail, seed, lo, hi)
             hits_num += int((phi_many(cfg.problem, y, block) > r).sum())
-            hits_den += int((block.sum(axis=1) > r).sum())
+            hits_den += int((_row_sums(block) > r).sum())
         # a probe with identically zero loss has ratio 0 by definition; the
         # exceedance floor only guards estimates of a positive limit
         if hits_den < 100 or (closed > 0.0 and hits_num < 100):

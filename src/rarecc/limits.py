@@ -27,7 +27,7 @@ from .sampler import (HeavyTailModel, LightTailModel, TailModel,
 #: zero loss rows).  Callers must branch on it; it never enters arithmetic.
 INFEASIBLE_RATE = math.inf
 _NEWTON_STEPS = 4          # KKT polishing steps after the cut loop
-_METHOD = "ray-search"     # LimitSolution.method label written to the CLI's JSON
+_METHOD = "cut-loop"       # LimitSolution.method label written to the CLI's JSON
 
 
 def is_infeasible_rate(value: float) -> bool:
@@ -71,6 +71,7 @@ class LimitSolution:
             "value": float(self.value),
             "residual": float(self.residual),
             "method": self.method,
+            "gap": float(self.gap),
         }
 
 

@@ -14,6 +14,21 @@ Draws are generated in fixed-size blocks, each block from its own
 counter-keyed Philox stream, so the value of draw ``i`` depends only on
 (model, seed, i).  Batches can therefore be produced in parallel shards
 and merged in any order without changing the result.
+
+Within a block of B = 4096 draws the stream is read in this order:
+
+* light, theta = 1 (within 1e-9): the (B, n) unit exponentials;
+* light, 1 < theta < inf: the (B, n) unit exponentials, then the B stable
+  angles V, then the B stable exponentials W;
+* light, theta = inf: the B shared exponentials;
+* heavy: the B radius uniforms, then the B angular picks.
+
+Each block reads its own stream front to back, so a value depends only on
+the numbers read up to it in its own block, never on what is read after
+it.  A block may therefore leave out its trailing draws when nothing uses
+them, and every value stays the same: the heavy radii
+(:func:`heavy_radii_range`) and one-atom heavy models, whose picks would all
+select the same atom, never draw the picks.
 """
 
 from __future__ import annotations
@@ -122,51 +137,71 @@ def _stable_oneside(exponent: float, v: np.ndarray, w: np.ndarray) -> np.ndarray
     return (np.sin(a * v) / np.sin(v) ** (1.0 / a)) * (np.sin((1.0 - a) * v) / w) ** ((1.0 - a) / a)
 
 
-def _light_block(model: LightTailModel, seed: int, block: int) -> np.ndarray:
+def _light_block(model: LightTailModel, seed: int, block: int, out: np.ndarray) -> None:
+    """Write the block's draws into ``out`` of shape (_BLOCK, n)."""
     rng = _block_rng(seed, block)
-    n, beta, theta = model.n, model.beta, model.theta
+    beta, theta = model.beta, model.theta
     if math.isinf(theta):
         e = rng.standard_exponential(_BLOCK)
-        return np.repeat((e ** (1.0 / beta))[:, None], n, axis=1)
-    e = rng.standard_exponential((_BLOCK, n))
+        e **= 1.0 / beta
+        out[:] = e[:, None]
+        return
+    rng.standard_exponential(out=out)
     if theta < 1.0 + 1e-9:
         # near-independent: the stable factor degenerates, skip it
-        return e ** (1.0 / beta)
+        out **= 1.0 / beta
+        return
     v = rng.uniform(0.0, np.pi, _BLOCK)
     w = rng.standard_exponential(_BLOCK)
-    s = _stable_oneside(1.0 / theta, v, w)
-    return (e / s[:, None]) ** (1.0 / (theta * beta))
+    out /= _stable_oneside(1.0 / theta, v, w)[:, None]
+    out **= 1.0 / (theta * beta)
 
 
-def _heavy_block(model: HeavyTailModel, seed: int, block: int) -> np.ndarray:
+def _radii_block(model: HeavyTailModel, seed: int, block: int,
+                 out: np.ndarray) -> np.random.Generator:
+    """Pareto radii of a block; returns the stream, positioned at the picks."""
     rng = _block_rng(seed, block)
-    u = rng.random(_BLOCK)
-    r = u ** (-1.0 / model.alpha)
-    pick = rng.random(_BLOCK)
-    idx = np.searchsorted(np.cumsum(model.weights), pick, side="right")
-    idx = np.minimum(idx, model.weights.size - 1)
-    return r[:, None] * model.atoms[idx]
+    rng.random(out=out)
+    out **= -1.0 / model.alpha
+    return rng
 
 
-def _heavy_radii_block(model: HeavyTailModel, seed: int, block: int) -> np.ndarray:
-    # consumes the stream exactly like _heavy_block but returns radii only
-    rng = _block_rng(seed, block)
-    u = rng.random(_BLOCK)
-    rng.random(_BLOCK)
-    return u ** (-1.0 / model.alpha)
+def _heavy_block(model: HeavyTailModel, seed: int, block: int, out: np.ndarray) -> None:
+    """Write the block's draws into ``out`` of shape (_BLOCK, n)."""
+    r = np.empty(_BLOCK)
+    rng = _radii_block(model, seed, block, r)
+    if model.weights.size == 1:
+        # the picks would all select atom 0, so they are not drawn
+        np.multiply.outer(r, model.atoms[0], out=out)
+        return
+    idx = np.searchsorted(np.cumsum(model.weights), rng.random(_BLOCK), side="right")
+    # clip sends a pick above the rounded cumsum's last entry to the last atom
+    np.take(model.atoms, idx, axis=0, out=out, mode="clip")
+    out *= r[:, None]
 
 
 def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple) -> np.ndarray:
-    """Rows [start, stop) of the concatenated per-block streams of block_fn."""
+    """Rows [start, stop) of the concatenated per-block streams of block_fn.
+
+    A block that lies wholly inside the range is written in place into its
+    slice of the result; only a partial first or last block goes through
+    one scratch block.
+    """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
     out = np.empty((stop - start,) + row_shape)
+    scratch = None
     pos = 0
     for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
-        blk = block_fn(model, seed, b)
         lo = max(start - b * _BLOCK, 0)
         hi = min(stop - b * _BLOCK, _BLOCK)
-        out[pos:pos + hi - lo] = blk[lo:hi]
+        if hi - lo == _BLOCK:
+            block_fn(model, seed, b, out[pos:pos + _BLOCK])
+        else:
+            if scratch is None:
+                scratch = np.empty((_BLOCK,) + row_shape)
+            block_fn(model, seed, b, scratch)
+            out[pos:pos + hi - lo] = scratch[lo:hi]
         pos += hi - lo
     return out
 
@@ -179,11 +214,11 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Radii of the heavy draws with indices [start, stop)."""
-    return _splice(_heavy_radii_block, model, seed, start, stop, ())
+    return _splice(_radii_block, model, seed, start, stop, ())
 
 
 def _checked_count(count) -> int:
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError("count must be a positive integer")
     return int(count)
 

@@ -39,7 +39,8 @@ def ht_cfg(tmp_path):
 def test_lt_limit_json(lt_cfg, capsys):
     assert cli_main(["lt-limit", lt_cfg]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"y_star", "value", "residual", "method"}
+    assert set(out) == {"y_star", "value", "residual", "method", "gap"}
+    assert out["method"] == "cut-loop" and 0.0 <= out["gap"] <= 1e-8
     assert np.allclose(out["y_star"], [1.0, 0.5, 0.25], rtol=1e-6)
 
 

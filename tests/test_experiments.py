@@ -7,7 +7,7 @@ from _oracles import exp_cc_value, exp_cvar_value
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
                     ParameterError, ProblemInstance, ks_distance,
                     run_experiment, write_report)
-from rarecc.experiments import frechet_cdf
+from rarecc.experiments import _row_sums, frechet_cdf
 
 
 def heavy_cfg(**kw):
@@ -131,6 +131,13 @@ def test_tail_ratio_zero_probe(two_atom_model, identity_problem2):
     rows, _ = run_experiment(cfg)
     row = [r for r in rows if r.rep == 0][0]
     assert row.stat == 0.0 and row.target == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_sums_match_numpy_bitwise(n):
+    rng = np.random.default_rng(n)
+    block = rng.standard_cauchy((50_000, n)) * rng.random((50_000, n)) ** -3.0
+    assert np.array_equal(_row_sums(block), block.sum(axis=1))
 
 
 def test_tail_ratio_insufficient_exceedances(two_atom_model, identity_problem2):

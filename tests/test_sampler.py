@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -58,16 +59,16 @@ def test_radii_stream_digest():
 
 def test_shard_merge_invariance():
     # draws [0, k) + [k, n) must equal draws [0, n) for any split point
-    m = LightTailModel(n=2, beta=1.0, theta=1.5)
-    full = draws_range(m, 7, 0, 10_000)
-    for cut in (1, 100, 4096, 4097, 9999):
-        merged = np.vstack([draws_range(m, 7, 0, cut), draws_range(m, 7, cut, 10_000)])
-        assert np.array_equal(merged, full)
-    hm = HeavyTailModel.from_pairs(n=2, alpha=1.5,
-                                   pairs=[(0.3, [1, 0]), (0.7, [0.5, 0.5])])
-    full = draws_range(hm, 7, 0, 9000)
-    merged = np.vstack([draws_range(hm, 7, 0, 5000), draws_range(hm, 7, 5000, 9000)])
-    assert np.array_equal(merged, full)
+    ranges = {name: functools.partial(draws_range, m, 7) for name, m in STREAM_MODELS.items()}
+    ranges["radii"] = functools.partial(heavy_radii_range, STREAM_MODELS["heavy_three_atoms"], 7)
+    for name, draw in ranges.items():
+        full = draw(0, 10_000)
+        for cut in (1, 100, 4095, 4096, 4097, 9999):
+            merged = np.concatenate([draw(0, cut), draw(cut, 10_000)])
+            assert np.array_equal(merged, full), (name, cut)
+        # partial first and last blocks around a whole one
+        assert np.array_equal(draw(4095, 8193), full[4095:8193]), name
+        assert draw(5, 5).shape[0] == 0
 
 
 def test_light_exponential_mean():
@@ -131,6 +132,8 @@ def test_heavy_radius_identity(two_atom_model):
     radii = heavy_radii_range(two_atom_model, 21, 0, 50_000)
     ratio = batch.samples.sum(axis=1) / radii
     assert np.abs(ratio - 1.0).max() <= 1e-12
+    # one nonzero coordinate per row, so the row sum is the radius exactly
+    assert np.array_equal(batch.samples.sum(axis=1), radii)
 
 
 def test_heavy_angle_independent_of_radius(two_atom_model):
@@ -190,8 +193,10 @@ def test_parameter_errors():
         LightTailModel(n=1, beta=0.0)
     with pytest.raises(ParameterError):
         LightTailModel(n=1, beta=1.0, theta=0.5)
-    with pytest.raises(ParameterError):
-        sample_light(LightTailModel(n=1, beta=1.0), 0, 0)
+    for count in (0, True, np.True_, 1.0):
+        with pytest.raises(ParameterError):
+            sample_light(LightTailModel(n=1, beta=1.0), 0, count)
+    assert sample_light(LightTailModel(n=1, beta=1.0), 0, np.int64(3)).count == 3
     with pytest.raises(ParameterError):
         HeavyTailModel.from_pairs(n=1, alpha=2.0, pairs=[])
     with pytest.raises(ParameterError):
