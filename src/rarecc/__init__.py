@@ -1,7 +1,7 @@
 """Rare-event chance-constrained linear programs and their small-risk limits."""
 
-from .errors import (ContractError, InfeasibleError, InputError,
-                     ParameterError, RareccError, UnboundedError)
+from .errors import (ContractError, InputError, ParameterError, RareccError,
+                     UnboundedError)
 from .experiments import (ExperimentConfig, ReportRow, ks_distance,
                           run_experiment, write_report)
 from .limits import (INFEASIBLE_RATE, LimitSolution, RateFunction,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -37,10 +36,9 @@ class ConfigError(Exception):
 def _tail_from_dict(data: dict, n: int):
     kind = data.get("kind")
     if kind == "light":
-        theta = data.get("theta", 1.0)
-        if isinstance(theta, str):
-            theta = math.inf if theta.lower() in ("inf", "infinity") else float(theta)
-        return LightTailModel(n=n, beta=float(data["beta"]), theta=float(theta))
+        # float() also parses the strings "inf" and "Infinity"
+        return LightTailModel(n=n, beta=float(data["beta"]),
+                              theta=float(data.get("theta", 1.0)))
     if kind == "heavy":
         atoms = data.get("atoms")
         if atoms is None and n == 1:
@@ -90,7 +88,7 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         problem=cfg["problem"],
         tail=cfg["tail"],
         delta_grid=tuple(exp.get("delta_grid", (1e-2, 1e-3, 1e-4))),
-        k_grid=tuple(int(k) for k in exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
+        k_grid=tuple(exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
         replications=reps,
         budget=int(exp.get("budget", 100_000)),
         master_seed=seed,

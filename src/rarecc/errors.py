@@ -17,9 +17,5 @@ class ParameterError(RareccError):
     """A configuration or method parameter is outside its admissible range."""
 
 
-class InfeasibleError(RareccError):
-    """An optimization problem has an empty feasible region."""
-
-
 class UnboundedError(RareccError):
     """An optimization problem has unbounded optimal value."""

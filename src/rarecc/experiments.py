@@ -10,6 +10,7 @@ across reruns and across worker counts.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,6 +55,14 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral) \
+                or self.workers < 1:
+            raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for k in self.k_grid:
+            if isinstance(k, bool) or not isinstance(k, numbers.Real) \
+                    or not (k >= 1 and float(k).is_integer()):
+                raise ParameterError(f"k_grid values must be integers >= 1, got {k!r}")
+        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
         needs_delta = self.kind in ("cvar_ratio", "feasibility_factor")
         needs_k = self.kind in ("scenario_convergence", "frechet_check")
         if needs_delta and not self.delta_grid:
@@ -185,7 +194,6 @@ def run_scenario_convergence(cfg: ExperimentConfig) -> list[ReportRow]:
         cv_ref = math.nan
 
     def task(gi, k, rep, seed):
-        k = int(k)
         if light and k < 2:
             raise ParameterError("light-tail scenario scaling needs k >= 2")
         batch = sample_tail(cfg.tail, seed, k)
@@ -264,7 +272,6 @@ def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
     median = math.log(2.0) ** (-1.0 / alpha)
 
     def task(gi, k, rep, seed):
-        k = int(k)
         radii = heavy_radii_range(tail, seed, 0, k)
         stat = float(radii.max() / heavy_fbar_inv(tail, 1.0 / k))
         return ReportRow(cfg.kind, float(k), rep, stat, median, alpha, k, seed)

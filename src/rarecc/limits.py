@@ -219,9 +219,7 @@ def rate_J(rf: RateFunction, problem: ProblemInstance, y) -> float:
     for b in rows:
         if not (b > 0).any():
             continue
-        val = rate_I(rf, b)
-        if is_infeasible_rate(best) or val < best:
-            best = val
+        best = min(best, rate_I(rf, b))
     return best
 
 

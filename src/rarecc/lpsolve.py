@@ -1,9 +1,12 @@
-"""Small dense linear-program solver (two-phase tableau simplex).
+"""Small dense linear-program solver (one-phase tableau simplex).
 
-Solves  maximize f^T x  s.t.  A x <= b,  lo <= x <= hi  for dense data with
-at most a few thousand rows.  Pivoting is deterministic: Dantzig's rule with
-lowest-index tie-breaking, falling back to Bland's anti-cycling rule after a
-degenerate stall, so identical inputs always produce identical output.
+Solves  maximize f^T x  s.t.  A x <= b,  0 <= x <= hi  for dense data with
+at most a few thousand rows, under the contract b >= 0 and hi >= 0: x = 0 is
+then feasible, so the simplex starts from the slack basis and needs no
+phase 1.  This is the form of every cut LP of :func:`rarecc.methods._cut_loop`.
+Pivoting is deterministic: Dantzig's rule with lowest-index tie-breaking,
+falling back to Bland's anti-cycling rule after a degenerate stall, so
+identical inputs always produce identical output.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ _STALL_LIMIT = 64        # degenerate iterations before switching to Bland
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective @ x subject to A x <= b and lo <= x <= hi."""
+    """maximize objective @ x subject to A x <= b and 0 <= x <= hi, where
+    b >= 0 and hi >= 0; ``hi`` defaults to +inf in every coordinate."""
 
     objective: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
     def __post_init__(self):
@@ -40,45 +43,39 @@ class LinearProgram:
             raise ContractError("need at least one row and one column")
         if f.shape != (ncols,) or b.shape != (mrows,):
             raise ContractError("objective/b shapes inconsistent with A")
-        lo = np.zeros(ncols) if self.lo is None else np.asarray(self.lo, dtype=float)
         hi = np.full(ncols, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
-        if lo.shape != (ncols,) or hi.shape != (ncols,):
+        if hi.shape != (ncols,):
             raise ContractError("bound shapes inconsistent with A")
         if not (np.isfinite(f).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise InputError("objective, A and b must be finite")
-        if not np.isfinite(lo).all():
-            raise InputError("every variable needs a finite lower bound")
-        if np.isnan(hi).any():
-            raise InputError("upper bounds must not be NaN")
+        if (b < 0).any():
+            raise InputError("b must be nonnegative, so that x = 0 is feasible")
+        if not (hi >= 0).all():
+            raise InputError("upper bounds must be nonnegative and not NaN")
         object.__setattr__(self, "objective", f)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one LP solve."""
+    """Optimal vertex of one LP solve."""
 
-    status: str                     # "optimal" | "infeasible"
-    x: np.ndarray | None
-    objective: float | None
+    x: np.ndarray
+    objective: float
     iterations: int
     residual: float
     active_rows: list = field(default_factory=list)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
-           scratch: np.ndarray | None = None) -> None:
+           scratch: np.ndarray) -> None:
     prow = T[row] / T[row, col]
     coef = T[:, col].copy()
     coef[row] = 0.0
-    if scratch is None:
-        T -= np.outer(coef, prow)
-    else:
-        np.multiply(coef[:, None], prow[None, :], out=scratch)
-        np.subtract(T, scratch, out=T)
+    np.multiply(coef[:, None], prow[None, :], out=scratch)
+    np.subtract(T, scratch, out=T)
     T[row] = prow
     basis[row] = col
 
@@ -125,91 +122,44 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve the LP; returns an optimal vertex or status "infeasible".
+    """Solve the LP from the slack basis and return an optimal vertex.
 
-    Infeasibility is a result, not an exception; unboundedness raises
-    :class:`UnboundedError` because every call site is supposed to pass a
-    bounded feasible region.
+    The region always holds x = 0, so there is no infeasible outcome;
+    unboundedness raises :class:`UnboundedError` because every call site is
+    supposed to pass a bounded region.
     """
-    f, A, b, lo, hi = lp.objective, lp.A, lp.b, lp.lo, lp.hi
+    f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
     ncols = A.shape[1]
-    if (hi < lo - 1e-15).any():
-        return SolveResult("infeasible", None, None, 0, 0.0)
 
-    # shift to z = x - lo >= 0 and materialize finite upper bounds as rows
-    b_shift = b - A @ lo
+    # materialize finite upper bounds as rows
     ub_idx = np.flatnonzero(np.isfinite(hi))
-    G = np.vstack([A] + [np.eye(ncols)[ub_idx]]) if ub_idx.size else A.copy()
-    g = np.concatenate([b_shift, (hi - lo)[ub_idx]]) if ub_idx.size else b_shift.copy()
+    G = np.vstack([A, np.eye(ncols)[ub_idx]])
+    g = np.concatenate([b, hi[ub_idx]])
 
-    # drop vacuous rows; an all-zero row with negative rhs is a contradiction
+    # drop vacuous rows (0 <= g holds for them) and scale the rest
     scale = np.abs(G).max(axis=1)
-    vacuous = (scale <= _PIVOT_TOL)
-    if (vacuous & (g < -1e-9)).any():
-        return SolveResult("infeasible", None, None, 0, 0.0)
-    keep = ~vacuous
+    keep = scale > _PIVOT_TOL
     G, g, scale = G[keep], g[keep], scale[keep]
     if G.shape[0] == 0:
         raise ContractError("all constraint rows vanished; region is unbounded")
     G = G / scale[:, None]
     g = g / scale
 
+    # slack basis; its costs are zero, so the objective row needs no pricing
     nrows = G.shape[0]
-    neg = g < 0
-    art_rows = np.flatnonzero(neg)
-    nart = art_rows.size
-    total = ncols + nrows + nart
+    total = ncols + nrows
     T = np.zeros((nrows + 1, total + 1))
-    T[:-1, :ncols] = np.where(neg[:, None], -G, G)
-    T[np.arange(nrows), ncols + np.arange(nrows)] = np.where(neg, -1.0, 1.0)
-    T[:-1, -1] = np.abs(g)
-    basis = ncols + np.arange(nrows)
-    iters = 0
-
-    if nart:
-        for j, r in enumerate(art_rows):
-            T[r, ncols + nrows + j] = 1.0
-            basis[r] = ncols + nrows + j
-        # phase 1: minimize the sum of artificials
-        T[-1, :] = 0.0
-        T[-1, ncols + nrows:total] = 1.0
-        for r in art_rows:
-            T[-1, :] -= T[r, :]
-        iters += _iterate(T, basis, total)
-        if -T[-1, -1] > 1e-7:
-            return SolveResult("infeasible", None, None, iters, 0.0)
-        # pivot surviving artificials out of the basis; rows that cannot be
-        # repaired are redundant and get dropped together with their basis slot
-        n_struct = ncols + nrows
-        dead = []
-        for r in range(nrows):
-            if basis[r] >= n_struct:
-                sub = np.abs(T[r, :n_struct])
-                j = int(np.argmax(sub))
-                if sub[j] > _PIVOT_TOL:
-                    _pivot(T, basis, r, j)
-                    iters += 1
-                else:
-                    dead.append(r)
-        if dead:
-            T = np.delete(T, dead, axis=0)
-            basis = np.delete(basis, dead)
-            nrows -= len(dead)
-        T = np.delete(T, np.s_[n_struct:total], axis=1)
-        total = n_struct
-
-    # phase 2: minimize -f^T z
-    T[-1, :] = 0.0
+    T[:-1, :ncols] = G
+    T[np.arange(nrows), ncols + np.arange(nrows)] = 1.0
+    T[:-1, -1] = g
     T[-1, :ncols] = -f
-    for r in range(nrows):
-        if T[-1, basis[r]] != 0.0:
-            T[-1, :] -= T[-1, basis[r]] * T[r, :]
-    iters += _iterate(T, basis, total)
+    basis = ncols + np.arange(nrows)
+    iters = _iterate(T, basis, total)
 
     z = np.zeros(total)
     z[basis] = T[:-1, -1]
-    x = lo + z[:ncols]
+    x = z[:ncols]
     slack_ok = A @ x - b
-    residual = float(max(0.0, slack_ok.max(), (lo - x).max(), (x - hi)[np.isfinite(hi)].max(initial=0.0)))
+    residual = float(max(0.0, slack_ok.max(), -x.min(), (x - hi)[np.isfinite(hi)].max(initial=0.0)))
     active = [int(i) for i in np.flatnonzero(np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b)))]
-    return SolveResult("optimal", x, float(f @ x), iters, residual, active)
+    return SolveResult(x, float(f @ x), iters, residual, active)

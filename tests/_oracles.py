@@ -60,7 +60,6 @@ def ru_cvar_lp(c, h, A, draws, delta):
     hi = np.full(m + 1 + N, np.inf)
     hi[:m] = h
     res = solve_lp(LinearProgram(objective=f, A=rows, b=b, hi=hi))
-    assert res.status == "optimal"
     return res.objective, res.x[:m]
 
 

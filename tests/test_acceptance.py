@@ -106,7 +106,7 @@ def test_acceptance_03_ht_limit_vs_lp_oracle():
             sol = solve_ht_limit(model, prob)
             rows = np.array([A[i] @ atom for i in range(d)])
             ref = solve_lp(LinearProgram(objective=c, A=rows, b=np.ones(d),
-                                         lo=np.zeros(m), hi=np.full(m, 1000.0)))
+                                         hi=np.full(m, 1000.0)))
             rel = abs(sol.value - ref.objective) / abs(ref.objective)
             worst = max(worst, rel)
             assert rel <= 1e-6

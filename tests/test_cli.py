@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rarecc.cli import cli_main
+from rarecc.cli import cli_main, load_config
 
 
 def write_cfg(path, payload):
@@ -91,6 +92,35 @@ def test_duplicate_grid_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("k_grid", [[0], [100.7]])
+def test_bad_k_grid_exit_2(tmp_path, capsys, k_grid):
+    cfg = write_cfg(tmp_path / "k.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "frechet_check", "k_grid": k_grid, "replications": 3},
+    })
+    assert cli_main(["experiment", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "k_grid" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_workers_exit_2(ht_cfg, tmp_path, capsys, workers):
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", ht_cfg, "--out", str(out), "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["inf", "Infinity"])
+def test_theta_string_infinity(tmp_path, theta):
+    cfg = write_cfg(tmp_path / "inf.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "light", "beta": 0.5, "theta": theta},
+    })
+    assert load_config(cfg)["tail"].theta == math.inf
+
+
 def test_experiment_deterministic_bytes(ht_cfg, tmp_path, capsys):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert cli_main(["experiment", ht_cfg, "--out", str(out1), "--seed", "7"]) == 0
@@ -111,8 +141,8 @@ def test_scenario_and_methods_json(ht_cfg, capsys):
     assert cli_main(["scenario", ht_cfg, "--seed", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"method", "x", "value", "delta", "violation",
-                        "violation_halfwidth", "seed"}
-    assert out["method"] == "scenario"
+                        "violation_halfwidth", "seed", "gap"}
+    assert out["method"] == "scenario" and out["gap"] <= 1e-12
 
 
 def test_oracle_and_cvar_json(tmp_path, capsys):
@@ -125,11 +155,11 @@ def test_oracle_and_cvar_json(tmp_path, capsys):
     })
     assert cli_main(["oracle", cfg]) == 0
     oracle = json.loads(capsys.readouterr().out)
-    assert oracle["method"] == "ccp_oracle"
+    assert oracle["method"] == "ccp_oracle" and oracle["gap"] is None
     assert oracle["value"] == pytest.approx(0.1, rel=0.1)
     assert cli_main(["cvar", cfg]) == 0
     cvar = json.loads(capsys.readouterr().out)
-    assert cvar["method"] == "cvar"
+    assert cvar["method"] == "cvar" and cvar["gap"] <= 1e-12
     assert cvar["value"] <= oracle["value"] * 1.05
 
 

@@ -206,3 +206,21 @@ def test_config_validation():
         heavy_cfg(kind="frechet_check", k_grid=(100, 100), replications=3)
     with pytest.raises(ParameterError):
         heavy_cfg(kind="cvar_ratio", delta_grid=(1e-2, 0.01))
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.0])
+def test_config_rejects_bad_workers(workers):
+    with pytest.raises(ParameterError):
+        heavy_cfg(kind="frechet_check", k_grid=(10,), workers=workers)
+
+
+@pytest.mark.parametrize("k", [0, 100.7, True, -1.0, float("nan"), float("inf"), "100"])
+def test_config_rejects_bad_k(k):
+    with pytest.raises(ParameterError):
+        heavy_cfg(kind="frechet_check", k_grid=(k,))
+
+
+def test_config_accepts_integral_k():
+    cfg = heavy_cfg(kind="frechet_check", k_grid=(1000.0, np.int64(10), 1), workers=np.int64(2))
+    assert cfg.k_grid == (1000, 10, 1)
+    assert all(type(k) is int for k in cfg.k_grid)

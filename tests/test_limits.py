@@ -310,10 +310,8 @@ def test_ht_matches_lp_on_single_atom_instances():
         sol = solve_ht_limit(model, prob)
         # single atom: the moment constraint is phi(y, atom) <= 1, an LP
         rows = np.array([A[i] @ atom for i in range(d)])
-        lp = LinearProgram(objective=c, A=rows, b=np.ones(d),
-                           lo=np.zeros(m), hi=np.full(m, 1000.0))
-        ref = solve_lp(lp)
-        assert ref.status == "optimal"
+        ref = solve_lp(LinearProgram(objective=c, A=rows, b=np.ones(d),
+                                     hi=np.full(m, 1000.0)))
         assert sol.value == pytest.approx(ref.objective, rel=1e-6), trial
 
 

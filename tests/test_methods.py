@@ -268,8 +268,9 @@ def test_method_result_json_keys(scalar_problem, scalar_pareto2):
     res = cvar_solve(scalar_problem, scalar_pareto2, 0.25, 500, 5)
     d = res.to_json_dict()
     assert set(d) == {"method", "x", "value", "delta", "violation",
-                      "violation_halfwidth", "seed"}
+                      "violation_halfwidth", "seed", "gap"}
     assert d["method"] == "cvar" and d["seed"] == 5
+    assert d["gap"] == res.meta["gap"] <= 1e-12
 
 
 def test_wilson_halfwidth_basics():
