@@ -4,8 +4,7 @@ from .errors import (ContractError, InputError, ParameterError, RareccError,
                      UnboundedError)
 from .experiments import (ExperimentConfig, ReportRow, ks_distance,
                           run_experiment, write_report)
-from .limits import (INFEASIBLE_RATE, LimitSolution, RateFunction,
-                     angular_moment, is_infeasible_rate, lambda_eval,
+from .limits import (LimitSolution, angular_moment, lambda_eval,
                      limit_to_decision, rate_I, rate_J, solve_ht_limit,
                      solve_lt_limit)
 from .lpsolve import LinearProgram, SolveResult, solve_lp

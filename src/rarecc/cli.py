@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .errors import ParameterError, RareccError
-from .experiments import ExperimentConfig, run_experiment, write_report
-from .limits import RateFunction, solve_ht_limit, solve_lt_limit
+from .experiments import ExperimentConfig, as_count, run_experiment, write_report
+from .limits import solve_ht_limit, solve_lt_limit
 from .methods import ccp_oracle, cvar_solve, sample_size_rule, scenario_solve
 from .model import ProblemInstance
 from .sampler import HeavyTailModel, LightTailModel, sample_tail
@@ -68,7 +68,7 @@ def load_config(path: str) -> dict:
             "experiment": exp,
             "master_seed": int(raw.get("master_seed", 0)),
             "out": raw.get("out"),
-            "workers": int(raw.get("workers", 1)),
+            "workers": as_count("workers", raw.get("workers", 1)),
         }
     except (KeyError, ValueError, TypeError, RareccError) as exc:
         raise ConfigError(f"config file {path} is invalid: {exc}") from exc
@@ -80,7 +80,7 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         kind = exp["kind"]
     except KeyError as exc:
         raise ConfigError(f"experiment config missing key {exc}") from exc
-    reps = args.reps if args.reps is not None else int(exp.get("replications", 1))
+    reps = args.reps if args.reps is not None else exp.get("replications", 1)
     seed = args.seed if args.seed is not None else cfg["master_seed"]
     y_probe = exp.get("y_probe")
     return ExperimentConfig(
@@ -90,13 +90,12 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         delta_grid=tuple(exp.get("delta_grid", (1e-2, 1e-3, 1e-4))),
         k_grid=tuple(exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
         replications=reps,
-        budget=int(exp.get("budget", 100_000)),
+        budget=exp.get("budget", 100_000),
         master_seed=seed,
         eta=float(exp.get("eta", 0.0)),
         r_grid=tuple(exp.get("r_grid", (10.0, 100.0))),
         y_probe=None if y_probe is None else np.asarray(y_probe, dtype=float),
         workers=args.workers if args.workers is not None else cfg["workers"],
-        out=args.out or cfg["out"],
     )
 
 
@@ -112,12 +111,12 @@ def _single_method(cfg: dict, args):
     exp = cfg["experiment"]
     seed = args.seed if args.seed is not None else cfg["master_seed"]
     delta = float(exp.get("delta_grid", [1e-3])[0])
-    budget = int(exp.get("budget", 100_000))
+    budget = as_count("budget", exp.get("budget", 100_000))
     if args.command == "oracle":
         return ccp_oracle(cfg["problem"], cfg["tail"], delta, budget, seed)
     if args.command == "cvar":
         return cvar_solve(cfg["problem"], cfg["tail"], delta, budget, seed)
-    k = int(exp.get("k_grid", [1000])[0])
+    k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
     batch = sample_tail(cfg["tail"], seed, k)
     return scenario_solve(cfg["problem"], batch, float(exp.get("radius", 1.0)))
 
@@ -149,7 +148,7 @@ def cli_main(argv=None) -> int:
         if args.command == "lt-limit":
             if not isinstance(cfg["tail"], LightTailModel):
                 raise ConfigError("lt-limit needs a light tail model")
-            sol = solve_lt_limit(RateFunction(cfg["tail"]), cfg["problem"])
+            sol = solve_lt_limit(cfg["tail"], cfg["problem"])
             _emit(sol.to_json_dict(), args.out)
         elif args.command == "ht-limit":
             if not isinstance(cfg["tail"], HeavyTailModel):
@@ -163,14 +162,14 @@ def cli_main(argv=None) -> int:
             exp = cfg["experiment"]
             delta = float(exp.get("delta_grid", [1e-3])[0])
             beta_conf = float(exp.get("beta_conf", 0.01))
-            dim = int(exp.get("dim", cfg["problem"].m))
+            dim = as_count("dim", exp.get("dim", cfg["problem"].m))
             k = sample_size_rule(delta, beta_conf, dim)
             _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim, "k": k},
                   args.out)
         else:
             ecfg = _experiment_config(cfg, args)
             rows, comments = run_experiment(ecfg)
-            out = ecfg.out or "report.csv"
+            out = args.out or cfg["out"] or "report.csv"
             write_report(rows, out, comments)
             print(f"wrote {len(rows)} rows to {out}")
     except (ConfigError, ParameterError) as exc:

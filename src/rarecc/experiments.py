@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .limits import (RateFunction, angular_moment, limit_to_decision,
-                     solve_ht_limit, solve_lt_limit)
+from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
+                     solve_lt_limit)
 from .methods import (_STREAM_CHUNK, analytic_ccp_value, analytic_cvar_value,
                       ccp_oracle, cvar_solve, scenario_solve, violation_prob,
                       wilson_halfwidth)
@@ -30,6 +30,15 @@ from .search import mix_seed
 
 EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
                     "frechet_check", "tail_ratio")
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as an int >= 1; a bool, a non-number or a non-integral
+    number (``2.5``, not ``2.0``) raises ParameterError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (value >= 1 and float(value).is_integer()):
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,21 +57,17 @@ class ExperimentConfig:
     r_grid: tuple = (10.0, 100.0)
     y_probe: np.ndarray | None = None
     workers: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
-        if self.replications < 1:
-            raise ParameterError("replications must be >= 1")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral) \
-                or self.workers < 1:
+        if not isinstance(self.workers, numbers.Integral):
+            # a worker count is a thread-pool size, never a float
             raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
-        for k in self.k_grid:
-            if isinstance(k, bool) or not isinstance(k, numbers.Real) \
-                    or not (k >= 1 and float(k).is_integer()):
-                raise ParameterError(f"k_grid values must be integers >= 1, got {k!r}")
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
+        for name in ("replications", "budget", "workers"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        object.__setattr__(self, "k_grid", tuple(as_count("k_grid value", k)
+                                                 for k in self.k_grid))
         needs_delta = self.kind in ("cvar_ratio", "feasibility_factor")
         needs_k = self.kind in ("scenario_convergence", "frechet_check")
         if needs_delta and not self.delta_grid:
@@ -162,7 +167,7 @@ def run_cvar_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def _limit_value(cfg: ExperimentConfig):
     if isinstance(cfg.tail, LightTailModel):
-        return solve_lt_limit(RateFunction(cfg.tail), cfg.problem)
+        return solve_lt_limit(cfg.tail, cfg.problem)
     return solve_ht_limit(cfg.tail, cfg.problem)
 
 
@@ -223,7 +228,7 @@ def run_feasibility_factor(cfg: ExperimentConfig) -> list[ReportRow]:
     tail = cfg.tail
     if not isinstance(tail, LightTailModel) or tail.theta != 1.0 or tail.beta >= 1.0:
         raise ParameterError("feasibility_factor needs a light tail with theta = 1, beta < 1")
-    sol = solve_lt_limit(RateFunction(tail), cfg.problem)
+    sol = solve_lt_limit(tail, cfg.problem)
     target = float(tail.n) if cfg.eta == 0.0 else 0.0
 
     def task(gi, delta, rep, seed):

@@ -1,10 +1,13 @@
-"""Tail-rate functions and the small-risk limit programs.
+"""Light-tail decay rates and the small-risk limit programs.
 
-The light-tail limit program maximizes c^T y over {y >= 0 : J(y) >= 1},
-where J aggregates the decay rate I of the loss tail; the heavy-tail limit
-program maximizes c^T y over {y >= 0 : sum_k w_k phi(y, theta_k)^alpha <= 1}.
-Both constraints read g(y) <= 1 for a monotone, convex, degree-1 homogeneous
-g: max_i ||A_i^T y||_p for light tails, (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
+For the light family (Weibull marginals, Gumbel-Hougaard copula) the decay
+rate of the loss tail has the closed form I(b) = ||b||_p^(-beta), the dual
+norm of :func:`_dual_norm_order`, so J(y) = min_i I(A_i^T y) = g(y)^(-beta)
+with g(y) = max_i ||A_i^T y||_p.  The light-tail limit program maximizes
+c^T y over {y >= 0 : J(y) >= 1}; the heavy-tail limit program maximizes
+c^T y over {y >= 0 : sum_k w_k phi(y, theta_k)^alpha <= 1}.  Both
+constraints read g(y) <= 1 for a monotone, convex, degree-1 homogeneous g:
+the dual norm above for light tails, (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
 for heavy ones.  Both programs are solved by the cutting-plane loop of
 :mod:`rarecc.methods` with gradient cuts, polished by Newton steps on the KKT
 system, and report the relative gap to the loop's upper bound.
@@ -23,36 +26,8 @@ from .model import ProblemInstance, box_clip
 from .sampler import (HeavyTailModel, LightTailModel, TailModel,
                       copula_exponent, tail_radius)
 
-#: Distinguished value for "the rate constraint can never bind" (b = 0 or
-#: zero loss rows).  Callers must branch on it; it never enters arithmetic.
-INFEASIBLE_RATE = math.inf
 _NEWTON_STEPS = 4          # KKT polishing steps after the cut loop
 _METHOD = "cut-loop"       # LimitSolution.method label written to the CLI's JSON
-
-
-def is_infeasible_rate(value: float) -> bool:
-    return math.isinf(value)
-
-
-@dataclass(frozen=True)
-class RateFunction:
-    """Decay-rate evaluator for the light-tail family.
-
-    mode "closed" uses the explicit dual-norm formula; mode "numeric" solves
-    the inner minimization by projected gradient over the scaled simplex.
-    The two must agree; tests exploit that as a cross-check.
-    """
-
-    model: LightTailModel
-    mode: str = "closed"
-
-    def __post_init__(self):
-        if self.mode not in ("closed", "numeric"):
-            raise ParameterError(f"unknown rate mode {self.mode!r}")
-
-    @property
-    def gamma(self) -> float:
-        return self.model.beta * self.model.theta
 
 
 @dataclass(frozen=True)
@@ -114,113 +89,35 @@ def _dual_norm(B: np.ndarray, p: float) -> np.ndarray:
     return top * np.sum(Z ** p, axis=-1) ** (1.0 / p)
 
 
-def _rate_closed(model: LightTailModel, b: np.ndarray) -> float:
+def rate_I(model: LightTailModel, b) -> float:
+    """Decay rate of P(b^T L > r): inf of lambda over {x >= 0 : b^T x >= 1},
+    which is ||b||_p^(-beta) for the p of :func:`_dual_norm_order`.
+
+    Returns inf for b = 0 (the constraint set is empty).
+    Scales as I(t b) = t^(-beta) I(b).
+    """
+    b = _check_b(b, model.n)
+    if not (b > 0).any():
+        return math.inf
     return float(_dual_norm(b, _dual_norm_order(model))) ** (-model.beta)
 
 
-def _project_scaled_simplex(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0 : b^T x = 1} (breakpoint scan)."""
-    pos = b > 0
-    bp, vp = b[pos], v[pos]
-    ratios = vp / bp
-    order = np.argsort(-ratios, kind="stable")
-    bs, vs = bp[order], vp[order]
-    cum_bv = np.cumsum(bs * vs)
-    cum_bb = np.cumsum(bs * bs)
-    mu = None
-    for k in range(bs.size):
-        cand = (cum_bv[k] - 1.0) / cum_bb[k]
-        upper = ratios[order][k]
-        lower = ratios[order][k + 1] if k + 1 < bs.size else -math.inf
-        if lower <= cand <= upper + 1e-15:
-            mu = cand
-            break
-    if mu is None:
-        mu = (cum_bv[-1] - 1.0) / cum_bb[-1]
-    x = np.maximum(v - mu * b, 0.0)
-    x[~pos] = np.maximum(v[~pos], 0.0)
-    return x
+def rate_J(model: LightTailModel, problem: ProblemInstance, y) -> float:
+    """Aggregate rate min_i I(y^T A_i) = g(y)^(-beta): the loss tail decays at
+    speed J(y) q(r).  g(y) = max_i ||A_i^T y||_p is the function the light
+    cut loop of :func:`solve_lt_limit` separates on.
 
-
-def _rate_numeric(model: LightTailModel, b: np.ndarray) -> float:
-    """Inner minimization of lambda over {b^T x >= 1, x >= 0}.
-
-    Candidate vertices e_i / b_i are always evaluated; a projected-gradient
-    descent from the analytic center handles the smooth regime.
-    """
-    if math.isinf(model.theta):
-        # comonotone limit: equalize the active coordinates
-        pos = b > 0
-        x = np.zeros_like(b)
-        x[pos] = 1.0 / b[pos].sum()
-        return copula_exponent(model, x)
-    beta, theta = model.beta, model.theta
-    gamma = beta * theta
-    best = math.inf
-    for i in np.flatnonzero(b > 0):
-        x = np.zeros_like(b)
-        x[i] = 1.0 / b[i]
-        best = min(best, copula_exponent(model, x))
-
-    x = b / float(b @ b)
-    fx = copula_exponent(model, x)
-    for _ in range(800):
-        s = np.sum(x ** gamma)
-        if s <= 0:
-            break
-        grad = np.zeros_like(x)
-        pos = x > 0
-        grad[pos] = (gamma / theta) * s ** (1.0 / theta - 1.0) * x[pos] ** (gamma - 1.0)
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            break
-        step = 0.5 / gnorm
-        improved = False
-        for _ in range(40):
-            cand = _project_scaled_simplex(x - step * grad, b)
-            fc = copula_exponent(model, cand)
-            if fc < fx - 1e-16:
-                x, fx, improved = cand, fc, True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return min(best, fx)
-
-
-def rate_I(rf: RateFunction, b) -> float:
-    """Decay rate of P(b^T L > r): inf of lambda over {x >= 0 : b^T x >= 1}.
-
-    Returns :data:`INFEASIBLE_RATE` for b = 0 (the constraint set is empty).
-    Scales as I(t b) = t^(-beta) I(b).
-    """
-    b = _check_b(b, rf.model.n)
-    if not (b > 0).any():
-        return INFEASIBLE_RATE
-    if rf.mode == "closed":
-        return _rate_closed(rf.model, b)
-    return _rate_numeric(rf.model, b)
-
-
-def rate_J(rf: RateFunction, problem: ProblemInstance, y) -> float:
-    """Aggregate rate min_i I(y^T A_i): the loss tail decays at speed J(y) q(r).
-
-    Returns :data:`INFEASIBLE_RATE` when every y^T A_i vanishes.
+    Returns inf when g(y) = 0, i.e. when every y^T A_i vanishes.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m,):
         raise ContractError(f"y has shape {y.shape}, expected ({problem.m},)")
     if not np.isfinite(y).all() or (y < 0).any():
         raise InputError("y must be finite and nonnegative")
-    if rf.model.n != problem.n:
-        raise ContractError("rate function and problem disagree on n")
-    rows = y @ problem.A          # (d, n)
-    best = INFEASIBLE_RATE
-    for b in rows:
-        if not (b > 0).any():
-            continue
-        best = min(best, rate_I(rf, b))
-    return best
+    if model.n != problem.n:
+        raise ContractError("tail model and problem disagree on n")
+    g = float(_dual_norm(y @ problem.A, _dual_norm_order(model)).max())
+    return math.inf if g == 0.0 else g ** (-model.beta)
 
 
 def angular_moment(model: HeavyTailModel, problem: ProblemInstance, y) -> float:
@@ -295,18 +192,17 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
     return y, max(bound / float(c @ y) - 1.0, 0.0)
 
 
-def solve_lt_limit(rf: RateFunction, problem: ProblemInstance) -> LimitSolution:
+def solve_lt_limit(model: LightTailModel, problem: ProblemInstance) -> LimitSolution:
     """Maximize c^T y subject to y >= 0 and J(y) >= 1.
 
-    With the closed-form rate, J(y) = g(y)^(-beta) for the convex, degree-1
-    homogeneous g(y) = max_i ||A_i^T y||_p, the dual norm of
-    :func:`_dual_norm_order`, so the program is  max c^T y  s.t.  g(y) <= 1,
-    solved by :func:`_solve_limit`.  The solver always uses this dual norm;
-    ``rf.mode`` only selects how :func:`rate_I` evaluates the residual.
+    J(y) = g(y)^(-beta) for the convex, degree-1 homogeneous
+    g(y) = max_i ||A_i^T y||_p, the dual norm of :func:`_dual_norm_order`,
+    so the program is  max c^T y  s.t.  g(y) <= 1, solved by
+    :func:`_solve_limit`.  The residual is |J(y) - 1| at the returned y.
     """
-    if rf.model.n != problem.n:
-        raise ContractError("rate function and problem disagree on n")
-    p = _dual_norm_order(rf.model)
+    if model.n != problem.n:
+        raise ContractError("tail model and problem disagree on n")
+    p = _dual_norm_order(model)
     A = problem.A
 
     def separate(y):
@@ -323,7 +219,7 @@ def solve_lt_limit(rf: RateFunction, problem: ProblemInstance) -> LimitSolution:
         return float(norms[i]), A[i] @ grad
 
     y, gap = _solve_limit(problem.c, separate)
-    residual = abs(rate_J(rf, problem, y) - 1.0)
+    residual = abs(rate_J(model, problem, y) - 1.0)
     return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual,
                          method=_METHOD, gap=gap)
 

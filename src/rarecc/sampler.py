@@ -174,8 +174,14 @@ def _heavy_block(model: HeavyTailModel, seed: int, block: int, out: np.ndarray) 
         # the picks would all select atom 0, so they are not drawn
         np.multiply.outer(r, model.atoms[0], out=out)
         return
-    idx = np.searchsorted(np.cumsum(model.weights), rng.random(_BLOCK), side="right")
-    # clip sends a pick above the rounded cumsum's last entry to the last atom
+    pick = rng.random(_BLOCK)
+    # atom k is picked when cum[k-1] <= pick < cum[k]; counting only the first
+    # K - 1 cutoffs sends a pick above the rounded cumsum's last entry to atom K - 1
+    idx = np.zeros(_BLOCK, dtype=np.intp)
+    for cut in np.cumsum(model.weights)[:-1]:
+        idx += pick >= cut
+    # idx <= K - 1 already; mode "clip" only spares take the buffered copy
+    # of ``out`` that mode "raise" makes
     np.take(model.atoms, idx, axis=0, out=out, mode="clip")
     out *= r[:, None]
 

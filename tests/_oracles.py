@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from rarecc.lpsolve import LinearProgram, solve_lp
+from rarecc.sampler import copula_exponent
 
 
 def empirical_cvar(losses: np.ndarray, delta: float) -> float:
@@ -109,6 +110,78 @@ def diag_lt_optimum(a, c, gamma):
     s = np.sum((c / a) ** gamma)
     y = (c / a) ** (gamma - 1.0) / (a * s ** ((gamma - 1.0) / gamma))
     return y, float(s ** (1.0 / gamma))
+
+
+def _project_scaled_simplex(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0 : b^T x = 1} (breakpoint scan)."""
+    pos = b > 0
+    bp, vp = b[pos], v[pos]
+    ratios = vp / bp
+    order = np.argsort(-ratios, kind="stable")
+    bs, vs = bp[order], vp[order]
+    cum_bv = np.cumsum(bs * vs)
+    cum_bb = np.cumsum(bs * bs)
+    mu = None
+    for k in range(bs.size):
+        cand = (cum_bv[k] - 1.0) / cum_bb[k]
+        upper = ratios[order][k]
+        lower = ratios[order][k + 1] if k + 1 < bs.size else -math.inf
+        if lower <= cand <= upper + 1e-15:
+            mu = cand
+            break
+    if mu is None:
+        mu = (cum_bv[-1] - 1.0) / cum_bb[-1]
+    x = np.maximum(v - mu * b, 0.0)
+    x[~pos] = np.maximum(v[~pos], 0.0)
+    return x
+
+
+def rate_numeric(model, b) -> float:
+    """Decay rate I(b) of the light model by direct minimization of the
+    copula exponent lambda over {x >= 0 : b^T x >= 1}, for b with a positive
+    entry.  Candidate vertices e_i / b_i are always evaluated; a
+    projected-gradient descent from the analytic center handles the smooth
+    regime.  No dual norm is used, so agreement with ``rate_I`` checks it.
+    """
+    b = np.asarray(b, dtype=float)
+    if math.isinf(model.theta):
+        # comonotone limit: equalize the active coordinates
+        pos = b > 0
+        x = np.zeros_like(b)
+        x[pos] = 1.0 / b[pos].sum()
+        return copula_exponent(model, x)
+    beta, theta = model.beta, model.theta
+    gamma = beta * theta
+    best = math.inf
+    for i in np.flatnonzero(b > 0):
+        x = np.zeros_like(b)
+        x[i] = 1.0 / b[i]
+        best = min(best, copula_exponent(model, x))
+
+    x = b / float(b @ b)
+    fx = copula_exponent(model, x)
+    for _ in range(800):
+        s = np.sum(x ** gamma)
+        if s <= 0:
+            break
+        grad = np.zeros_like(x)
+        pos = x > 0
+        grad[pos] = (gamma / theta) * s ** (1.0 / theta - 1.0) * x[pos] ** (gamma - 1.0)
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0.0:
+            break
+        step = 0.5 / gnorm
+        improved = False
+        for _ in range(40):
+            cand = _project_scaled_simplex(x - step * grad, b)
+            fc = copula_exponent(model, cand)
+            if fc < fx - 1e-16:
+                x, fx, improved = cand, fc, True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return min(best, fx)
 
 
 def holder_ht_optimum(w, c, alpha):

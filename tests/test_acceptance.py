@@ -15,7 +15,7 @@ import pytest
 
 from _oracles import diag_lt_optimum
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
-                    LinearProgram, ProblemInstance, RateFunction, ccp_oracle,
+                    LinearProgram, ProblemInstance, ccp_oracle,
                     cvar_solve, run_experiment, sample_heavy, sample_light,
                     solve_lp, solve_ht_limit, solve_lt_limit)
 from rarecc.limits import rate_I
@@ -47,8 +47,8 @@ def test_acceptance_01_lt_closed_form_vertex():
     try:
         prob = ProblemInstance(c=[3.0, 2.0, 1.0], h=1000.0,
                                A=[np.diag([1.0, 2.0, 4.0])])
-        rf = RateFunction(LightTailModel(n=3, beta=0.5, theta=1.0))
-        sol = solve_lt_limit(rf, prob)
+        model = LightTailModel(n=3, beta=0.5, theta=1.0)
+        sol = solve_lt_limit(model, prob)
         expected = np.array([1.0, 0.5, 0.25])
         rel = np.abs(sol.y_star - expected) / expected
         assert rel.max() <= 1e-6
@@ -65,8 +65,8 @@ def test_acceptance_02_lt_kkt_boundary():
     try:
         a, c = np.array([1.0, 3.0]), np.array([2.0, 1.0])
         prob = ProblemInstance(c=c, h=1000.0, A=[np.diag(a)])
-        rf = RateFunction(LightTailModel(n=2, beta=2.0, theta=1.0))
-        sol = solve_lt_limit(rf, prob)
+        model = LightTailModel(n=2, beta=2.0, theta=1.0)
+        sol = solve_lt_limit(model, prob)
         gamma = 2.0
         activity = np.sum((a * sol.y_star) ** (gamma / (gamma - 1.0)))
         assert abs(activity - 1.0) <= 1e-8
@@ -310,12 +310,12 @@ def test_acceptance_11_property_suites():
         assert phi(prob, 3.0 * x, L) == pytest.approx(3.0 * phi(prob, x, L), rel=1e-12)
         assert phi(prob, x + 0.5, L) >= phi(prob, x, L)
         # rate scaling and level-set midpoint
-        rf = RateFunction(LightTailModel(n=2, beta=1.5, theta=2.0))
+        model = LightTailModel(n=2, beta=1.5, theta=2.0)
         b = rng.uniform(0.2, 2.0, 2)
-        assert rate_I(rf, 2.0 * b) == pytest.approx(
-            2.0 ** -1.5 * rate_I(rf, b), rel=1e-10)
-        b1 = b * rate_I(rf, b) ** (1 / 1.5)     # I(t b) = t^-beta I(b)
-        assert rate_I(rf, b1) == pytest.approx(1.0, rel=1e-9)
+        assert rate_I(model, 2.0 * b) == pytest.approx(
+            2.0 ** -1.5 * rate_I(model, b), rel=1e-10)
+        b1 = b * rate_I(model, b) ** (1 / 1.5)     # I(t b) = t^-beta I(b)
+        assert rate_I(model, b1) == pytest.approx(1.0, rel=1e-9)
         # sampler law and determinism
         m = LightTailModel(n=1, beta=1.0)
         batch = sample_light(m, 123, 100_000)

@@ -112,6 +112,30 @@ def test_bad_workers_exit_2(ht_cfg, tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("experiment", "replications", 2.9),
+    ("experiment", "budget", 5000.5),
+    ("experiment", "workers", 2.5),
+    ("oracle", "budget", 5000.5),
+    ("cvar", "budget", 5000.5),
+    ("scenario", "k_grid", [100.7]),
+    ("sample-size", "dim", 2.7),
+])
+def test_non_integral_count_exit_2(tmp_path, capsys, command, key, value):
+    # each of these runs, and exits 0, with the value rounded down
+    payload = {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "frechet_check", "k_grid": [100], "replications": 3,
+                       "budget": 5000, "delta_grid": [0.05], "dim": 2},
+    }
+    (payload if key == "workers" else payload["experiment"])[key] = value
+    out = tmp_path / "r.out"
+    assert cli_main([command, write_cfg(tmp_path / "n.json", payload), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theta", ["inf", "Infinity"])
 def test_theta_string_infinity(tmp_path, theta):
     cfg = write_cfg(tmp_path / "inf.json", {

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import rarecc.limits
 import rarecc.methods
-from _oracles import diag_lt_optimum, holder_ht_optimum
+from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric
 from rarecc import (HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
-                    ProblemInstance, RateFunction, UnboundedError, angular_moment,
-                    is_infeasible_rate, lambda_eval, limit_to_decision,
-                    rate_I, rate_J, solve_ht_limit, solve_lp, solve_lt_limit)
+                    ProblemInstance, UnboundedError, angular_moment,
+                    lambda_eval, limit_to_decision, rate_I, rate_J,
+                    solve_ht_limit, solve_lp, solve_lt_limit)
 from rarecc.methods import _cut_loop as cut_loop
 
 
@@ -53,50 +53,47 @@ def test_lambda_homogeneous_degree_beta(x, r):
 # ---------------------------------------------------------------- rate_I
 
 def test_rate_I_subexponential_closed_form():
-    rf = RateFunction(LightTailModel(n=2, beta=0.5, theta=1.0))
-    assert rate_I(rf, [2.0, 1.0]) == pytest.approx(2.0 ** -0.5, rel=1e-12)
+    model = LightTailModel(n=2, beta=0.5, theta=1.0)
+    assert rate_I(model, [2.0, 1.0]) == pytest.approx(2.0 ** -0.5, rel=1e-12)
 
 
 def test_rate_I_gamma_two():
-    rf = RateFunction(LightTailModel(n=2, beta=2.0, theta=1.0))
-    assert rate_I(rf, [1.0, 1.0]) == pytest.approx(0.5, rel=1e-12)
-    # inner optimum is x = (0.5, 0.5): check via the numeric route
-    rf_num = RateFunction(LightTailModel(n=2, beta=2.0, theta=1.0), mode="numeric")
-    assert rate_I(rf_num, [1.0, 1.0]) == pytest.approx(0.5, rel=1e-8)
+    model = LightTailModel(n=2, beta=2.0, theta=1.0)
+    assert rate_I(model, [1.0, 1.0]) == pytest.approx(0.5, rel=1e-12)
+    # inner optimum is x = (0.5, 0.5): check via the direct minimization
+    assert rate_numeric(model, np.array([1.0, 1.0])) == pytest.approx(0.5, rel=1e-8)
 
 
 def test_rate_I_unit_vector():
     for gamma in (1.5, 2.0, 3.0):
-        rf = RateFunction(LightTailModel(n=3, beta=gamma / 2.0, theta=2.0))
-        assert rate_I(rf, [1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
+        model = LightTailModel(n=3, beta=gamma / 2.0, theta=2.0)
+        assert rate_I(model, [1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rate_I_closed_vs_numeric_random():
     rng = np.random.default_rng(3)
     for beta, theta in [(1.5, 2.0), (0.4, 1.0), (0.3, 2.0), (1.0, math.inf)]:
         model = LightTailModel(n=3, beta=beta, theta=theta)
-        closed = RateFunction(model)
-        numeric = RateFunction(model, mode="numeric")
         for _ in range(10):
             b = rng.uniform(0.1, 3.0, size=3)
-            assert rate_I(numeric, b) == pytest.approx(rate_I(closed, b), rel=1e-6)
+            assert rate_numeric(model, b) == pytest.approx(rate_I(model, b), rel=1e-6)
 
 
 def test_rate_I_zero_is_infeasible_sentinel():
-    rf = RateFunction(LightTailModel(n=2, beta=1.0, theta=1.0))
-    assert is_infeasible_rate(rate_I(rf, [0.0, 0.0]))
+    model = LightTailModel(n=2, beta=1.0, theta=1.0)
+    assert math.isinf(rate_I(model, [0.0, 0.0]))
     with pytest.raises(InputError):
-        rate_I(rf, [-1.0, 0.0])
+        rate_I(model, [-1.0, 0.0])
 
 
 def test_rate_I_scaling():
     rng = np.random.default_rng(17)
-    rf = RateFunction(LightTailModel(n=3, beta=1.7, theta=1.4))
+    model = LightTailModel(n=3, beta=1.7, theta=1.4)
     for _ in range(200):
         b = rng.uniform(0.05, 4.0, size=3)
         t = rng.uniform(0.1, 10.0)
-        lhs = rate_I(rf, t * b)
-        rhs = t ** (-rf.model.beta) * rate_I(rf, b)
+        lhs = rate_I(model, t * b)
+        rhs = t ** (-model.beta) * rate_I(model, b)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -104,16 +101,16 @@ def test_rate_level_set_convex():
     # {b : I(b) >= 1}: draw pairs inside, check midpoints stay inside
     rng = np.random.default_rng(5)
     for beta, theta in [(0.5, 1.0), (1.5, 2.0), (2.0, 1.0)]:
-        rf = RateFunction(LightTailModel(n=3, beta=beta, theta=theta))
+        model = LightTailModel(n=3, beta=beta, theta=theta)
         for _ in range(200):
             raw1, raw2 = rng.uniform(0.05, 1.0, (2, 3))
-            b1 = raw1 / max(1.0, 1.0 / rate_I(rf, raw1) ** (1.0 / beta))
-            b2 = raw2 / max(1.0, 1.0 / rate_I(rf, raw2) ** (1.0 / beta))
-            assert rate_I(rf, b1) >= 1.0 - 1e-9
-            assert rate_I(rf, b2) >= 1.0 - 1e-9
+            b1 = raw1 / max(1.0, 1.0 / rate_I(model, raw1) ** (1.0 / beta))
+            b2 = raw2 / max(1.0, 1.0 / rate_I(model, raw2) ** (1.0 / beta))
+            assert rate_I(model, b1) >= 1.0 - 1e-9
+            assert rate_I(model, b2) >= 1.0 - 1e-9
             a = rng.uniform(0.0, 1.0)
             mid = a * b1 + (1 - a) * b2
-            assert rate_I(rf, mid) >= 1.0 - 1e-9
+            assert rate_I(model, mid) >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------- rate_J
@@ -121,43 +118,61 @@ def test_rate_level_set_convex():
 def test_rate_J_single_diag_matrix():
     a = np.array([1.0, 2.0, 4.0])
     prob = diag_problem(a, [1.0, 1.0, 1.0])
-    rf = RateFunction(LightTailModel(n=3, beta=0.5, theta=1.0))
+    model = LightTailModel(n=3, beta=0.5, theta=1.0)
     y = np.array([0.3, 0.2, 0.1])
-    assert rate_J(rf, prob, y) == pytest.approx(rate_I(rf, a * y), rel=1e-12)
+    assert rate_J(model, prob, y) == pytest.approx(rate_I(model, a * y), rel=1e-12)
 
 
 def test_rate_J_zero_sentinel():
     prob = diag_problem([1.0, 1.0], [1.0, 1.0])
-    rf = RateFunction(LightTailModel(n=2, beta=1.0, theta=1.0))
-    assert is_infeasible_rate(rate_J(rf, prob, np.zeros(2)))
+    model = LightTailModel(n=2, beta=1.0, theta=1.0)
+    assert math.isinf(rate_J(model, prob, np.zeros(2)))
 
 
 def test_rate_J_min_selection():
     a1 = np.array([[1.0, 0.5], [0.2, 1.0]])
     prob = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[a1, 2.0 * a1])
-    rf = RateFunction(LightTailModel(n=2, beta=1.2, theta=1.5))
+    model = LightTailModel(n=2, beta=1.2, theta=1.5)
     y = np.array([0.7, 0.4])
-    i1 = rate_I(rf, y @ a1)
-    i2 = rate_I(rf, y @ (2.0 * a1))
+    i1 = rate_I(model, y @ a1)
+    i2 = rate_I(model, y @ (2.0 * a1))
     assert i2 < i1
-    assert rate_J(rf, prob, y) == pytest.approx(min(i1, i2), rel=1e-12)
+    assert rate_J(model, prob, y) == pytest.approx(min(i1, i2), rel=1e-12)
+    # dense instances with d >= 2, p = inf, p = 1 and smooth p, and rows
+    # y^T A_i that vanish because A_i lives off the support of y
+    rng = np.random.default_rng(21)
+    models = [LightTailModel(n=3, beta=gamma / theta, theta=theta)
+              for theta in (1.0, 1.4) for gamma in (0.6, 1.0, 1.8, 3.0)]
+    models += [LightTailModel(n=3, beta=beta, theta=math.inf) for beta in (0.5, 2.0)]
+    for model in models:
+        for trial in range(20):
+            m, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            A = rng.uniform(0.0, 2.0, (d, m, 3)) * (rng.uniform(size=(d, m, 3)) < 0.8)
+            A[:, 0, 0] += 0.5
+            y = rng.uniform(0.0, 3.0, m)
+            if trial % 4 == 0:
+                y[0] = 0.0
+                A[0, 1:] = 0.0                  # y^T A_0 = 0
+            prob = ProblemInstance(c=np.ones(m), h=10.0, A=A)
+            ref = min(rate_I(model, y @ A[i]) for i in range(d))
+            assert rate_J(model, prob, y) == pytest.approx(ref, rel=1e-15)
 
 
 def test_rate_J_scaling():
     prob = diag_problem([1.0, 3.0], [2.0, 1.0])
-    rf = RateFunction(LightTailModel(n=2, beta=2.0, theta=1.0))
+    model = LightTailModel(n=2, beta=2.0, theta=1.0)
     y = np.array([0.4, 0.1])
     for t in (0.3, 2.0, 7.5):
-        assert rate_J(rf, prob, t * y) == pytest.approx(
-            t ** (-2.0) * rate_J(rf, prob, y), rel=1e-10)
+        assert rate_J(model, prob, t * y) == pytest.approx(
+            t ** (-2.0) * rate_J(model, prob, y), rel=1e-10)
 
 
 # ------------------------------------------------------------ LT program
 
 def test_lt_vertex_solution_gamma_below_one():
     prob = diag_problem([1.0, 2.0, 4.0], [3.0, 2.0, 1.0])
-    rf = RateFunction(LightTailModel(n=3, beta=0.5, theta=1.0))
-    sol = solve_lt_limit(rf, prob)
+    model = LightTailModel(n=3, beta=0.5, theta=1.0)
+    sol = solve_lt_limit(model, prob)
     assert np.allclose(sol.y_star, [1.0, 0.5, 0.25], rtol=1e-6)
     assert sol.value == pytest.approx(4.25, rel=1e-9)
     assert sol.residual <= 1e-9
@@ -165,8 +180,8 @@ def test_lt_vertex_solution_gamma_below_one():
 
 def test_lt_symmetric_gamma_two():
     prob = diag_problem([1.0, 1.0], [1.0, 1.0])
-    rf = RateFunction(LightTailModel(n=2, beta=2.0, theta=1.0))
-    sol = solve_lt_limit(rf, prob)
+    model = LightTailModel(n=2, beta=2.0, theta=1.0)
+    sol = solve_lt_limit(model, prob)
     assert sol.value == pytest.approx(math.sqrt(2.0), rel=1e-9)
     assert np.allclose(sol.y_star, [1 / math.sqrt(2)] * 2, rtol=1e-6)
     assert np.sum((sol.y_star) ** 2) == pytest.approx(1.0, abs=1e-9)
@@ -175,7 +190,7 @@ def test_lt_symmetric_gamma_two():
 def test_lt_scalar():
     prob = diag_problem([1.0], [1.0])
     for beta, theta in [(0.5, 1.0), (2.0, 1.5)]:
-        sol = solve_lt_limit(RateFunction(LightTailModel(n=1, beta=beta, theta=theta)), prob)
+        sol = solve_lt_limit(LightTailModel(n=1, beta=beta, theta=theta), prob)
         assert sol.y_star[0] == pytest.approx(1.0, rel=1e-9)
 
 
@@ -195,7 +210,7 @@ def test_lt_matches_kkt_oracle_random_diag():
     for gamma, theta, a, c in cases:
         beta = gamma / theta
         prob = diag_problem(a, c)
-        sol = solve_lt_limit(RateFunction(LightTailModel(n=a.size, beta=beta, theta=theta)),
+        sol = solve_lt_limit(LightTailModel(n=a.size, beta=beta, theta=theta),
                              prob)
         y_ref, v_ref = diag_lt_optimum(a, c, gamma)
         assert sol.value == pytest.approx(v_ref, rel=1e-6)
@@ -214,7 +229,7 @@ def test_lt_past_cut_round_cap_m7(monkeypatch):
     monkeypatch.setattr(rarecc.limits, "_cut_loop", counted)
     rng = np.random.default_rng(1)
     a, c = rng.uniform(0.5, 3.0, size=7), rng.uniform(0.5, 3.0, size=7)
-    sol = solve_lt_limit(RateFunction(LightTailModel(n=7, beta=1.5, theta=2.0)),
+    sol = solve_lt_limit(LightTailModel(n=7, beta=1.5, theta=2.0),
                          diag_problem(a, c))
     assert rounds == [rarecc.methods._MAX_CUT_ROUNDS]
     y_ref, v_ref = diag_lt_optimum(a, c, 3.0)
@@ -227,10 +242,10 @@ def test_limits_when_cut_lp_stalls(stalled_lp):
     # the loop stops at once at the box corner; the scaled, polished corner
     # is still feasible and the gap still covers the optimum
     a, c = np.array([1.0, 2.0, 0.5]), np.array([2.0, 1.0, 1.5])
-    rf = RateFunction(LightTailModel(n=3, beta=1.5, theta=2.0))
-    sol = solve_lt_limit(rf, diag_problem(a, c))
+    model = LightTailModel(n=3, beta=1.5, theta=2.0)
+    sol = solve_lt_limit(model, diag_problem(a, c))
     _, v_ref = diag_lt_optimum(a, c, 3.0)
-    assert rate_J(rf, diag_problem(a, c), sol.y_star) >= 1.0 - 1e-12
+    assert rate_J(model, diag_problem(a, c), sol.y_star) >= 1.0 - 1e-12
     assert sol.gap >= 0.0
     assert sol.value * (1.0 - 1e-12) <= v_ref <= sol.value * (1.0 + sol.gap) * (1.0 + 1e-12)
     model = HeavyTailModel.from_pairs(n=3, alpha=1.5, pairs=[(0.5, [1, 0, 0]), (0.5, [0, 0.5, 0.5])])
@@ -244,7 +259,7 @@ def test_lt_unbounded_when_profitable_coordinate_carries_no_risk():
     prob = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[[[1.0, 0.5], [0.0, 0.0]]])
     for beta, theta in [(0.5, 1.0), (2.0, 1.5), (1.0, math.inf)]:
         with pytest.raises(UnboundedError):
-            solve_lt_limit(RateFunction(LightTailModel(n=2, beta=beta, theta=theta)), prob)
+            solve_lt_limit(LightTailModel(n=2, beta=beta, theta=theta), prob)
 
 
 # ------------------------------------------------------------ HT program
