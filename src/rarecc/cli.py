@@ -66,7 +66,7 @@ def load_config(path: str) -> dict:
             "problem": problem,
             "tail": tail,
             "experiment": exp,
-            "master_seed": int(raw.get("master_seed", 0)),
+            "master_seed": as_count("master_seed", raw.get("master_seed", 0), least=0),
             "out": raw.get("out"),
             "workers": as_count("workers", raw.get("workers", 1)),
         }

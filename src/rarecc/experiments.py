@@ -32,12 +32,13 @@ EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
                     "frechet_check", "tail_ratio")
 
 
-def as_count(name: str, value) -> int:
-    """``value`` as an int >= 1; a bool, a non-number or a non-integral
-    number (``2.5``, not ``2.0``) raises ParameterError naming ``name``."""
+def as_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int >= ``least``; a bool, a non-number or a
+    non-integral number (``2.5``, not ``2.0``) raises ParameterError naming
+    ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (value >= 1 and float(value).is_integer()):
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+            or not (value >= least and float(value).is_integer()):
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -87,9 +87,19 @@ def phi(problem: ProblemInstance, x, L) -> float:
 
 
 def phi_many(problem: ProblemInstance, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Vectorized loss over a batch of risk vectors, shape (N, n) -> (N,)."""
+    """Vectorized loss over a batch of risk vectors, shape (N, n) -> (N,).
+
+    Equal bit for bit to ``(draws @ w.T).max(axis=1)``, but numpy's reduce
+    over the narrow axis is several times slower than the product itself, so
+    the d columns are folded with an elementwise maximum instead.  For d = 1
+    the result is a view of the product.
+    """
     w = x @ problem.A            # (d, n)
-    return (draws @ w.T).max(axis=1)
+    p = draws @ w.T              # (N, d)
+    loss = p[:, 0]
+    for i in range(1, problem.d):
+        loss = np.maximum(loss, p[:, i])
+    return loss
 
 
 def box_clip(problem: ProblemInstance, x) -> np.ndarray:

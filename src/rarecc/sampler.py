@@ -13,7 +13,10 @@ Two parametric families are implemented:
 Draws are generated in fixed-size blocks, each block from its own
 counter-keyed Philox stream, so the value of draw ``i`` depends only on
 (model, seed, i).  Batches can therefore be produced in parallel shards
-and merged in any order without changing the result.
+and merged in any order without changing the result.  Each thread keeps
+one Philox generator and re-keys it to ``[seed, block]`` with counter 0
+before each block, which gives the same stream as a fresh generator with
+that key without building one per block.
 
 Within a block of B = 4096 draws the stream is read in this order:
 
@@ -26,14 +29,21 @@ Within a block of B = 4096 draws the stream is read in this order:
 Each block reads its own stream front to back, so a value depends only on
 the numbers read up to it in its own block, never on what is read after
 it.  A block may therefore leave out its trailing draws when nothing uses
-them, and every value stays the same: the heavy radii
-(:func:`heavy_radii_range`) and one-atom heavy models, whose picks would all
-select the same atom, never draw the picks.
+them, and every value stays the same:
+
+* the heavy radii (:func:`heavy_radii_range`) and one-atom heavy models,
+  whose picks would all select the same atom, never draw the picks;
+* where row ``j`` of a block reads only the stream's first numbers (light
+  theta = 1 and theta = inf, one-atom heavy models and the radii), a
+  partial first or last block draws only its rows ``[0, hi)``.  Light
+  1 < theta < inf reads V and W, and a multi-atom heavy model its picks,
+  after all B rows, so their partial blocks still draw the whole block.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +95,8 @@ class HeavyTailModel:
             raise ParameterError("at least one angular atom is required")
         if pts.shape != (w.size, self.n):
             raise ContractError(f"atoms must have shape ({w.size}, {self.n})")
+        if not (np.isfinite(w).all() and np.isfinite(pts).all()):
+            raise ParameterError("atom weights and atoms must be finite")
         if (w <= 0).any():
             raise ParameterError("atom weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -125,9 +137,34 @@ class SampleBatch:
         return self.samples.shape[1]
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _BlockStreams(threading.local):
+    """One Philox generator per thread, re-keyed for each block.
+
+    Setting the state (counter 0, key ``[seed, block]``, empty buffer) gives
+    the stream of ``Philox(key=[seed, block])`` at a fifth of the cost: that
+    constructor first seeds a throwaway SeedSequence from os.urandom.  The
+    generator is built on a thread's first block, so that importing the
+    package does not import numpy.random.
+    """
+
+    gen = None
+
+    def at(self, seed: int, block: int) -> np.random.Generator:
+        """The generator, positioned at the start of the block's stream."""
+        if self.gen is None:
+            self.philox = np.random.Philox(0)
+            self.gen = np.random.Generator(self.philox)
+            self.key = np.zeros(2, dtype=np.uint64)
+            self.state = {"bit_generator": "Philox",
+                          "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self.key},
+                          "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+        self.key[:] = (seed & _MASK64, block & _MASK64)
+        self.philox.state = self.state
+        return self.gen
+
+
+_STREAMS = _BlockStreams()
 
 
 def _stable_oneside(exponent: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,77 +174,82 @@ def _stable_oneside(exponent: float, v: np.ndarray, w: np.ndarray) -> np.ndarray
     return (np.sin(a * v) / np.sin(v) ** (1.0 / a)) * (np.sin((1.0 - a) * v) / w) ** ((1.0 - a) / a)
 
 
-def _light_block(model: LightTailModel, seed: int, block: int, out: np.ndarray) -> None:
-    """Write the block's draws into ``out`` of shape (_BLOCK, n)."""
-    rng = _block_rng(seed, block)
+def _light_block(model: LightTailModel, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write the block's first len(out) draws into ``out`` of shape (rows, n)."""
     beta, theta = model.beta, model.theta
     if math.isinf(theta):
-        e = rng.standard_exponential(_BLOCK)
+        e = rng.standard_exponential(len(out))
         e **= 1.0 / beta
         out[:] = e[:, None]
         return
-    rng.standard_exponential(out=out)
     if theta < 1.0 + 1e-9:
         # near-independent: the stable factor degenerates, skip it
+        rng.standard_exponential(out=out)
         out **= 1.0 / beta
         return
-    v = rng.uniform(0.0, np.pi, _BLOCK)
-    w = rng.standard_exponential(_BLOCK)
-    out /= _stable_oneside(1.0 / theta, v, w)[:, None]
+    # V and W follow all B rows of exponentials, so a partial block draws them all
+    rows = len(out)
+    e = out if rows == _BLOCK else np.empty((_BLOCK, model.n))
+    rng.standard_exponential(out=e)
+    v = rng.uniform(0.0, np.pi, _BLOCK)[:rows]
+    w = rng.standard_exponential(_BLOCK)[:rows]
+    np.divide(e[:rows], _stable_oneside(1.0 / theta, v, w)[:, None], out=out)
     out **= 1.0 / (theta * beta)
 
 
-def _radii_block(model: HeavyTailModel, seed: int, block: int,
-                 out: np.ndarray) -> np.random.Generator:
-    """Pareto radii of a block; returns the stream, positioned at the picks."""
-    rng = _block_rng(seed, block)
+def _radii_block(model: HeavyTailModel, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write the block's first len(out) Pareto radii into ``out``."""
     rng.random(out=out)
     out **= -1.0 / model.alpha
-    return rng
 
 
-def _heavy_block(model: HeavyTailModel, seed: int, block: int, out: np.ndarray) -> None:
-    """Write the block's draws into ``out`` of shape (_BLOCK, n)."""
-    r = np.empty(_BLOCK)
-    rng = _radii_block(model, seed, block, r)
+def _heavy_block(model: HeavyTailModel, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write the block's first len(out) draws into ``out`` of shape (rows, n)."""
+    rows = len(out)
     if model.weights.size == 1:
         # the picks would all select atom 0, so they are not drawn
+        r = np.empty(rows)
+        _radii_block(model, rng, r)
         np.multiply.outer(r, model.atoms[0], out=out)
         return
-    pick = rng.random(_BLOCK)
+    # the picks follow all B radius uniforms, so a partial block draws them all
+    r = np.empty(_BLOCK)
+    _radii_block(model, rng, r)
+    pick = rng.random(_BLOCK)[:rows]
     # atom k is picked when cum[k-1] <= pick < cum[k]; counting only the first
     # K - 1 cutoffs sends a pick above the rounded cumsum's last entry to atom K - 1
-    idx = np.zeros(_BLOCK, dtype=np.intp)
+    idx = np.zeros(rows, dtype=np.intp)
     for cut in np.cumsum(model.weights)[:-1]:
         idx += pick >= cut
     # idx <= K - 1 already; mode "clip" only spares take the buffered copy
     # of ``out`` that mode "raise" makes
     np.take(model.atoms, idx, axis=0, out=out, mode="clip")
-    out *= r[:, None]
+    out *= r[:rows, None]
 
 
 def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple) -> np.ndarray:
     """Rows [start, stop) of the concatenated per-block streams of block_fn.
 
-    A block that lies wholly inside the range is written in place into its
-    slice of the result; only a partial first or last block goes through
-    one scratch block.
+    ``block_fn(model, rng, out)`` writes the first len(out) rows of the
+    block whose stream ``rng`` reads.  A block whose part of the range
+    starts at its row 0 is written in place into its slice of the result;
+    only a partial first block goes through a scratch array, of its rows
+    up to the range's end.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
     out = np.empty((stop - start,) + row_shape)
-    scratch = None
     pos = 0
     for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
         lo = max(start - b * _BLOCK, 0)
         hi = min(stop - b * _BLOCK, _BLOCK)
-        if hi - lo == _BLOCK:
-            block_fn(model, seed, b, out[pos:pos + _BLOCK])
+        rng = _STREAMS.at(seed, b)
+        if lo == 0:
+            block_fn(model, rng, out[pos:pos + hi])
         else:
-            if scratch is None:
-                scratch = np.empty((_BLOCK,) + row_shape)
-            block_fn(model, seed, b, scratch)
-            out[pos:pos + hi - lo] = scratch[lo:hi]
+            scratch = np.empty((hi,) + row_shape)
+            block_fn(model, rng, scratch)
+            out[pos:pos + hi - lo] = scratch[lo:]
         pos += hi - lo
     return out
 

@@ -136,6 +136,42 @@ def test_non_integral_count_exit_2(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2.7, -1, True, "5"])
+def test_bad_master_seed_exit_2(tmp_path, capsys, seed):
+    # int() ran 2.7 as seed 2 and "5" as seed 5
+    cfg = write_cfg(tmp_path / "s.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"k_grid": [100]},
+        "master_seed": seed,
+    })
+    out = tmp_path / "r.out"
+    assert cli_main(["scenario", cfg, "--out", str(out)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 7.0, 2 ** 64 + 1])
+def test_integral_master_seed_accepted(tmp_path, seed):
+    cfg = write_cfg(tmp_path / "s.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "master_seed": seed,
+    })
+    loaded = load_config(cfg)["master_seed"]
+    assert loaded == seed and type(loaded) is int
+
+
+def test_non_finite_atom_exit_2(tmp_path, capsys):
+    # json reads NaN; the cut LP used to reject it with exit 1
+    cfg = write_cfg(tmp_path / "nan.json", {
+        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0, "atoms": [[1.0, [math.nan, math.nan]]]},
+    })
+    assert cli_main(["ht-limit", cfg]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theta", ["inf", "Infinity"])
 def test_theta_string_infinity(tmp_path, theta):
     cfg = write_cfg(tmp_path / "inf.json", {

@@ -356,6 +356,27 @@ def test_ht_unbounded_when_profitable_coordinate_carries_no_risk():
         solve_ht_limit(model, prob)
 
 
+def test_limits_clip_lp_iterate_below_zero():
+    # In both LPs (n = 1, so g is a max of linear forms) a cut-loop iterate
+    # carries an entry just below 0: the light solver raised InputError from
+    # its own rate_J, and the heavy one returned y_star[2] = -2.2e-16.
+    prob = ProblemInstance(c=[0.53, 0.39, 0.2], h=1.0,
+                           A=[[[0.89], [0.26], [0.0]], [[0.32], [0.26], [0.4]],
+                              [[0.24], [0.0], [0.56]]])
+    sol = solve_lt_limit(LightTailModel(n=1, beta=1.5, theta=math.inf), prob)
+    assert (sol.y_star >= 0.0).all()
+    assert sol.value == pytest.approx(0.39 / 0.26, rel=1e-12)    # y = e_2 / 0.26
+    assert sol.residual <= 1e-12
+    prob = ProblemInstance(c=[0.57, 0.47, 0.93], h=1.0,
+                           A=[[[0.0], [0.97], [0.43]], [[0.33], [0.0], [0.77]],
+                              [[0.33], [0.92], [0.0]]])
+    model = HeavyTailModel.from_pairs(n=1, alpha=2.2, pairs=[(1.0, [1.0])])
+    sol = solve_ht_limit(model, prob)
+    assert (sol.y_star >= 0.0).all()
+    assert sol.value == pytest.approx(0.57 / 0.33, rel=1e-12)    # y = e_1 / 0.33
+    assert sol.residual <= 1e-12
+
+
 # --------------------------------------------------- decision rescaling
 
 def test_limit_to_decision_heavy(scalar_pareto2):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarecc import ContractError, InputError, ProblemInstance, box_clip, phi
+from rarecc import ContractError, InputError, ProblemInstance, box_clip, phi, phi_many
 
 finite01 = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
@@ -45,6 +45,23 @@ def test_phi_bad_values():
         phi(p, [1.0, -0.5], [1.0, 1.0])
     with pytest.raises(InputError):
         phi(p, [1.0, 0.0], [np.nan, 1.0])
+
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_phi_many_equals_row_max(d):
+    # the column-wise maximum must reproduce max(axis=1) bit for bit
+    rng = np.random.default_rng(d)
+    for n in range(1, 5):
+        A = rng.random((d, 3, n)) * (rng.random((d, 3, n)) < 0.7)
+        A[:, 0, 0] += 0.1
+        prob = ProblemInstance(c=[1.0, 1.0, 1.0], h=1.0, A=A)
+        x = rng.random(3)
+        for N in (0, 1, 4097):
+            draws = rng.pareto(1.5, (N, n))
+            want = (draws @ (x @ prob.A).T).max(axis=1)
+            got = phi_many(prob, x, draws)
+            assert got.shape == (N,) and got.tobytes() == want.tobytes(), (n, N)
 
 
 def test_box_clip_examples():

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,18 +59,44 @@ def test_radii_stream_digest():
     assert _sha256(radii) == RADII_DIGEST
 
 
+def _stream_ranges(seed):
+    """draw(start, stop) for every branch of the block samplers, and the radii."""
+    ranges = {name: functools.partial(draws_range, m, seed) for name, m in STREAM_MODELS.items()}
+    ranges["radii"] = functools.partial(heavy_radii_range, STREAM_MODELS["heavy_three_atoms"], seed)
+    return ranges
+
+
 def test_shard_merge_invariance():
     # draws [0, k) + [k, n) must equal draws [0, n) for any split point
-    ranges = {name: functools.partial(draws_range, m, 7) for name, m in STREAM_MODELS.items()}
-    ranges["radii"] = functools.partial(heavy_radii_range, STREAM_MODELS["heavy_three_atoms"], 7)
-    for name, draw in ranges.items():
+    for name, draw in _stream_ranges(7).items():
         full = draw(0, 10_000)
         for cut in (1, 100, 4095, 4096, 4097, 9999):
             merged = np.concatenate([draw(0, cut), draw(cut, 10_000)])
             assert np.array_equal(merged, full), (name, cut)
-        # partial first and last blocks around a whole one
-        assert np.array_equal(draw(4095, 8193), full[4095:8193]), name
+        # partial first and last blocks around a whole one, and ranges inside
+        # one block or across one edge, which draw only a prefix where they can
+        for lo, hi in ((4095, 8193), (5, 17), (4095, 4097), (4096, 4097)):
+            assert draw(lo, hi).tobytes() == full[lo:hi].tobytes(), (name, lo, hi)
         assert draw(5, 5).shape[0] == 0
+
+
+def test_draws_range_threads_match_serial():
+    # each thread re-keys its own generator; ranges interleaved over more
+    # threads than cores, with frequent switches, must equal the serial draws
+    ranges = _stream_ranges(31)
+    jobs = [(name, lo, lo + size) for lo in range(0, 20_000, 2_500)
+            for name in sorted(ranges) for size in (1, 777, 4096, 5000)]
+    serial = [ranges[name](lo, hi) for name, lo, hi in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ranges[name], lo, hi) for name, lo, hi in jobs]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for job, a, b in zip(jobs, serial, threaded):
+        assert a.tobytes() == b.tobytes(), job
 
 
 def test_light_exponential_mean():
@@ -204,6 +232,18 @@ def test_parameter_errors():
                                   pairs=[(0.5, [1, 0]), (0.4, [0, 1])])
     with pytest.raises(ParameterError):
         HeavyTailModel.from_pairs(n=1, alpha=1.0, pairs=[(1.0, [1.0])])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1.0, [math.nan, math.nan])],
+    [(math.nan, [1.0, 0.0]), (0.5, [0.0, 1.0])],
+    [(0.5, [math.inf, 0.0]), (0.5, [0.0, 1.0])],
+    [(0.5, [1.0, 0.0]), (0.5, [math.nan, 1.0])],
+])
+def test_heavy_model_rejects_non_finite(pairs):
+    # every comparison with NaN is false, so NaN passed the sign checks
+    with pytest.raises(ParameterError, match="finite"):
+        HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=pairs)
 
 
 def test_batch_csv_roundtrip(tmp_path, two_atom_model):
