@@ -5,9 +5,9 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
-same bytes.  On a 2-vCPU Linux VM a run took 3.48-3.53 s (three runs),
-against 3.95-4.91 s before the sampler re-keyed one generator per thread
-and drew only the prefix of a partial block.
+same bytes.  On a shared 2-vCPU Linux VM a run took 7.5-7.7 s (three
+runs), against 8.0-9.0 s for the previous version, which solved every cut
+LP from the slack basis; on a calmer day that version had taken 3.5 s.
 """
 
 import pathlib

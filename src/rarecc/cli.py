@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 bad configuration, 1 runtime or solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -121,7 +122,9 @@ def _single_method(cfg: dict, args):
     return scenario_solve(cfg["problem"], batch, float(exp.get("radius", 1.0)))
 
 
-def cli_main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(prog="rarecc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,8 +136,12 @@ def cli_main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
+    return parser
+
+
+def cli_main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -145,6 +152,10 @@ def cli_main(argv=None) -> int:
         return 2
 
     try:
+        if args.seed is not None:
+            # the rule a config's master_seed follows; the sampler keys on
+            # seed mod 2^64, so a negative seed would alias a large one
+            as_count("--seed", args.seed, least=0)
         if args.command == "lt-limit":
             if not isinstance(cfg["tail"], LightTailModel):
                 raise ConfigError("lt-limit needs a light tail model")

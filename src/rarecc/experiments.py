@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
         for name in ("replications", "budget", "workers"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        object.__setattr__(self, "master_seed", as_count("master_seed", self.master_seed,
+                                                         least=0))
         object.__setattr__(self, "k_grid", tuple(as_count("k_grid value", k)
                                                  for k in self.k_grid))
         needs_delta = self.kind in ("cvar_ratio", "feasibility_factor")

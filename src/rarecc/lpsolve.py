@@ -7,6 +7,12 @@ phase 1.  This is the form of every cut LP of :func:`rarecc.methods._cut_loop`.
 Pivoting is deterministic: Dantzig's rule with lowest-index tie-breaking,
 falling back to Bland's anti-cycling rule after a degenerate stall, so
 identical inputs always produce identical output.
+
+Each round of the cut loop adds rows to the LP it solved the round before.
+Given that earlier result as ``start``, :func:`solve_lp` re-optimises warm
+instead of from the slack basis: it appends the new rows to the earlier
+optimal tableau, where they only break primal feasibility, and restores it
+with dual simplex pivots (Lemke 1954) under the same rules.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .errors import ContractError, InputError, RareccError, UnboundedError
 
 _PIVOT_TOL = 1e-10       # minimum magnitude of an acceptable pivot element
 _COST_TOL = 1e-9
+_FEAS_TOL = 1e-12        # a scaled row's right-hand side below -_FEAS_TOL needs a dual pivot
 _STALL_LIMIT = 64        # degenerate iterations before switching to Bland
 
 
@@ -60,13 +67,19 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal vertex of one LP solve."""
+    """Optimal vertex of one LP solve.
+
+    ``_tableau`` holds the LP, its optimal tableau and basis, which a later
+    :func:`solve_lp` with ``start=`` this result re-optimises from; it is
+    left out of repr and equality.
+    """
 
     x: np.ndarray
     objective: float
     iterations: int
     residual: float
     active_rows: list = field(default_factory=list)
+    _tableau: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
@@ -80,8 +93,57 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
-    """Pivot to optimality of the minimization tableau; returns pivot count."""
+def _primal_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
+    """Entering column by reduced cost, leaving row by the ratio test; None
+    once every reduced cost is >= -_COST_TOL."""
+    costs = T[-1, :ncols]
+    if bland:
+        elig = (costs < -_COST_TOL).nonzero()[0]
+        if elig.size == 0:
+            return None
+        col = int(elig[0])
+    else:
+        col = int(costs.argmin())
+        if costs[col] >= -_COST_TOL:
+            return None
+    colvals = T[:-1, col]
+    rhs = np.maximum(T[:-1, -1], 0.0)
+    ok = colvals > _PIVOT_TOL
+    if not ok.any():
+        raise UnboundedError("LP is unbounded; call sites must supply box bounds")
+    ratios = np.where(ok, rhs / np.where(ok, colvals, 1.0), np.inf)
+    tied = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+    return int(tied[basis[tied].argmin()]), col
+
+
+def _dual_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
+    """Leaving row by its negative right-hand side, entering column by the
+    dual ratio test, which keeps every reduced cost >= 0; None once every
+    right-hand side is >= -_FEAS_TOL."""
+    rhs = T[:-1, -1]
+    if bland:
+        elig = (rhs < -_FEAS_TOL).nonzero()[0]
+        if elig.size == 0:
+            return None
+        row = int(elig[basis[elig].argmin()])
+    else:
+        row = int(rhs.argmin())
+        if rhs[row] >= -_FEAS_TOL:
+            return None
+    rowvals = T[row, :ncols]
+    cand = (rowvals < -_PIVOT_TOL).nonzero()[0]
+    if cand.size == 0:
+        # x = 0 satisfies every row, so this is rounding, not infeasibility
+        raise RareccError("dual simplex found no pivot in a violated row")
+    ratios = np.maximum(T[-1, cand], 0.0) / -rowvals[cand]
+    return row, int(cand[(ratios <= ratios.min() + 1e-12).argmax()])
+
+
+def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -> int:
+    """Pivot at ``step``'s choices until it returns None; returns the pivot
+    count.  The objective T[-1, -1] moves in direction ``sense`` (+1 for
+    primal, -1 for dual pivots); after _STALL_LIMIT pivots that do not move
+    it, ``step`` switches to Bland's rule."""
     iters = 0
     stall = 0
     bland = False
@@ -89,28 +151,12 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
     max_iters = 200 * (T.shape[0] + ncols)
     scratch = np.empty_like(T)
     while True:
-        costs = T[-1, :ncols]
-        if bland:
-            elig = np.flatnonzero(costs < -_COST_TOL)
-            if elig.size == 0:
-                return iters
-            col = int(elig[0])
-        else:
-            col = int(np.argmin(costs))
-            if costs[col] >= -_COST_TOL:
-                return iters
-        colvals = T[:-1, col]
-        rhs = np.maximum(T[:-1, -1], 0.0)
-        ok = colvals > _PIVOT_TOL
-        if not ok.any():
-            raise UnboundedError("LP is unbounded; call sites must supply box bounds")
-        ratios = np.where(ok, rhs / np.where(ok, colvals, 1.0), np.inf)
-        best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + 1e-12)
-        row = int(tied[np.argmin(basis[tied])])
-        _pivot(T, basis, row, col, scratch)
+        choice = step(T, basis, ncols, bland)
+        if choice is None:
+            return iters
+        _pivot(T, basis, *choice, scratch)
         iters += 1
-        if T[-1, -1] > last_obj + 1e-12 * (1.0 + abs(last_obj)):
+        if sense * T[-1, -1] > sense * last_obj + 1e-12 * (1.0 + abs(last_obj)):
             last_obj = T[-1, -1]
             stall = 0
         else:
@@ -121,29 +167,26 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
             raise RareccError("simplex iteration limit exceeded")
 
 
-def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve the LP from the slack basis and return an optimal vertex.
+def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of G y <= g less the vacuous ones (0 <= g holds for them), each
+    scaled to largest magnitude 1."""
+    scale = np.abs(G).max(axis=1)
+    keep = scale > _PIVOT_TOL
+    G, g, scale = G[keep], g[keep], scale[keep]
+    return G / scale[:, None], g / scale
 
-    The region always holds x = 0, so there is no infeasible outcome;
-    unboundedness raises :class:`UnboundedError` because every call site is
-    supposed to pass a bounded region.
-    """
+
+def _cold_tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int]:
+    """Optimal tableau and basis from the slack basis, and the pivot count."""
     f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
     ncols = A.shape[1]
 
     # materialize finite upper bounds as rows
     ub_idx = np.flatnonzero(np.isfinite(hi))
-    G = np.vstack([A, np.eye(ncols)[ub_idx]])
-    g = np.concatenate([b, hi[ub_idx]])
-
-    # drop vacuous rows (0 <= g holds for them) and scale the rest
-    scale = np.abs(G).max(axis=1)
-    keep = scale > _PIVOT_TOL
-    G, g, scale = G[keep], g[keep], scale[keep]
+    G, g = _scaled_rows(np.vstack([A, np.eye(ncols)[ub_idx]]),
+                        np.concatenate([b, hi[ub_idx]]))
     if G.shape[0] == 0:
         raise ContractError("all constraint rows vanished; region is unbounded")
-    G = G / scale[:, None]
-    g = g / scale
 
     # slack basis; its costs are zero, so the objective row needs no pricing
     nrows = G.shape[0]
@@ -154,12 +197,71 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     T[:-1, -1] = g
     T[-1, :ncols] = -f
     basis = ncols + np.arange(nrows)
-    iters = _iterate(T, basis, total)
+    return T, basis, _iterate(T, basis, total, _primal_step, 1.0)
 
-    z = np.zeros(total)
+
+def _same(u: np.ndarray, v: np.ndarray) -> bool:
+    return u is v or (u.shape == v.shape and bool((u == v).all()))
+
+
+def _warm_tableau(lp: LinearProgram, start: SolveResult) -> tuple[np.ndarray, np.ndarray, int]:
+    """Optimal tableau and basis re-optimised from ``start``'s, and the pivot
+    count.  The rows ``lp`` adds to start's LP get a slack column each, are
+    written in the terms of start's basis, and dual pivots then restore
+    primal feasibility; the reduced costs are unchanged, so start's basis
+    stays dual feasible.  A final primal pass, which does not pivot when the
+    dual pivots end at an optimum, guards the cost tolerance."""
+    if start._tableau is None:
+        raise ContractError("start carries no tableau to re-optimise from")
+    prev, T0, basis0 = start._tableau
+    k = prev.b.size
+    if not (k <= lp.b.size and _same(prev.objective, lp.objective) and _same(prev.hi, lp.hi)
+            and _same(prev.A, lp.A[:k]) and _same(prev.b, lp.b[:k])):
+        raise ContractError("start must solve the same objective and hi over the "
+                            "first rows of this LP")
+    ncols = lp.A.shape[1]
+    G, g = _scaled_rows(lp.A[k:], lp.b[k:])
+    rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
+    added = g.size
+    T = np.zeros((rows0 + added + 1, cols0 + added + 1))
+    T[:rows0, :cols0] = T0[:-1, :-1]
+    T[:rows0, -1] = T0[:-1, -1]
+    T[-1, :cols0] = T0[-1, :-1]
+    T[-1, -1] = T0[-1, -1]
+    new = T[rows0:-1]
+    new[:, :ncols] = G
+    idx = np.arange(added)
+    new[idx, cols0 + idx] = 1.0
+    new[:, -1] = g
+    # eliminate the basic columns; basic columns of T0 are exact unit vectors
+    new -= new[:, basis0] @ T[:rows0]
+    basis = np.concatenate([basis0, cols0 + idx])
+    total = cols0 + added
+    iters = _iterate(T, basis, total, _dual_step, -1.0)
+    return T, basis, iters + _iterate(T, basis, total, _primal_step, 1.0)
+
+
+def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult:
+    """Solve the LP and return an optimal vertex.
+
+    Without ``start`` the simplex starts from the slack basis.  ``start`` is
+    an earlier result of this function for an LP with the same objective and
+    ``hi`` whose rows are the first rows of ``lp``; the solve then resumes
+    from its optimal tableau (see :func:`_warm_tableau`), and any other
+    ``start`` raises :class:`ContractError`.  The region always holds x = 0,
+    so there is no infeasible outcome; unboundedness raises
+    :class:`UnboundedError` because every call site is supposed to pass a
+    bounded region.
+    """
+    f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
+    ncols = A.shape[1]
+    T, basis, iters = _cold_tableau(lp) if start is None else _warm_tableau(lp, start)
+
+    z = np.zeros(T.shape[1] - 1)
     z[basis] = T[:-1, -1]
     x = z[:ncols]
     slack_ok = A @ x - b
-    residual = float(max(0.0, slack_ok.max(), -x.min(), (x - hi)[np.isfinite(hi)].max(initial=0.0)))
-    active = [int(i) for i in np.flatnonzero(np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b)))]
-    return SolveResult(x, float(f @ x), iters, residual, active)
+    # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
+    residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
+    active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
+    return SolveResult(x, float(f @ x), iters, residual, active, (lp, T, basis))

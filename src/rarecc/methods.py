@@ -145,9 +145,12 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
     therefore valid.  Every round solves the small LP over the box and the
     cuts so far, whose optimum bounds the true one from above, and separates
-    there.  The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
-    when the LP returns the iterate it was given (its cost tolerance cannot
-    resolve the newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
+    there.  Round 1 solves from the slack basis; every later round passes the
+    previous round's result as ``start``, so :func:`solve_lp` re-optimises
+    its optimal tableau with dual simplex pivots after the one new cut.  The
+    loop stops at the first iterate with g(x) <= radius (1 + 1e-12), when the
+    LP returns the iterate it was given (its tolerances cannot resolve the
+    newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
     (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
     relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
     against the radius themselves.
@@ -155,13 +158,15 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     x = np.where(c > 0, upper, 0.0)
     cuts: list[np.ndarray] = []
     pivots = 0
+    res = None
     g, s = separate(x)
     for _ in range(_MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
             break
         cuts.append(s)
-        res = solve_lp(LinearProgram(objective=c, A=np.array(cuts),
-                                     b=np.full(len(cuts), radius), hi=upper))
+        lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
+                           hi=upper)
+        res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
         pivots += res.iterations
         if np.array_equal(res.x, x):
             break

@@ -151,6 +151,30 @@ def test_bad_master_seed_exit_2(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scenario", "cvar", "experiment"])
+def test_negative_cli_seed_exit_2(ht_cfg, tmp_path, capsys, command):
+    # the sampler keys on seed mod 2^64, so --seed -5 drew 2^64 - 5's stream
+    out = tmp_path / "r.out"
+    assert cli_main([command, ht_cfg, "--out", str(out), "--seed", "-5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_successive_calls_share_parser(lt_cfg, ht_cfg, tmp_path, capsys):
+    # the parser is built once; each call must still parse its own argv
+    assert cli_main(["lt-limit", lt_cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "cut-loop"
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", ht_cfg, "--out", str(out), "--reps", "2"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 + 1
+    assert capsys.readouterr().out.startswith("wrote 3 rows")
+    assert cli_main(["scenario", ht_cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 13
+    assert cli_main(["lt-limit"]) == 2
+    assert cli_main(["--help"]) == 0
+    assert "Exit codes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("seed", [0, 7.0, 2 ** 64 + 1])
 def test_integral_master_seed_accepted(tmp_path, seed):
     cfg = write_cfg(tmp_path / "s.json", {

@@ -214,6 +214,18 @@ def test_config_rejects_bad_workers(workers):
         heavy_cfg(kind="frechet_check", k_grid=(10,), workers=workers)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "5"])
+def test_config_rejects_bad_master_seed(seed):
+    with pytest.raises(ParameterError):
+        heavy_cfg(kind="frechet_check", k_grid=(10,), master_seed=seed)
+
+
+def test_config_accepts_integral_master_seed():
+    for seed in (0, 7.0, np.int64(3)):
+        cfg = heavy_cfg(kind="frechet_check", k_grid=(10,), master_seed=seed)
+        assert cfg.master_seed == seed and type(cfg.master_seed) is int
+
+
 @pytest.mark.parametrize("k", [0, 100.7, True, -1.0, float("nan"), float("inf"), "100"])
 def test_config_rejects_bad_k(k):
     with pytest.raises(ParameterError):

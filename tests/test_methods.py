@@ -157,6 +157,39 @@ def test_sampled_lps_raise_when_cut_lp_stalls(stalled_lp):
         scenario_solve(prob, sample_tail(tail, 9, 200), 1.0)
 
 
+def _spy_solve_lp(monkeypatch):
+    calls = []
+
+    def spy(lp, *args, **kwargs):
+        res = solve_lp(lp, *args, **kwargs)
+        calls.append((lp, args, kwargs, res))
+        return res
+    monkeypatch.setattr(rarecc.methods, "solve_lp", spy)
+    return calls
+
+
+def test_cut_loop_warm_starts_after_round_one(monkeypatch):
+    calls = _spy_solve_lp(monkeypatch)
+    prob, tail = _heavy_two_matrix()
+    res = cvar_solve(prob, tail, 0.25, 500, 9)
+    assert len(calls) == res.meta["outer_iterations"] - 1 > 2
+    assert calls[0][1:3] == ((), {})
+    for prev, (lp, args, kwargs, _) in zip(calls, calls[1:]):
+        assert args == () and set(kwargs) == {"start"} and kwargs["start"] is prev[3]
+    assert res.meta["lp_iterations"] == sum(r.iterations for *_, r in calls)
+
+
+def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pareto2, scalar_exp):
+    calls = _spy_solve_lp(monkeypatch)
+    runs = [cvar_solve(scalar_problem, scalar_pareto2, 0.05, 4000, 2),
+            cvar_solve(scalar_problem, scalar_exp, 0.05, 4000, 3),
+            scenario_solve(scalar_problem, sample_tail(scalar_pareto2, 4, 500), 1.0)]
+    assert len(calls) == len(runs)
+    for (lp, args, kwargs, _), res in zip(calls, runs):
+        assert args == () and kwargs == {}
+        assert res.x.tobytes() == solve_lp(lp).x.tobytes()
+
+
 def test_cvar_zero_always_feasible(scalar_problem, scalar_exp):
     # the LP must never report infeasible: x = 0, tau = -1 satisfies it
     res = cvar_solve(scalar_problem, scalar_exp, 0.3, 400, 3)
