@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 bad configuration, 1 runtime or solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -75,6 +76,17 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is invalid: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _parsing_fields():
+    """Turn the errors that a malformed experiment field raises while it is
+    parsed into ConfigError, as load_config does for the rest of a config;
+    wrap no solver call in it."""
+    try:
+        yield
+    except (IndexError, ValueError, TypeError) as exc:
+        raise ConfigError(f"experiment config is invalid: {exc}") from exc
+
+
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
     exp = cfg["experiment"]
     try:
@@ -84,20 +96,21 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
     reps = args.reps if args.reps is not None else exp.get("replications", 1)
     seed = args.seed if args.seed is not None else cfg["master_seed"]
     y_probe = exp.get("y_probe")
-    return ExperimentConfig(
-        kind=kind,
-        problem=cfg["problem"],
-        tail=cfg["tail"],
-        delta_grid=tuple(exp.get("delta_grid", (1e-2, 1e-3, 1e-4))),
-        k_grid=tuple(exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
-        replications=reps,
-        budget=exp.get("budget", 100_000),
-        master_seed=seed,
-        eta=float(exp.get("eta", 0.0)),
-        r_grid=tuple(exp.get("r_grid", (10.0, 100.0))),
-        y_probe=None if y_probe is None else np.asarray(y_probe, dtype=float),
-        workers=args.workers if args.workers is not None else cfg["workers"],
-    )
+    with _parsing_fields():
+        return ExperimentConfig(
+            kind=kind,
+            problem=cfg["problem"],
+            tail=cfg["tail"],
+            delta_grid=tuple(exp.get("delta_grid", (1e-2, 1e-3, 1e-4))),
+            k_grid=tuple(exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
+            replications=reps,
+            budget=exp.get("budget", 100_000),
+            master_seed=seed,
+            eta=float(exp.get("eta", 0.0)),
+            r_grid=tuple(exp.get("r_grid", (10.0, 100.0))),
+            y_probe=None if y_probe is None else np.asarray(y_probe, dtype=float),
+            workers=args.workers if args.workers is not None else cfg["workers"],
+        )
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -111,15 +124,18 @@ def _emit(payload: dict, out_path) -> None:
 def _single_method(cfg: dict, args):
     exp = cfg["experiment"]
     seed = args.seed if args.seed is not None else cfg["master_seed"]
-    delta = float(exp.get("delta_grid", [1e-3])[0])
-    budget = as_count("budget", exp.get("budget", 100_000))
+    with _parsing_fields():
+        delta = float(exp.get("delta_grid", [1e-3])[0])
+        budget = as_count("budget", exp.get("budget", 100_000))
+        if args.command == "scenario":
+            k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
+            radius = float(exp.get("radius", 1.0))
     if args.command == "oracle":
         return ccp_oracle(cfg["problem"], cfg["tail"], delta, budget, seed)
     if args.command == "cvar":
         return cvar_solve(cfg["problem"], cfg["tail"], delta, budget, seed)
-    k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
     batch = sample_tail(cfg["tail"], seed, k)
-    return scenario_solve(cfg["problem"], batch, float(exp.get("radius", 1.0)))
+    return scenario_solve(cfg["problem"], batch, radius)
 
 
 @functools.cache
@@ -171,8 +187,9 @@ def cli_main(argv=None) -> int:
             _emit(res.to_json_dict(), args.out)
         elif args.command == "sample-size":
             exp = cfg["experiment"]
-            delta = float(exp.get("delta_grid", [1e-3])[0])
-            beta_conf = float(exp.get("beta_conf", 0.01))
+            with _parsing_fields():
+                delta = float(exp.get("delta_grid", [1e-3])[0])
+                beta_conf = float(exp.get("beta_conf", 0.01))
             dim = as_count("dim", exp.get("dim", cfg["problem"].m))
             k = sample_size_rule(delta, beta_conf, dim)
             _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim, "k": k},

@@ -1,18 +1,21 @@
 """Small dense linear-program solver (one-phase tableau simplex).
 
 Solves  maximize f^T x  s.t.  A x <= b,  0 <= x <= hi  for dense data with
-at most a few thousand rows, under the contract b >= 0 and hi >= 0: x = 0 is
-then feasible, so the simplex starts from the slack basis and needs no
-phase 1.  This is the form of every cut LP of :func:`rarecc.methods._cut_loop`.
-Pivoting is deterministic: Dantzig's rule with lowest-index tie-breaking,
-falling back to Bland's anti-cycling rule after a degenerate stall, so
-identical inputs always produce identical output.
+at most a few thousand rows, under the contract b >= 0 and hi >= 0, so that
+x = 0 is feasible and no phase 1 is needed.  This is the form of every cut
+LP of :func:`rarecc.methods._cut_loop`.  Pivoting is deterministic:
+Dantzig's rule with lowest-index tie-breaking, falling back to Bland's
+anti-cycling rule after a degenerate stall, so identical inputs always
+produce identical output.
 
-Each round of the cut loop adds rows to the LP it solved the round before.
-Given that earlier result as ``start``, :func:`solve_lp` re-optimises warm
-instead of from the slack basis: it appends the new rows to the earlier
-optimal tableau, where they only break primal feasibility, and restores it
-with dual simplex pivots (Lemke 1954) under the same rules.
+Every solve takes one path, :func:`_extend`: append rows to an optimal
+tableau, where they only break primal feasibility, restore it with dual
+simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve
+extends the empty tableau by every row, which is the simplex from the slack
+basis; given an earlier result of the cut loop as ``start``, a solve extends
+that result's tableau by the rows added since.  The tableau is written in
+z = x / hi for every column with a finite hi > 0, so the absolute pivot and
+tie tolerances do not depend on the units of x.
 """
 
 from __future__ import annotations
@@ -69,9 +72,9 @@ class LinearProgram:
 class SolveResult:
     """Optimal vertex of one LP solve.
 
-    ``_tableau`` holds the LP, its optimal tableau and basis, which a later
-    :func:`solve_lp` with ``start=`` this result re-optimises from; it is
-    left out of repr and equality.
+    ``_tableau`` holds the LP, its optimal tableau and basis and the column
+    scale, which a later :func:`solve_lp` with ``start=`` this result
+    re-optimises from; it is left out of repr and equality.
     """
 
     x: np.ndarray
@@ -176,53 +179,24 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G / scale[:, None], g / scale
 
 
-def _cold_tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int]:
-    """Optimal tableau and basis from the slack basis, and the pivot count."""
-    f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
-    ncols = A.shape[1]
+def _extend(T0: np.ndarray, basis0: np.ndarray, ncols: int, G: np.ndarray,
+            g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Optimal tableau and basis after appending the rows G y <= g to the
+    optimal tableau T0 with basis basis0, and the pivot count.
 
-    # materialize finite upper bounds as rows
-    ub_idx = np.flatnonzero(np.isfinite(hi))
-    G, g = _scaled_rows(np.vstack([A, np.eye(ncols)[ub_idx]]),
-                        np.concatenate([b, hi[ub_idx]]))
-    if G.shape[0] == 0:
-        raise ContractError("all constraint rows vanished; region is unbounded")
-
-    # slack basis; its costs are zero, so the objective row needs no pricing
-    nrows = G.shape[0]
-    total = ncols + nrows
-    T = np.zeros((nrows + 1, total + 1))
-    T[:-1, :ncols] = G
-    T[np.arange(nrows), ncols + np.arange(nrows)] = 1.0
-    T[:-1, -1] = g
-    T[-1, :ncols] = -f
-    basis = ncols + np.arange(nrows)
-    return T, basis, _iterate(T, basis, total, _primal_step, 1.0)
-
-
-def _same(u: np.ndarray, v: np.ndarray) -> bool:
-    return u is v or (u.shape == v.shape and bool((u == v).all()))
-
-
-def _warm_tableau(lp: LinearProgram, start: SolveResult) -> tuple[np.ndarray, np.ndarray, int]:
-    """Optimal tableau and basis re-optimised from ``start``'s, and the pivot
-    count.  The rows ``lp`` adds to start's LP get a slack column each, are
-    written in the terms of start's basis, and dual pivots then restore
-    primal feasibility; the reduced costs are unchanged, so start's basis
-    stays dual feasible.  A final primal pass, which does not pivot when the
-    dual pivots end at an optimum, guards the cost tolerance."""
-    if start._tableau is None:
-        raise ContractError("start carries no tableau to re-optimise from")
-    prev, T0, basis0 = start._tableau
-    k = prev.b.size
-    if not (k <= lp.b.size and _same(prev.objective, lp.objective) and _same(prev.hi, lp.hi)
-            and _same(prev.A, lp.A[:k]) and _same(prev.b, lp.b[:k])):
-        raise ContractError("start must solve the same objective and hi over the "
-                            "first rows of this LP")
-    ncols = lp.A.shape[1]
-    G, g = _scaled_rows(lp.A[k:], lp.b[k:])
+    Each row, scaled by :func:`_scaled_rows`, gets a slack column and is
+    written in the terms of basis0.  The reduced costs are unchanged, so
+    basis0 stays dual feasible, and dual pivots restore primal feasibility;
+    a final primal pass, which does not pivot when they end at an optimum,
+    guards the cost tolerance.  From the empty tableau [-f | 0] and g >= 0
+    the dual pass makes no pivot and the primal pass is the simplex from the
+    slack basis.
+    """
+    G, g = _scaled_rows(G, g)
     rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
     added = g.size
+    if rows0 + added == 0:
+        raise ContractError("all constraint rows vanished; region is unbounded")
     T = np.zeros((rows0 + added + 1, cols0 + added + 1))
     T[:rows0, :cols0] = T0[:-1, :-1]
     T[:rows0, -1] = T0[:-1, -1]
@@ -233,21 +207,26 @@ def _warm_tableau(lp: LinearProgram, start: SolveResult) -> tuple[np.ndarray, np
     idx = np.arange(added)
     new[idx, cols0 + idx] = 1.0
     new[:, -1] = g
-    # eliminate the basic columns; basic columns of T0 are exact unit vectors
-    new -= new[:, basis0] @ T[:rows0]
+    if rows0:
+        # eliminate the basic columns; basic columns of T0 are exact unit vectors
+        new -= new[:, basis0] @ T[:rows0]
     basis = np.concatenate([basis0, cols0 + idx])
     total = cols0 + added
     iters = _iterate(T, basis, total, _dual_step, -1.0)
     return T, basis, iters + _iterate(T, basis, total, _primal_step, 1.0)
 
 
+def _same(u: np.ndarray, v: np.ndarray) -> bool:
+    return u is v or (u.shape == v.shape and bool((u == v).all()))
+
+
 def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult:
     """Solve the LP and return an optimal vertex.
 
-    Without ``start`` the simplex starts from the slack basis.  ``start`` is
-    an earlier result of this function for an LP with the same objective and
-    ``hi`` whose rows are the first rows of ``lp``; the solve then resumes
-    from its optimal tableau (see :func:`_warm_tableau`), and any other
+    Without ``start`` the solve extends the empty tableau by every row of
+    ``lp``.  ``start`` is an earlier result of this function for an LP with
+    the same objective and ``hi`` whose rows are the first rows of ``lp``;
+    the solve then extends its optimal tableau by the rest, and any other
     ``start`` raises :class:`ContractError`.  The region always holds x = 0,
     so there is no infeasible outcome; unboundedness raises
     :class:`UnboundedError` because every call site is supposed to pass a
@@ -255,13 +234,31 @@ def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult
     """
     f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
     ncols = A.shape[1]
-    T, basis, iters = _cold_tableau(lp) if start is None else _warm_tableau(lp, start)
+    if start is None:
+        # the tableau holds z = x / col, each bounded column in units of its bound
+        col = np.where(np.isfinite(hi) & (hi > 0), hi, 1.0)
+        ub_idx = np.flatnonzero(np.isfinite(hi))
+        T0, basis0 = np.zeros((1, ncols + 1)), np.empty(0, dtype=int)
+        T0[0, :ncols] = -f * col
+        G = np.vstack([A * col, np.eye(ncols)[ub_idx]])
+        g = np.concatenate([b, hi[ub_idx] / col[ub_idx]])
+    else:
+        if start._tableau is None:
+            raise ContractError("start carries no tableau to re-optimise from")
+        prev, T0, basis0, col = start._tableau
+        k = prev.b.size
+        if not (k <= b.size and _same(prev.objective, f) and _same(prev.hi, hi)
+                and _same(prev.A, A[:k]) and _same(prev.b, b[:k])):
+            raise ContractError("start must solve the same objective and hi over the "
+                                "first rows of this LP")
+        G, g = A[k:] * col, b[k:]
+    T, basis, iters = _extend(T0, basis0, ncols, G, g)
 
     z = np.zeros(T.shape[1] - 1)
     z[basis] = T[:-1, -1]
-    x = z[:ncols]
+    x = col * z[:ncols]
     slack_ok = A @ x - b
     # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
     residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
     active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
-    return SolveResult(x, float(f @ x), iters, residual, active, (lp, T, basis))
+    return SolveResult(x, float(f @ x), iters, residual, active, (lp, T, basis, col))

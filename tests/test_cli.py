@@ -80,6 +80,28 @@ def test_wrong_tail_kind_exit_2(lt_cfg):
     assert cli_main(["ht-limit", lt_cfg]) == 2
 
 
+@pytest.mark.parametrize("command, fields", [
+    ("cvar", {"delta_grid": []}),
+    ("oracle", {"delta_grid": []}),
+    ("sample-size", {"delta_grid": []}),
+    ("scenario", {"k_grid": []}),
+    ("cvar", {"delta_grid": ["x"]}),
+    ("experiment", {"kind": "cvar_ratio", "delta_grid": ["x"]}),
+    ("scenario", {"radius": "big"}),
+    ("sample-size", {"beta_conf": "q"}),
+    ("experiment", {"kind": "cvar_ratio", "eta": "x"}),
+    ("experiment", {"kind": "cvar_ratio", "delta_grid": 0.01}),
+])
+def test_malformed_experiment_field_exit_2(tmp_path, capsys, command, fields):
+    cfg = write_cfg(tmp_path / "bad_field.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "light", "beta": 1.0},
+        "experiment": fields,
+    })
+    assert cli_main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error: experiment config is invalid" in capsys.readouterr().err
+
+
 def test_duplicate_grid_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "dup.json", {
         "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},

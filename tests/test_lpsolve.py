@@ -35,6 +35,22 @@ def test_random_instances_match_vertex_enumeration():
         res = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=hi))
         ref = brute_force_lp(f, A, b, hi)
         assert res.objective == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
+    # the same kind of LP with a fifth of the bounds at 0, written in
+    # x' = x / s for a column scale s from 1e-6 to 1e6: the optimum is that
+    # of the unscaled LP, whichever units the columns are in
+    for trial in range(200):
+        M = int(rng.integers(1, 8))
+        N = int(rng.integers(1, 5))
+        A = rng.uniform(-1.0, 2.0, (M, N))
+        b = rng.uniform(0.0, 3.0, M)
+        f = rng.uniform(-1.0, 2.0, N)
+        hi = rng.uniform(0.5, 4.0, N)
+        hi[rng.random(N) < 0.2] = 0.0
+        s = 10.0 ** rng.uniform(-6.0, 6.0, N)
+        res = solve_lp(LinearProgram(objective=f * s, A=A * s, b=b, hi=hi / s))
+        ref = brute_force_lp(f, A, b, hi)
+        assert res.objective == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
+        assert res.residual <= 1e-9, trial
 
 
 def test_feasibility_residual_bound():

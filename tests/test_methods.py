@@ -190,6 +190,17 @@ def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pare
         assert res.x.tobytes() == solve_lp(lp).x.tobytes()
 
 
+def test_cvar_value_does_not_depend_on_units_of_x():
+    # x = 1e-6 y solves the instance with A scaled by 1e6 and h by 1e-6;
+    # the cut LP's tolerances must not see the difference
+    A = np.array([[[.342, .94, .566], [.9, .925, .9], [.498, .583, .534], [.02, .946, .151]]])
+    c = [.598, .714, .808, .588]
+    tail = LightTailModel(n=3, beta=1.459, theta=2.0)
+    ref = cvar_solve(ProblemInstance(c=c, h=1e3, A=A), tail, 0.05, 4000, 68)
+    res = cvar_solve(ProblemInstance(c=c, h=1e-3, A=A * 1e6), tail, 0.05, 4000, 68)
+    assert res.value * 1e6 == pytest.approx(ref.value, rel=1e-9)
+
+
 def test_cvar_zero_always_feasible(scalar_problem, scalar_exp):
     # the LP must never report infeasible: x = 0, tau = -1 satisfies it
     res = cvar_solve(scalar_problem, scalar_exp, 0.3, 400, 3)
