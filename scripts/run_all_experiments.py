@@ -5,9 +5,11 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
-same bytes.  On a shared 2-vCPU Linux VM a run took 7.5-7.7 s (three
-runs), against 8.0-9.0 s for the previous version, which solved every cut
-LP from the slack basis; on a calmer day that version had taken 3.5 s.
+same bytes.  On a shared 2-vCPU Linux VM (Python 3.11, numpy 2.4, default
+OpenBLAS threads) a run took 6.3-6.8 s real (three runs), against 7.4-7.9 s
+for the previous version, which solved every one-variable cut LP with the
+simplex and took its n = 1 and m = 1 products by matmul.  Timings on that
+VM move with the host's load by 30% or more.
 """
 
 import pathlib

@@ -21,8 +21,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .errors import ParameterError, RareccError
 from .experiments import ExperimentConfig, as_count, run_experiment, write_report
 from .limits import solve_ht_limit, solve_lt_limit
@@ -95,7 +93,6 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         raise ConfigError(f"experiment config missing key {exc}") from exc
     reps = args.reps if args.reps is not None else exp.get("replications", 1)
     seed = args.seed if args.seed is not None else cfg["master_seed"]
-    y_probe = exp.get("y_probe")
     with _parsing_fields():
         return ExperimentConfig(
             kind=kind,
@@ -108,7 +105,7 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
             master_seed=seed,
             eta=float(exp.get("eta", 0.0)),
             r_grid=tuple(exp.get("r_grid", (10.0, 100.0))),
-            y_probe=None if y_probe is None else np.asarray(y_probe, dtype=float),
+            y_probe=exp.get("y_probe"),
             workers=args.workers if args.workers is not None else cfg["workers"],
         )
 

@@ -84,6 +84,17 @@ class ExperimentConfig:
             grid = [float(g) for g in getattr(self, name)]
             if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate values")
+        if self.y_probe is not None:
+            try:
+                y = np.asarray(self.y_probe, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"y_probe must be a vector of numbers: {exc}") from exc
+            if y.shape != (self.problem.m,):
+                raise ParameterError(f"y_probe has shape {y.shape}, expected "
+                                     f"({self.problem.m},)")
+            if not (np.isfinite(y).all() and (y >= 0.0).all()):
+                raise ParameterError("y_probe must be finite and nonnegative")
+            object.__setattr__(self, "y_probe", y)
 
 
 @dataclass(frozen=True)
@@ -320,7 +331,7 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     if not isinstance(tail, HeavyTailModel):
         raise ParameterError("tail_ratio needs a heavy tail")
     if cfg.y_probe is not None:
-        y = np.asarray(cfg.y_probe, dtype=float)
+        y = cfg.y_probe
     else:
         y = 0.5 * solve_ht_limit(tail, cfg.problem).y_star
     closed = angular_moment(tail, cfg.problem, y)

@@ -13,6 +13,10 @@ programs of :mod:`rarecc.limits` with gradient cuts: it solves a small LP
 in the m decision variables over the cuts found so far, evaluates g and a
 subgradient at its optimum with one pass over the sample, and adds that cut,
 until g(x) <= radius (1 + 1e-12).  The result is the optimum of the full LP.
+A one-variable program needs one cut, because g is linear on [0, upper];
+its 1x1 cut LP is then solved by the one pivot the simplex would make,
+computed in closed form, and a scalar scenario program scores its rows by
+an elementwise product instead of a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -147,10 +151,20 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     cuts so far, whose optimum bounds the true one from above, and separates
     there.  Round 1 solves from the slack basis; every later round passes the
     previous round's result as ``start``, so :func:`solve_lp` re-optimises
-    its optimal tableau with dual simplex pivots after the one new cut.  The
-    loop stops at the first iterate with g(x) <= radius (1 + 1e-12), when the
-    LP returns the iterate it was given (its tolerances cannot resolve the
-    newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
+    its optimal tableau with dual simplex pivots after the one new cut.
+
+    When x has one coordinate, round 1 does not call :func:`solve_lp`: the
+    cold solve of the 1x1 LP is a single pivot, taken here in the LP's own
+    floating-point operations, so x is the LP's to the bit.  (Where c or the
+    cut is so small that the LP's absolute cost or pivot tolerance misreads
+    it, the LP returned x = 0 or dropped the cut; this pivot solves those
+    programs exactly.)  g is linear on [0, upper], so that one cut ends the
+    loop; a second round, which rounding could in principle ask for, falls
+    back to a cold :func:`solve_lp`.
+
+    The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
+    when the LP returns the iterate it was given (its tolerances cannot
+    resolve the newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
     (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
     relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
     against the radius themselves.
@@ -164,13 +178,23 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
         if g <= radius * (1.0 + 1e-12):
             break
         cuts.append(s)
-        lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
-                           hi=upper)
-        res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
-        pivots += res.iterations
-        if np.array_equal(res.x, x):
+        if c.size == 1 and len(cuts) == 1:
+            # the 1x1 cut LP's one pivot, in its arithmetic: the tableau holds
+            # z = x / col, the scaled cut reads z <= q, the bound row z <= 1,
+            # and the ratio test's tie goes to the cut row's lower basis index
+            col = upper[0] if 0.0 < upper[0] < math.inf else 1.0
+            q = radius / (s[0] * col)
+            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
+            pivots += 1
+        else:
+            lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
+                               hi=upper)
+            res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
+            new_x = res.x
+            pivots += res.iterations
+        if np.array_equal(new_x, x):
             break
-        x = res.x
+        x = new_x
         g, s = separate(x)
     return x, g, len(cuts), pivots
 
@@ -247,9 +271,10 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
     if batch.n != problem.n:
         raise ContractError("batch dimension disagrees with problem")
     W = np.einsum("imn,jn->jim", problem.A, batch.samples).reshape(-1, problem.m)
+    scalar = problem.m == 1
 
     def separate(y):
-        scores = W @ y
+        scores = W[:, 0] * y[0] if scalar else W @ y     # the same bits for m = 1
         j = int(np.argmax(scores))
         return float(scores[j]), W[j]
 

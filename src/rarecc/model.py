@@ -92,10 +92,12 @@ def phi_many(problem: ProblemInstance, x: np.ndarray, draws: np.ndarray) -> np.n
     Equal bit for bit to ``(draws @ w.T).max(axis=1)``, but numpy's reduce
     over the narrow axis is several times slower than the product itself, so
     the d columns are folded with an elementwise maximum instead.  For d = 1
-    the result is a view of the product.
+    the result is a view of the product.  For n = 1 the product is the
+    broadcast ``draws * w.T``: each entry is one multiply either way, and a
+    matmul whose inner dimension is 1 costs several times as much per row.
     """
     w = x @ problem.A            # (d, n)
-    p = draws @ w.T              # (N, d)
+    p = draws * w.T if problem.n == 1 else draws @ w.T    # (N, d)
     loss = p[:, 0]
     for i in range(1, problem.d):
         loss = np.maximum(loss, p[:, i])

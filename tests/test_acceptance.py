@@ -245,7 +245,7 @@ def test_acceptance_08a_feasibility_factor_unshrunken():
     strict=True,
     reason="unattainable at these parameters: with n=3, beta=0.5, delta=1e-3, "
     "eta=0.1 the true violation/delta is ~3.0 (the single-big-jump lower "
-    "bound alone gives 2.06) and crosses 1 only near delta~1.5e-9, far "
+    "bound alone gives 2.06) and crosses 1 only near delta~2.4e-10, far "
     "beyond any direct Monte Carlo budget; see README")
 def test_acceptance_08b_feasibility_factor_shrunken():
     rows, _ = run_experiment(_feasibility_cfg(0.1))

@@ -114,6 +114,20 @@ def test_duplicate_grid_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("y_probe", [[1.0, 2.0, 3.0], [math.nan], [-1.0]])
+def test_bad_y_probe_exit_2(tmp_path, capsys, y_probe):
+    cfg = write_cfg(tmp_path / "y.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "tail_ratio", "r_grid": [10.0], "budget": 20000,
+                       "y_probe": y_probe},
+    })
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", cfg, "--out", str(out)]) == 2
+    assert "y_probe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k_grid", [[0], [100.7]])
 def test_bad_k_grid_exit_2(tmp_path, capsys, k_grid):
     cfg = write_cfg(tmp_path / "k.json", {

@@ -208,6 +208,19 @@ def test_config_validation():
         heavy_cfg(kind="cvar_ratio", delta_grid=(1e-2, 0.01))
 
 
+@pytest.mark.parametrize("y_probe", [[1.0, 2.0, 3.0], [[1.0]], [math.nan], [math.inf],
+                                     [-1.0], ["x"]])
+def test_config_rejects_bad_y_probe(y_probe):
+    # shape (m,), finite and nonnegative, checked before any solver sees it
+    with pytest.raises(ParameterError, match="y_probe"):
+        heavy_cfg(kind="tail_ratio", r_grid=(10.0,), y_probe=y_probe)
+
+
+def test_config_stores_y_probe_as_float_vector():
+    cfg = heavy_cfg(kind="tail_ratio", r_grid=(10.0,), y_probe=[1])
+    assert cfg.y_probe.dtype == float and cfg.y_probe.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, 2.0])
 def test_config_rejects_bad_workers(workers):
     with pytest.raises(ParameterError):

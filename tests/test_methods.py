@@ -180,14 +180,90 @@ def test_cut_loop_warm_starts_after_round_one(monkeypatch):
 
 
 def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pareto2, scalar_exp):
-    calls = _spy_solve_lp(monkeypatch)
+    # a scalar program's one cut is the separation at upper; its answer must
+    # be the cold solve of that 1x1 LP, bit for bit
+    loops = []
+    exact = rarecc.methods._exact_cut_loop
+
+    def capture(c, upper, radius, separate):
+        loops.append((c, upper, radius, separate))
+        return exact(c, upper, radius, separate)
+    monkeypatch.setattr(rarecc.methods, "_exact_cut_loop", capture)
     runs = [cvar_solve(scalar_problem, scalar_pareto2, 0.05, 4000, 2),
             cvar_solve(scalar_problem, scalar_exp, 0.05, 4000, 3),
             scenario_solve(scalar_problem, sample_tail(scalar_pareto2, 4, 500), 1.0)]
-    assert len(calls) == len(runs)
-    for (lp, args, kwargs, _), res in zip(calls, runs):
-        assert args == () and kwargs == {}
+    assert len(loops) == len(runs)
+    for (c, upper, radius, separate), res in zip(loops, runs):
+        _, cut = separate(upper)
+        lp = LinearProgram(objective=c, A=[cut], b=[radius], hi=upper)
         assert res.x.tobytes() == solve_lp(lp).x.tobytes()
+        assert res.meta["lp_iterations"] == 1
+
+
+def test_one_pivot_matches_cold_solve_bit_for_bit():
+    # the scalar cut loop's closed-form pivot against solve_lp on the same
+    # 1x1 LP, over twelve decades of bound and radius (the LP's absolute
+    # tolerances bound the range; see the next test), with q = radius /
+    # (s upper) below 1, within 1e-12 of 1 (the ratio test's tie) and above
+    rng = np.random.default_rng(10)
+    seen = {"cut": 0, "tie": 0, "bound": 0, "no cut": 0}
+    for i in range(400):
+        c = np.array([10.0 ** rng.uniform(-2, 2)])
+        upper = np.array([10.0 ** rng.uniform(-6, 6)])
+        radius = 10.0 ** rng.uniform(-6, 6)
+        q0 = (rng.uniform(0.01, 1.0), 1.0 + rng.uniform(-1e-12, 3e-12),
+              rng.uniform(1.0, 3.0))[i % 3]
+        s = np.array([radius / (q0 * upper[0])])
+        lifted = i % 2 == 0
+
+        def separate(x):
+            # lifted: g(upper) reads above s^T upper, as a rounded sum can
+            if lifted and x[0] == upper[0]:
+                return 2.0 * radius, s
+            return float(s @ x), s
+        x, g, cuts, pivots = rarecc.methods._cut_loop(c, upper, radius, separate)
+        if not lifted and s[0] * upper[0] <= radius * (1.0 + 1e-12):
+            seen["no cut"] += 1
+            assert (x.tobytes(), cuts, pivots) == (upper.tobytes(), 0, 0)
+            continue
+        ref = solve_lp(LinearProgram(objective=c, A=[s], b=[radius], hi=upper))
+        assert x.tobytes() == ref.x.tobytes(), (c, upper, radius, s)
+        assert (cuts, pivots) == (1, ref.iterations) == (1, 1)
+        q = radius / (s[0] * upper[0])
+        seen["cut" if q <= 1.0 else "tie" if q <= 1.0 + 1e-12 else "bound"] += 1
+    assert min(seen.values()) >= 15, seen
+
+
+def test_one_pivot_reaches_optimum_below_lp_tolerances():
+    # solve_lp's absolute tolerances misread these 1x1 cut LPs: with c h below
+    # its cost tolerance it returned x = 0, and it dropped a cut row below
+    # its pivot tolerance as vacuous and raised; the one pivot solves both
+    batch = SampleBatch(samples=np.array([[2.0], [5.0]]), seed=0)
+    res = scenario_solve(ProblemInstance(c=[1e-12], h=1.0, A=[[[1.0]]]), batch, 1.0)
+    assert res.x[0] == 0.2 and res.meta["gap"] <= 1e-12
+    res = scenario_solve(ProblemInstance(c=[1.0], h=10.0, A=[[[1.0]]]), batch, 1e-12)
+    assert res.x[0] == pytest.approx(2e-13, rel=1e-15) and res.meta["gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("m, n, d", [(1, 1, 1), (1, 3, 2), (2, 1, 1), (3, 2, 2)])
+def test_scenario_matches_matmul_separation(m, n, d):
+    # m = 1 scores the rows by an elementwise product, which must give the
+    # bits of the matrix-vector product that every other m uses
+    rng = np.random.default_rng(100 * m + 10 * n + d)
+    prob = ProblemInstance(c=rng.random(m) + 0.1, h=50.0, A=rng.random((d, m, n)) + 0.01)
+    batch = sample_tail(LightTailModel(n=n, beta=0.8, theta=2.0), 5, 3000)
+    W = np.einsum("imn,jn->jim", prob.A, batch.samples).reshape(-1, m)
+
+    def separate(y):
+        scores = W @ y
+        j = int(np.argmax(scores))
+        return float(scores[j]), W[j]
+    for radius in (0.3, 1.0, 40.0):
+        res = scenario_solve(prob, batch, radius)
+        x, g, cuts, pivots = rarecc.methods._exact_cut_loop(
+            prob.c, np.full(m, prob.h * radius), radius, separate)
+        assert res.x.tobytes() == x.tobytes() and res.meta["gap"] == g / radius - 1.0
+        assert (res.meta["binding_candidates"], res.meta["lp_iterations"]) == (cuts, pivots)
 
 
 def test_cvar_value_does_not_depend_on_units_of_x():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,17 +53,18 @@ def test_phi_bad_values():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_phi_many_equals_row_max(d):
     # the column-wise maximum must reproduce max(axis=1) bit for bit
+    # (n = 1 takes the broadcast product, m = 1 a one-row x @ A)
     rng = np.random.default_rng(d)
-    for n in range(1, 5):
-        A = rng.random((d, 3, n)) * (rng.random((d, 3, n)) < 0.7)
+    for m, n in itertools.product((1, 3), range(1, 5)):
+        A = rng.random((d, m, n)) * (rng.random((d, m, n)) < 0.7)
         A[:, 0, 0] += 0.1
-        prob = ProblemInstance(c=[1.0, 1.0, 1.0], h=1.0, A=A)
-        x = rng.random(3)
+        prob = ProblemInstance(c=np.ones(m), h=1.0, A=A)
+        x = rng.random(m)
         for N in (0, 1, 4097):
             draws = rng.pareto(1.5, (N, n))
             want = (draws @ (x @ prob.A).T).max(axis=1)
             got = phi_many(prob, x, draws)
-            assert got.shape == (N,) and got.tobytes() == want.tobytes(), (n, N)
+            assert got.shape == (N,) and got.tobytes() == want.tobytes(), (m, n, N)
 
 
 def test_box_clip_examples():
