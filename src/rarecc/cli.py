@@ -1,14 +1,14 @@
 """Batch command-line interface.
 
-Subcommands::
+Subcommands (each takes --out PATH; a flag it does not read exits 2)::
 
-    rarecc lt-limit    cfg.json            solve the light-tail limit program
-    rarecc ht-limit    cfg.json            solve the heavy-tail limit program
-    rarecc oracle      cfg.json            Monte Carlo chance-constrained oracle
-    rarecc cvar        cfg.json            sample-average CVaR relaxation
-    rarecc scenario    cfg.json            sampled-constraint program
-    rarecc sample-size cfg.json            published scenario-count rule
-    rarecc experiment  cfg.json --out r.csv   run a configured experiment
+    rarecc lt-limit    cfg.json               solve the light-tail limit program
+    rarecc ht-limit    cfg.json               solve the heavy-tail limit program
+    rarecc oracle      cfg.json [--seed S]    Monte Carlo chance-constrained oracle
+    rarecc cvar        cfg.json [--seed S]    sample-average CVaR relaxation
+    rarecc scenario    cfg.json [--seed S]    sampled-constraint program
+    rarecc sample-size cfg.json               published scenario-count rule
+    rarecc experiment  cfg.json [--seed S] [--reps N] [--workers W]   run an experiment
 
 Exit codes: 0 success, 2 bad configuration, 1 runtime or solver failure.
 """
@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .errors import ParameterError, RareccError
+from .errors import ParameterError, RareccError, check_count
 from .experiments import ExperimentConfig, as_count, run_experiment, write_report
 from .limits import solve_ht_limit, solve_lt_limit
 from .methods import ccp_oracle, cvar_solve, sample_size_rule, scenario_solve
@@ -91,23 +91,16 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         kind = exp["kind"]
     except KeyError as exc:
         raise ConfigError(f"experiment config missing key {exc}") from exc
-    reps = args.reps if args.reps is not None else exp.get("replications", 1)
-    seed = args.seed if args.seed is not None else cfg["master_seed"]
+    fields = {key: exp[key] for key in ("delta_grid", "k_grid", "replications", "budget",
+                                        "eta", "r_grid", "y_probe") if key in exp}
+    if args.reps is not None:
+        fields["replications"] = args.reps
     with _parsing_fields():
         return ExperimentConfig(
-            kind=kind,
-            problem=cfg["problem"],
-            tail=cfg["tail"],
-            delta_grid=tuple(exp.get("delta_grid", (1e-2, 1e-3, 1e-4))),
-            k_grid=tuple(exp.get("k_grid", (10 ** 3, 10 ** 4, 10 ** 5))),
-            replications=reps,
-            budget=exp.get("budget", 100_000),
-            master_seed=seed,
-            eta=float(exp.get("eta", 0.0)),
-            r_grid=tuple(exp.get("r_grid", (10.0, 100.0))),
-            y_probe=exp.get("y_probe"),
+            kind=kind, problem=cfg["problem"], tail=cfg["tail"],
+            master_seed=args.seed if args.seed is not None else cfg["master_seed"],
             workers=args.workers if args.workers is not None else cfg["workers"],
-        )
+            **fields)
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -123,7 +116,7 @@ def _single_method(cfg: dict, args):
     seed = args.seed if args.seed is not None else cfg["master_seed"]
     with _parsing_fields():
         delta = float(exp.get("delta_grid", [1e-3])[0])
-        budget = as_count("budget", exp.get("budget", 100_000))
+        budget = as_count("budget", exp.get("budget", ExperimentConfig.budget))
         if args.command == "scenario":
             k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
             radius = float(exp.get("radius", 1.0))
@@ -135,20 +128,24 @@ def _single_method(cfg: dict, args):
     return scenario_solve(cfg["problem"], batch, radius)
 
 
+# the integer flags each subcommand reads, besides --out; any other exits 2
+_FLAGS = {"lt-limit": (), "ht-limit": (), "oracle": ("--seed",), "cvar": ("--seed",),
+          "scenario": ("--seed",), "sample-size": (),
+          "experiment": ("--seed", "--reps", "--workers")}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(prog="rarecc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("lt-limit", "ht-limit", "oracle", "cvar", "scenario",
-                 "sample-size", "experiment"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=int, default=None)
     return parser
 
 
@@ -165,10 +162,10 @@ def cli_main(argv=None) -> int:
         return 2
 
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             # the rule a config's master_seed follows; the sampler keys on
             # seed mod 2^64, so a negative seed would alias a large one
-            as_count("--seed", args.seed, least=0)
+            check_count("--seed", args.seed, least=0)
         if args.command == "lt-limit":
             if not isinstance(cfg["tail"], LightTailModel):
                 raise ConfigError("lt-limit needs a light tail model")

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one implementation of each shared input rule.
+
+Library counts are integers only (:func:`check_count`); a config file's
+counts may also be integral floats, which :func:`rarecc.experiments.as_count`
+turns into ints before applying the same rule.
+"""
+
+import numpy as np
 
 
 class RareccError(Exception):
@@ -19,3 +26,30 @@ class ParameterError(RareccError):
 
 class UnboundedError(RareccError):
     """An optimization problem has unbounded optimal value."""
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, if it is an int or numpy integer (not a bool)
+    of at least ``least``; anything else raises ParameterError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_vector(v, size: int, name: str) -> np.ndarray:
+    """``v`` as a float vector of shape (size,): a wrong shape raises
+    ContractError, a non-finite or negative entry InputError."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ContractError(f"{name} has shape {v.shape}, expected ({size},)")
+    if not np.isfinite(v).all():
+        raise InputError(f"{name} must be finite")
+    if (v < 0).any():
+        raise InputError(f"{name} must be nonnegative")
+    return v
+
+
+def check_same_n(problem, n: int) -> None:
+    """Raise ContractError unless the risk dimension n is the problem's."""
+    if n != problem.n:
+        raise ContractError(f"risk dimension n={n} disagrees with the problem's n={problem.n}")

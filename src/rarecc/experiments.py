@@ -10,13 +10,12 @@ across reruns and across worker counts.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
                      solve_lt_limit)
 from .methods import (_STREAM_CHUNK, analytic_ccp_value, analytic_cvar_value,
@@ -33,24 +32,23 @@ EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
 
 
 def as_count(name: str, value, least: int = 1) -> int:
-    """``value`` as an int >= ``least``; a bool, a non-number or a
-    non-integral number (``2.5``, not ``2.0``) raises ParameterError naming
-    ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (value >= least and float(value).is_integer()):
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+    """A config count: an integral float (``1000.0``, not ``2.5``) counts as
+    the int it equals, then :func:`~rarecc.errors.check_count` applies."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    return check_count(name, value, least)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; grids irrelevant to a kind are ignored."""
+    """Everything one experiment needs; grids irrelevant to a kind are ignored.
+    Counts may be integral floats (:func:`as_count`), except ``workers``."""
 
     kind: str
     problem: ProblemInstance
     tail: TailModel
-    delta_grid: tuple = ()
-    k_grid: tuple = ()
+    delta_grid: tuple = (1e-2, 1e-3, 1e-4)
+    k_grid: tuple = (10 ** 3, 10 ** 4, 10 ** 5)
     replications: int = 1
     budget: int = 100_000
     master_seed: int = 0
@@ -62,13 +60,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.workers, numbers.Integral):
-            # a worker count is a thread-pool size, never a float
-            raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
-        for name in ("replications", "budget", "workers"):
+        object.__setattr__(self, "workers", check_count("workers", self.workers))
+        for name in ("replications", "budget"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
         object.__setattr__(self, "master_seed", as_count("master_seed", self.master_seed,
                                                          least=0))
+        object.__setattr__(self, "eta", float(self.eta))
+        for name in ("delta_grid", "k_grid", "r_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "k_grid", tuple(as_count("k_grid value", k)
                                                  for k in self.k_grid))
         needs_delta = self.kind in ("cvar_ratio", "feasibility_factor")
@@ -80,10 +79,12 @@ class ExperimentConfig:
         if self.kind == "tail_ratio" and not self.r_grid:
             raise ParameterError("tail_ratio needs a nonempty r_grid")
         for name in ("delta_grid", "k_grid", "r_grid"):
-            # report rows are grouped by grid value, so a repeat would merge groups
+            # report rows are keyed by grid value, so a repeat would make two groups alike
             grid = [float(g) for g in getattr(self, name)]
             if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate values")
+        if not all(0.0 < float(r) < math.inf for r in self.r_grid):
+            raise ParameterError(f"r_grid values must be finite and > 0, got {self.r_grid!r}")
         if self.y_probe is not None:
             try:
                 y = np.asarray(self.y_probe, dtype=float)
@@ -125,10 +126,11 @@ def _run_grid(cfg: ExperimentConfig, grid, task, agg):
             rows = list(pool.map(lambda j: task(*j), jobs))
     else:
         rows = [task(*j) for j in jobs]
-    rows.sort(key=lambda r: (r.grid, r.rep))
+    # pool.map keeps job order, so grid point gi owns rows [gi R, (gi + 1) R)
+    R = cfg.replications
     out = []
     for gi, g in enumerate(grid):
-        mine = [r for r in rows if r.grid == float(g)]
+        mine = rows[gi * R:(gi + 1) * R]
         out.extend(mine)
         out.append(agg(gi, g, mine))
     return out
@@ -213,8 +215,9 @@ def run_scenario_convergence(cfg: ExperimentConfig) -> list[ReportRow]:
         cv_ref = math.nan
 
     def task(gi, k, rep, seed):
-        if light and k < 2:
-            raise ParameterError("light-tail scenario scaling needs k >= 2")
+        if k < 2:
+            # the radius at risk level 1/k needs 1/k < 1
+            raise ParameterError("scenario scaling needs k >= 2")
         batch = sample_tail(cfg.tail, seed, k)
         radius = tail_radius(cfg.tail, 1.0 / k)
         res = scenario_solve(cfg.problem, batch, radius)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError, ParameterError, UnboundedError
+from .errors import ParameterError, UnboundedError, check_same_n, check_vector
 from .methods import _cut_loop
 from .model import ProblemInstance, box_clip
 from .sampler import (HeavyTailModel, LightTailModel, TailModel,
@@ -52,21 +52,7 @@ class LimitSolution:
 
 def lambda_eval(model: LightTailModel, x) -> float:
     """Dependence exponent of the light model, homogeneous of degree beta."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ContractError(f"x has shape {x.shape}, expected ({model.n},)")
-    if not np.isfinite(x).all() or (x < 0).any():
-        raise InputError("x must be finite and nonnegative")
-    return copula_exponent(model, x)
-
-
-def _check_b(b, n: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ContractError(f"b has shape {b.shape}, expected ({n},)")
-    if not np.isfinite(b).all() or (b < 0).any():
-        raise InputError("b must be finite and nonnegative")
-    return b
+    return copula_exponent(model, check_vector(x, model.n, "x"))
 
 
 def _dual_norm_order(model: LightTailModel) -> float:
@@ -96,7 +82,7 @@ def rate_I(model: LightTailModel, b) -> float:
     Returns inf for b = 0 (the constraint set is empty).
     Scales as I(t b) = t^(-beta) I(b).
     """
-    b = _check_b(b, model.n)
+    b = check_vector(b, model.n, "b")
     if not (b > 0).any():
         return math.inf
     return float(_dual_norm(b, _dual_norm_order(model))) ** (-model.beta)
@@ -109,20 +95,16 @@ def rate_J(model: LightTailModel, problem: ProblemInstance, y) -> float:
 
     Returns inf when g(y) = 0, i.e. when every y^T A_i vanishes.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ContractError(f"y has shape {y.shape}, expected ({problem.m},)")
-    if not np.isfinite(y).all() or (y < 0).any():
-        raise InputError("y must be finite and nonnegative")
-    if model.n != problem.n:
-        raise ContractError("tail model and problem disagree on n")
+    y = check_vector(y, problem.m, "y")
+    check_same_n(problem, model.n)
     g = float(_dual_norm(y @ problem.A, _dual_norm_order(model)).max())
     return math.inf if g == 0.0 else g ** (-model.beta)
 
 
 def angular_moment(model: HeavyTailModel, problem: ProblemInstance, y) -> float:
     """Limit tail ratio sum_k w_k phi(y, theta_k)^alpha of the heavy model."""
-    y = np.asarray(y, dtype=float)
+    y = check_vector(y, problem.m, "y")
+    check_same_n(problem, model.n)
     v = np.einsum("imn,kn->kim", problem.A, model.atoms)   # (K, d, m)
     phis = (v @ y).max(axis=1)
     return float(np.sum(model.weights * phis ** model.alpha))
@@ -201,8 +183,7 @@ def solve_lt_limit(model: LightTailModel, problem: ProblemInstance) -> LimitSolu
     so the program is  max c^T y  s.t.  g(y) <= 1, solved by
     :func:`_solve_limit`.  The residual is |J(y) - 1| at the returned y.
     """
-    if model.n != problem.n:
-        raise ContractError("tail model and problem disagree on n")
+    check_same_n(problem, model.n)
     p = _dual_norm_order(model)
     A = problem.A
 
@@ -232,8 +213,7 @@ def solve_ht_limit(model: HeavyTailModel, problem: ProblemInstance) -> LimitSolu
     is convex and degree-1 homogeneous, so the program is  max c^T y  s.t.
     g(y) <= 1, solved by :func:`_solve_limit`.
     """
-    if model.n != problem.n:
-        raise ContractError("tail model and problem disagree on n")
+    check_same_n(problem, model.n)
     alpha, w = model.alpha, model.weights
     v = np.einsum("imn,kn->kim", problem.A, model.atoms)   # (K, d, m)
     k = np.arange(w.size)
@@ -259,10 +239,9 @@ def limit_to_decision(sol: LimitSolution, tail: TailModel, delta: float,
 
     Returns (1 - eta) * y_star / r(delta) clipped to the box X, where
     r(delta) is the regime's normalizing radius; eta > 0 trades a fixed
-    share of profit for asymptotic feasibility headroom.
+    share of profit for asymptotic feasibility headroom.  :func:`tail_radius`
+    checks that delta lies in (0, 1).
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
     if not 0.0 <= eta < 1.0:
         raise ParameterError("eta must lie in [0, 1)")
     r = tail_radius(tail, delta)

@@ -14,12 +14,15 @@ simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve
 extends the empty tableau by every row, which is the simplex from the slack
 basis; given an earlier result of the cut loop as ``start``, a solve extends
 that result's tableau by the rows added since.  The tableau is written in
-z = x / hi for every column with a finite hi > 0, so the absolute pivot and
-tie tolerances do not depend on the units of x.
+z = x / hi for every column with a finite hi > 0, and a cold solve lifts a
+cost row whose largest entry is below 1 into [1, 2) by a power of two, so
+the absolute tolerances depend on the units of neither x nor f; a tiny row
+is dropped only when no z in the unit box can violate it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,10 +174,14 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -
 
 
 def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of G y <= g less the vacuous ones (0 <= g holds for them), each
-    scaled to largest magnitude 1."""
+    """Rows of G y <= g less the vacuous ones, each scaled to largest
+    magnitude 1.  A row is vacuous when its coefficients are all below the
+    pivot tolerance and their positive part sums to at most g, so that no
+    y in the unit box violates it; a tiny row with a tinier g is kept."""
     scale = np.abs(G).max(axis=1)
     keep = scale > _PIVOT_TOL
+    if not keep.all():
+        keep |= np.maximum(G, 0.0).sum(axis=1) > g
     G, g, scale = G[keep], g[keep], scale[keep]
     return G / scale[:, None], g / scale
 
@@ -240,6 +247,10 @@ def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult
         ub_idx = np.flatnonzero(np.isfinite(hi))
         T0, basis0 = np.zeros((1, ncols + 1)), np.empty(0, dtype=int)
         T0[0, :ncols] = -f * col
+        top = np.abs(T0[0]).max()
+        if 0.0 < top < 1.0:
+            # lift the largest cost into [1, 2) by a power of two: bits kept
+            T0[0] = np.ldexp(T0[0], 1 - math.frexp(top)[1])
         G = np.vstack([A * col, np.eye(ncols)[ub_idx]])
         g = np.concatenate([b, hi[ub_idx] / col[ub_idx]])
     else:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError, ParameterError, RareccError
+from .errors import (ContractError, InputError, ParameterError, RareccError,
+                     check_count, check_same_n)
 from .lpsolve import LinearProgram, solve_lp
 from .model import ProblemInstance, box_clip, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
@@ -79,8 +80,8 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
     Streams the sample in fixed chunks, so memory stays flat and the result
     depends only on (tail, seed, budget).
     """
-    if budget < 1000:
-        raise ParameterError("budget must be at least 1000")
+    budget = check_count("budget", budget, least=1000)
+    check_same_n(problem, tail.n)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.m,):
         raise ContractError(f"x has shape {x.shape}, expected ({problem.m},)")
@@ -110,6 +111,8 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
+    budget = check_count("budget", budget)
+    check_same_n(problem, tail.n)
     if delta * budget < 100:
         raise ParameterError("need delta * budget >= 100 for a stable quantile")
     draws = draws_range(tail, seed, 0, budget)
@@ -155,12 +158,9 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
 
     When x has one coordinate, round 1 does not call :func:`solve_lp`: the
     cold solve of the 1x1 LP is a single pivot, taken here in the LP's own
-    floating-point operations, so x is the LP's to the bit.  (Where c or the
-    cut is so small that the LP's absolute cost or pivot tolerance misreads
-    it, the LP returned x = 0 or dropped the cut; this pivot solves those
-    programs exactly.)  g is linear on [0, upper], so that one cut ends the
-    loop; a second round, which rounding could in principle ask for, falls
-    back to a cold :func:`solve_lp`.
+    floating-point operations, so x is the LP's to the bit.  g is linear on
+    [0, upper], so that one cut ends the loop; a second round, which
+    rounding could in principle ask for, falls back to a cold :func:`solve_lp`.
 
     The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
     when the LP returns the iterate it was given (its tolerances cannot
@@ -222,9 +222,10 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
-    if delta * sample_count < 100:
+    n_total = check_count("sample_count", sample_count)
+    check_same_n(problem, tail.n)
+    if delta * n_total < 100:
         raise ParameterError("need delta * sample_count >= 100")
-    n_total = int(sample_count)
     draws = draws_range(tail, seed, 0, n_total)
     dn = delta * n_total
     k = math.ceil(dn)
@@ -268,8 +269,7 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         raise ParameterError("scenario batch must be nonempty")
     if not radius > 0:
         raise ParameterError("radius must be positive")
-    if batch.n != problem.n:
-        raise ContractError("batch dimension disagrees with problem")
+    check_same_n(problem, batch.n)
     W = np.einsum("imn,jn->jim", problem.A, batch.samples).reshape(-1, problem.m)
     scalar = problem.m == 1
 
@@ -299,8 +299,7 @@ def sample_size_rule(delta: float, beta_conf: float, dim: int) -> int:
         raise ParameterError("delta must lie in (0, 1)")
     if not 0.0 < beta_conf < 1.0:
         raise ParameterError("beta_conf must lie in (0, 1)")
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ParameterError("dim must be a positive integer")
+    dim = check_count("dim", dim)
     val = (2.0 / delta) * math.log(1.0 / beta_conf) + 2.0 * dim \
         + (2.0 * dim / delta) * math.log(2.0 / delta)
     return int(math.ceil(val))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, check_vector
 
 
 @dataclass(frozen=True)
@@ -64,25 +64,14 @@ class ProblemInstance:
             raise ContractError(f"problem config missing key {exc}") from exc
 
 
-def _check_vector(v, size: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise ContractError(f"{name} has shape {v.shape}, expected ({size},)")
-    if not np.isfinite(v).all():
-        raise InputError(f"{name} must be finite")
-    if (v < 0).any():
-        raise InputError(f"{name} must be nonnegative")
-    return v
-
-
 def phi(problem: ProblemInstance, x, L) -> float:
     """Loss functional: the largest of the d bilinear forms x^T A_i L.
 
     Nonnegative, convex and positively homogeneous in x, and nondecreasing
     in both arguments because all matrix entries are nonnegative.
     """
-    x = _check_vector(x, problem.m, "x")
-    L = _check_vector(L, problem.n, "L")
+    x = check_vector(x, problem.m, "x")
+    L = check_vector(L, problem.n, "L")
     return float(np.einsum("imn,m,n->i", problem.A, x, L).max())
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError, ParameterError
+from .errors import ContractError, ParameterError, check_count, check_vector
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
@@ -67,8 +67,7 @@ class LightTailModel:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("dimension n must be >= 1")
+        check_count("dimension n", self.n)
         if not self.beta > 0:
             raise ParameterError("beta must be positive")
         if not self.theta >= 1:
@@ -85,8 +84,7 @@ class HeavyTailModel:
     atoms: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("dimension n must be >= 1")
+        check_count("dimension n", self.n)
         if not self.alpha > 1:
             raise ParameterError("alpha must exceed 1")
         w = np.asarray(self.weights, dtype=float)
@@ -265,35 +263,18 @@ def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -
     return _splice(_radii_block, model, seed, start, stop, ())
 
 
-def _checked_count(count) -> int:
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError("count must be a positive integer")
-    return int(count)
+def sample_tail(model: TailModel, seed: int, count: int) -> SampleBatch:
+    """Draw ``count`` i.i.d. risk vectors of either family, the draws
+    [0, count) of :func:`draws_range`.
 
-
-def sample_light(model: LightTailModel, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` i.i.d. light-tailed risk vectors.
-
-    Construction: for theta > 1 draw a positive stable S with exponent
+    Light construction: for theta > 1 draw a positive stable S with exponent
     1/theta and unit exponentials E_1..E_n, set L_i = (E_i / S)^(1/(theta
     beta)); for theta = 1 the coordinates are independent Weibull(beta);
-    for theta = inf one shared exponential drives all coordinates.
+    for theta = inf one shared exponential drives all coordinates.  Heavy
+    construction: L = R * Theta.
     """
-    count = _checked_count(count)
+    count = check_count("count", count)
     return SampleBatch(samples=draws_range(model, seed, 0, count), seed=seed)
-
-
-def sample_heavy(model: HeavyTailModel, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` i.i.d. heavy-tailed risk vectors L = R * Theta."""
-    count = _checked_count(count)
-    return SampleBatch(samples=draws_range(model, seed, 0, count), seed=seed)
-
-
-def sample_tail(model: TailModel, seed: int, count: int) -> SampleBatch:
-    """Dispatch to the light or heavy sampler according to the model type."""
-    if isinstance(model, LightTailModel):
-        return sample_light(model, seed, count)
-    return sample_heavy(model, seed, count)
 
 
 def copula_exponent(model: LightTailModel, x: np.ndarray) -> float:
@@ -310,12 +291,7 @@ def copula_exponent(model: LightTailModel, x: np.ndarray) -> float:
 
 def joint_tail_light(model: LightTailModel, x) -> float:
     """Exact joint survival P(L > x) = exp(-copula_exponent(x))."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ContractError(f"x has shape {x.shape}, expected ({model.n},)")
-    if not np.isfinite(x).all() or (x < 0).any():
-        raise InputError("x must be finite and nonnegative")
-    return math.exp(-copula_exponent(model, x))
+    return math.exp(-copula_exponent(model, check_vector(x, model.n, "x")))
 
 
 def light_qinv(model: LightTailModel, u: float) -> float:
@@ -333,7 +309,9 @@ def heavy_fbar_inv(model: HeavyTailModel, delta: float) -> float:
 
 
 def tail_radius(model: TailModel, delta: float) -> float:
-    """The regime's normalizing radius at risk level delta."""
+    """The regime's normalizing radius at risk level delta in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ParameterError("delta must lie in (0, 1)")
     if isinstance(model, LightTailModel):
         return light_qinv(model, math.log(1.0 / delta))
     return heavy_fbar_inv(model, delta)

@@ -16,7 +16,7 @@ import pytest
 from _oracles import diag_lt_optimum
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
                     LinearProgram, ProblemInstance, ccp_oracle,
-                    cvar_solve, run_experiment, sample_heavy, sample_light,
+                    cvar_solve, run_experiment, sample_tail,
                     solve_lp, solve_ht_limit, solve_lt_limit)
 from rarecc.limits import rate_I
 from rarecc.model import phi
@@ -318,12 +318,12 @@ def test_acceptance_11_property_suites():
         assert rate_I(model, b1) == pytest.approx(1.0, rel=1e-9)
         # sampler law and determinism
         m = LightTailModel(n=1, beta=1.0)
-        batch = sample_light(m, 123, 100_000)
+        batch = sample_tail(m, 123, 100_000)
         s = np.sort(batch.samples[:, 0])
         grid_f = 1.0 - np.exp(-s)
         ks = np.abs(np.arange(1, s.size + 1) / s.size - grid_f).max()
         assert ks < 0.02
-        assert sample_light(m, 123, 100_000).samples.tobytes() == batch.samples.tobytes()
+        assert sample_tail(m, 123, 100_000).samples.tobytes() == batch.samples.tobytes()
         # LP vertex equivalence on a small random instance
         from _oracles import brute_force_lp
         A = rng.uniform(-0.5, 1.5, (4, 3))
@@ -336,7 +336,7 @@ def test_acceptance_11_property_suites():
         from rarecc import scenario_solve
         tail = _pareto(2.0)
         sp = _scalar_problem()
-        big = sample_heavy(tail, 77, 300)
+        big = sample_tail(tail, 77, 300)
         from rarecc import SampleBatch
         small = SampleBatch(samples=big.samples[:100], seed=77)
         assert scenario_solve(sp, big, 1.0).value <= scenario_solve(sp, small, 1.0).value + 1e-12

@@ -196,6 +196,48 @@ def test_negative_cli_seed_exit_2(ht_cfg, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("lt-limit", "--seed"), ("lt-limit", "--reps"), ("ht-limit", "--workers"),
+    ("sample-size", "--seed"), ("oracle", "--reps"), ("cvar", "--workers"),
+    ("scenario", "--reps"),
+])
+def test_unread_flag_exit_2(lt_cfg, ht_cfg, tmp_path, capsys, command, flag):
+    # each flag was accepted and ignored, and the command exited 0
+    cfg = lt_cfg if command == "lt-limit" else ht_cfg
+    out = tmp_path / "r.out"
+    assert cli_main([command, cfg, "--out", str(out), flag, "3"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_reads_reps_and_workers(ht_cfg, tmp_path):
+    out = tmp_path / "r.csv"
+    argv = ["experiment", ht_cfg, "--out", str(out), "--seed", "7", "--reps", "3"]
+    assert cli_main(argv + ["--workers", "2"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 + 1
+    serial = out.read_bytes()
+    assert cli_main(argv + ["--workers", "1"]) == 0
+    assert out.read_bytes() == serial
+
+
+@pytest.mark.parametrize("experiment, needle", [
+    ({"kind": "tail_ratio", "r_grid": [-5.0], "budget": 20000}, "r_grid"),
+    ({"kind": "scenario_convergence", "k_grid": [1]}, "k >= 2"),
+])
+def test_nonsense_grid_exit_2(tmp_path, capsys, experiment, needle):
+    # both ran and exited 0: r = -5 wrote stat = 1 rows, and k = 1 solved
+    # the scenario program at risk level 1
+    cfg = write_cfg(tmp_path / "g.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": experiment,
+    })
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", cfg, "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_successive_calls_share_parser(lt_cfg, ht_cfg, tmp_path, capsys):
     # the parser is built once; each call must still parse its own argv
     assert cli_main(["lt-limit", lt_cfg]) == 0

@@ -221,6 +221,27 @@ def test_config_stores_y_probe_as_float_vector():
     assert cfg.y_probe.dtype == float and cfg.y_probe.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("r", [-5.0, 0.0, math.inf, math.nan])
+def test_config_rejects_bad_r_grid(r):
+    # r_grid [-5.0] ran and wrote stat = 1 rows
+    with pytest.raises(ParameterError, match="r_grid"):
+        heavy_cfg(kind="tail_ratio", r_grid=(10.0, r))
+
+
+def test_config_holds_the_defaults_and_conversions():
+    cfg = heavy_cfg(kind="cvar_ratio", r_grid=[10, 30.0], eta=0, k_grid=[100])
+    assert cfg.delta_grid == (1e-2, 1e-3, 1e-4)
+    assert cfg.r_grid == (10, 30.0) and cfg.k_grid == (100,)
+    assert type(cfg.eta) is float
+    assert heavy_cfg(kind="frechet_check").k_grid == (10 ** 3, 10 ** 4, 10 ** 5)
+
+
+def test_heavy_scenario_scaling_needs_k_of_two():
+    # risk level 1/k = 1 lies outside (0, 1), for heavy tails as for light ones
+    with pytest.raises(ParameterError, match="k >= 2"):
+        run_experiment(heavy_cfg(kind="scenario_convergence", k_grid=(1,)))
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, 2.0])
 def test_config_rejects_bad_workers(workers):
     with pytest.raises(ParameterError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rarecc.limits
 import rarecc.methods
 from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric
-from rarecc import (HeavyTailModel, InputError,
+from rarecc import (ContractError, HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
                     ProblemInstance, UnboundedError, angular_moment,
                     lambda_eval, limit_to_decision, rate_I, rate_J,
@@ -378,6 +378,17 @@ def test_limits_clip_lp_iterate_below_zero():
 
 
 # --------------------------------------------------- decision rescaling
+
+def test_limits_reject_tail_of_another_dimension(identity_problem2, scalar_pareto2, scalar_exp):
+    # angular_moment broadcast the n = 1 atom over n = 2 and returned 4.0
+    calls = [lambda: angular_moment(scalar_pareto2, identity_problem2, [1.0, 1.0]),
+             lambda: rate_J(scalar_exp, identity_problem2, [1.0, 1.0]),
+             lambda: solve_lt_limit(scalar_exp, identity_problem2),
+             lambda: solve_ht_limit(scalar_pareto2, identity_problem2)]
+    for call in calls:
+        with pytest.raises(ContractError, match="n=1"):
+            call()
+
 
 def test_limit_to_decision_heavy(scalar_pareto2):
     from rarecc.limits import LimitSolution

@@ -6,10 +6,10 @@ import pytest
 import rarecc.methods
 from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
                       pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
-from rarecc import (HeavyTailModel, InputError, LightTailModel,
+from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, ccp_oracle,
-                    cvar_solve, sample_heavy, sample_size_rule,
+                    cvar_solve, sample_size_rule,
                     scenario_solve, violation_prob, wilson_halfwidth)
 from rarecc.lpsolve import LinearProgram, solve_lp
 from rarecc.sampler import draws_range, sample_tail
@@ -99,6 +99,32 @@ def test_oracle_in_sample_violation_within_delta(identity_problem2, two_atom_mod
 def test_oracle_pre_violation(scalar_problem, scalar_pareto2):
     with pytest.raises(ParameterError):
         ccp_oracle(scalar_problem, scalar_pareto2, 1e-4, 100_000, 1)
+
+
+# ------------------------------------------------- shared budget and n rules
+
+_BUDGETED = {
+    "oracle": lambda prob, tail, budget: ccp_oracle(prob, tail, 0.05, budget, 1),
+    "violation": lambda prob, tail, budget: violation_prob(prob, [0.1], tail, budget, 1),
+    "cvar": lambda prob, tail, budget: cvar_solve(prob, tail, 0.05, budget, 1),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_BUDGETED))
+@pytest.mark.parametrize("budget", [1e5, 1500.5, 20000.7, True, np.True_],
+                         ids=["1e5", "1500.5", "20000.7", "True", "np.True_"])
+def test_budget_must_be_an_integer(scalar_problem, scalar_pareto2, method, budget):
+    # a float budget raised numpy's TypeError or ran with int(budget) draws
+    with pytest.raises(ParameterError, match="must be an integer"):
+        _BUDGETED[method](scalar_problem, scalar_pareto2, budget)
+    assert _BUDGETED[method](scalar_problem, scalar_pareto2, np.int64(5000)) is not None
+
+
+@pytest.mark.parametrize("method", sorted(_BUDGETED))
+def test_tail_dimension_must_match_problem(scalar_problem, two_atom_model, method):
+    # a mismatch crashed with numpy's matmul ValueError
+    with pytest.raises(ContractError, match="n=2"):
+        _BUDGETED[method](scalar_problem, two_atom_model, 5000)
 
 
 # ----------------------------------------------------------- cvar_solve
@@ -245,6 +271,35 @@ def test_one_pivot_reaches_optimum_below_lp_tolerances():
     assert res.x[0] == pytest.approx(2e-13, rel=1e-15) and res.meta["gap"] <= 1e-12
 
 
+def test_scenario_reaches_optimum_at_tiny_scales():
+    # the cut LP's absolute tolerances read c = 1e-12 as zero cost and the
+    # radius-1e-12 cut as a vacuous row, and both programs returned x = 0
+    batch = SampleBatch(samples=np.array([[2.0, 1.0], [5.0, 3.0]]), seed=0)
+    res = scenario_solve(ProblemInstance(c=[1e-12, 1e-12], h=1.0, A=[np.eye(2)]), batch, 1.0)
+    assert res.x == pytest.approx([0.0, 1.0 / 3.0], rel=1e-12, abs=1e-15)
+    assert abs(res.meta["gap"]) <= 1e-12
+    res = scenario_solve(ProblemInstance(c=[1.0, 1.0], h=10.0, A=[np.eye(2)]), batch, 1e-12)
+    assert res.x == pytest.approx([0.0, 1e-12 / 3.0], rel=1e-12, abs=1e-27)
+    assert abs(res.meta["gap"]) <= 1e-12
+
+
+def test_scenario_value_scales_with_c_and_radius():
+    # the value is linear in c and in the radius; at 10^(-13..8) the answer
+    # must match the unit-scale program, which the LP's tolerances fit
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        m, n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        A, c = rng.random((d, m, n)) + 0.01, rng.random(m) + 0.05
+        batch = SampleBatch(samples=5.0 * rng.random((int(rng.integers(2, 30)), n)), seed=0)
+        ref = scenario_solve(ProblemInstance(c=c, h=50.0, A=A), batch, 1.0).value
+        s = 10.0 ** rng.uniform(-13.0, 8.0)
+        by_c = scenario_solve(ProblemInstance(c=c * s, h=50.0, A=A), batch, 1.0)
+        by_radius = scenario_solve(ProblemInstance(c=c, h=50.0, A=A), batch, s)
+        for res in (by_c, by_radius):
+            assert res.value / s == pytest.approx(ref, rel=1e-9), (m, n, d, s)
+            assert res.meta["gap"] <= 1e-12
+
+
 @pytest.mark.parametrize("m, n, d", [(1, 1, 1), (1, 3, 2), (2, 1, 1), (3, 2, 2)])
 def test_scenario_matches_matmul_separation(m, n, d):
     # m = 1 scores the rows by an elementwise product, which must give the
@@ -312,7 +367,7 @@ def test_scenario_max_binds(scalar_problem):
 
 
 def test_scenario_monotone_in_batch(identity_problem2, two_atom_model):
-    big = sample_heavy(two_atom_model, 40, 400)
+    big = sample_tail(two_atom_model, 40, 400)
     small = SampleBatch(samples=big.samples[:150], seed=40)
     v_small = scenario_solve(identity_problem2, small, 1.0).value
     v_big = scenario_solve(identity_problem2, big, 1.0).value
@@ -320,7 +375,7 @@ def test_scenario_monotone_in_batch(identity_problem2, two_atom_model):
 
 
 def test_scenario_scale_equivariance(identity_problem2, two_atom_model):
-    batch = sample_heavy(two_atom_model, 41, 300)
+    batch = sample_tail(two_atom_model, 41, 300)
     base = scenario_solve(identity_problem2, batch, 1.0)
     for r in (0.5, 3.0, 117.0):
         scaled = scenario_solve(identity_problem2, batch, r)
@@ -365,8 +420,9 @@ def test_sample_size_domain():
         sample_size_rule(0.0, 0.5, 1)
     with pytest.raises(ParameterError):
         sample_size_rule(0.1, 1.0, 1)
-    with pytest.raises(ParameterError):
-        sample_size_rule(0.1, 0.5, 0)
+    for dim in (0, True, np.True_, 2.0):
+        with pytest.raises(ParameterError, match="dim"):
+            sample_size_rule(0.1, 0.5, dim)
 
 
 # ------------------------------------------------------- analytic oracles

@@ -11,16 +11,16 @@ from _oracles import ks_distance
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, dump_batch_csv,
                     heavy_fbar_inv, joint_tail_light, light_qinv,
-                    load_batch_csv, sample_heavy, sample_light)
-from rarecc.sampler import draws_range, heavy_radii_range
+                    load_batch_csv, sample_tail)
+from rarecc.sampler import draws_range, heavy_radii_range, tail_radius
 
 
 def test_light_determinism():
     m = LightTailModel(n=3, beta=0.7, theta=2.0)
-    b1 = sample_light(m, 99, 5000)
-    b2 = sample_light(m, 99, 5000)
+    b1 = sample_tail(m, 99, 5000)
+    b2 = sample_tail(m, 99, 5000)
     assert b1.samples.tobytes() == b2.samples.tobytes()
-    assert sample_light(m, 100, 5000).samples.tobytes() != b1.samples.tobytes()
+    assert sample_tail(m, 100, 5000).samples.tobytes() != b1.samples.tobytes()
 
 
 # one model per branch of the block samplers
@@ -102,7 +102,7 @@ def test_draws_range_threads_match_serial():
 def test_light_exponential_mean():
     # theta=1, beta=1: coordinates are unit exponentials
     m = LightTailModel(n=1, beta=1.0, theta=1.0)
-    batch = sample_light(m, 1, 1_000_000)
+    batch = sample_tail(m, 1, 1_000_000)
     assert batch.samples.mean() == pytest.approx(1.0, abs=0.01)
 
 
@@ -110,7 +110,7 @@ def test_light_joint_survival_weibull_half():
     # theta=1, beta=0.5, probe (2,2): P = exp(-2 sqrt(2)) ~ 0.0591
     m = LightTailModel(n=2, beta=0.5, theta=1.0)
     n_draws = 1_000_000
-    batch = sample_light(m, 2, n_draws)
+    batch = sample_tail(m, 2, n_draws)
     p_true = math.exp(-2.0 * math.sqrt(2.0))
     p_emp = float((batch.samples > 2.0).all(axis=1).mean())
     se = math.sqrt(p_true * (1 - p_true) / n_draws)
@@ -119,7 +119,7 @@ def test_light_joint_survival_weibull_half():
 
 def test_light_comonotone_coordinates_equal():
     m = LightTailModel(n=4, beta=1.7, theta=math.inf)
-    batch = sample_light(m, 3, 2000)
+    batch = sample_tail(m, 3, 2000)
     assert np.array_equal(batch.samples.min(axis=1), batch.samples.max(axis=1))
 
 
@@ -127,7 +127,7 @@ def test_light_comonotone_coordinates_equal():
                                         (1.0, math.inf)])
 def test_light_marginal_ks(beta, theta):
     m = LightTailModel(n=2, beta=beta, theta=theta)
-    batch = sample_light(m, 11, 100_000)
+    batch = sample_tail(m, 11, 100_000)
     for j in range(2):
         dist = ks_distance(batch.samples[:, j],
                            lambda v: 1.0 - math.exp(-v ** beta))
@@ -137,7 +137,7 @@ def test_light_marginal_ks(beta, theta):
 def test_light_joint_probe_grid():
     m = LightTailModel(n=2, beta=0.7, theta=1.6)
     n_draws = 1_000_000
-    batch = sample_light(m, 5, n_draws)
+    batch = sample_tail(m, 5, n_draws)
     probes = [(0.2, 0.2), (1.0, 0.5), (1.0, 1.0), (2.0, 0.1), (1.5, 1.5)]
     for x in probes:
         x = np.asarray(x)
@@ -149,14 +149,14 @@ def test_light_joint_probe_grid():
 
 def test_heavy_scalar_pareto_tail(scalar_pareto2):
     n_draws = 1_000_000
-    batch = sample_heavy(scalar_pareto2, 8, n_draws)
+    batch = sample_tail(scalar_pareto2, 8, n_draws)
     p_emp = float((batch.samples[:, 0] > 10.0).mean())
     se = math.sqrt(0.01 * 0.99 / n_draws)
     assert abs(p_emp - 0.01) <= 3 * se
 
 
 def test_heavy_radius_identity(two_atom_model):
-    batch = sample_heavy(two_atom_model, 21, 50_000)
+    batch = sample_tail(two_atom_model, 21, 50_000)
     radii = heavy_radii_range(two_atom_model, 21, 0, 50_000)
     ratio = batch.samples.sum(axis=1) / radii
     assert np.abs(ratio - 1.0).max() <= 1e-12
@@ -166,7 +166,7 @@ def test_heavy_radius_identity(two_atom_model):
 
 def test_heavy_angle_independent_of_radius(two_atom_model):
     n_draws = 2_000_000
-    batch = sample_heavy(two_atom_model, 4, n_draws)
+    batch = sample_tail(two_atom_model, 4, n_draws)
     radii = batch.samples.sum(axis=1)
     for r in (1.0, 10.0, 100.0):
         sel = batch.samples[radii > r]
@@ -178,7 +178,7 @@ def test_heavy_angle_independent_of_radius(two_atom_model):
 
 def test_heavy_conditional_angle_far_tail(two_atom_model):
     n_draws = 1_000_000
-    batch = sample_heavy(two_atom_model, 6, n_draws)
+    batch = sample_tail(two_atom_model, 6, n_draws)
     radii = batch.samples.sum(axis=1)
     sel = batch.samples[radii > 100.0]
     frac = float((sel[:, 0] > 0).mean())
@@ -206,6 +206,15 @@ def test_heavy_fbar_inv_values():
         heavy_fbar_inv(mk(2.0), 1.5)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_tail_radius_needs_delta_in_unit_interval(scalar_exp, scalar_pareto2, delta):
+    # light delta = 0 raised ZeroDivisionError and delta = 2 "u must be
+    # positive"; heavy delta = 1 returned radius 1
+    for model in (scalar_exp, scalar_pareto2):
+        with pytest.raises(ParameterError, match=r"delta must lie in \(0, 1\)"):
+            tail_radius(model, delta)
+
+
 def test_joint_tail_light_values():
     m = LightTailModel(n=2, beta=2.0, theta=2.0)
     assert joint_tail_light(m, [0.0, 0.0]) == pytest.approx(1.0)
@@ -221,10 +230,15 @@ def test_parameter_errors():
         LightTailModel(n=1, beta=0.0)
     with pytest.raises(ParameterError):
         LightTailModel(n=1, beta=1.0, theta=0.5)
+    for n in (0, 2.5, True):
+        with pytest.raises(ParameterError, match="dimension n"):
+            LightTailModel(n=n, beta=1.0)
+        with pytest.raises(ParameterError, match="dimension n"):
+            HeavyTailModel.from_pairs(n=n, alpha=2.0, pairs=[(1.0, [1.0])])
     for count in (0, True, np.True_, 1.0):
         with pytest.raises(ParameterError):
-            sample_light(LightTailModel(n=1, beta=1.0), 0, count)
-    assert sample_light(LightTailModel(n=1, beta=1.0), 0, np.int64(3)).count == 3
+            sample_tail(LightTailModel(n=1, beta=1.0), 0, count)
+    assert sample_tail(LightTailModel(n=1, beta=1.0), 0, np.int64(3)).count == 3
     with pytest.raises(ParameterError):
         HeavyTailModel.from_pairs(n=1, alpha=2.0, pairs=[])
     with pytest.raises(ParameterError):
@@ -247,7 +261,7 @@ def test_heavy_model_rejects_non_finite(pairs):
 
 
 def test_batch_csv_roundtrip(tmp_path, two_atom_model):
-    batch = sample_heavy(two_atom_model, 1234, 500)
+    batch = sample_tail(two_atom_model, 1234, 500)
     path = tmp_path / "batch.csv"
     dump_batch_csv(batch, path)
     text = path.read_text()
