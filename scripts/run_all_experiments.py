@@ -6,10 +6,10 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
 same bytes.  On a shared 2-vCPU Linux VM (Python 3.11, numpy 2.4, default
-OpenBLAS threads) a run took 6.3-6.8 s real (three runs), against 7.4-7.9 s
-for the previous version, which solved every one-variable cut LP with the
-simplex and took its n = 1 and m = 1 products by matmul.  Timings on that
-VM move with the host's load by 30% or more.
+OpenBLAS threads) a run took 5.7-6.7 s real (three runs), against 6.0-7.0 s
+for the previous version, which drew each 2^18-row chunk of a streamed
+Monte Carlo budget into a fresh array and built every radius of
+frechet_check.  Timings on that VM move with the host's load by 30% or more.
 """
 
 import pathlib

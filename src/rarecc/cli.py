@@ -11,6 +11,8 @@ Subcommands (each takes --out PATH; a flag it does not read exits 2)::
     rarecc experiment  cfg.json [--seed S] [--reps N] [--workers W]   run an experiment
 
 Exit codes: 0 success, 2 bad configuration, 1 runtime or solver failure.
+An output file whose directory does not exist is a bad configuration, found
+before any work; a write that fails all the same is a runtime failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .errors import ParameterError, RareccError, check_count
@@ -161,6 +164,14 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out = args.out
+    if args.command == "experiment":
+        out = out or cfg["out"] or "report.csv"
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        # checked before any work, so a run is not lost to a mistyped path
+        print(f"error: the directory of output file {out} does not exist", file=sys.stderr)
+        return 2
+
     try:
         if getattr(args, "seed", None) is not None:
             # the rule a config's master_seed follows; the sampler keys on
@@ -170,15 +181,15 @@ def cli_main(argv=None) -> int:
             if not isinstance(cfg["tail"], LightTailModel):
                 raise ConfigError("lt-limit needs a light tail model")
             sol = solve_lt_limit(cfg["tail"], cfg["problem"])
-            _emit(sol.to_json_dict(), args.out)
+            _emit(sol.to_json_dict(), out)
         elif args.command == "ht-limit":
             if not isinstance(cfg["tail"], HeavyTailModel):
                 raise ConfigError("ht-limit needs a heavy tail model")
             sol = solve_ht_limit(cfg["tail"], cfg["problem"])
-            _emit(sol.to_json_dict(), args.out)
+            _emit(sol.to_json_dict(), out)
         elif args.command in ("oracle", "cvar", "scenario"):
             res = _single_method(cfg, args)
-            _emit(res.to_json_dict(), args.out)
+            _emit(res.to_json_dict(), out)
         elif args.command == "sample-size":
             exp = cfg["experiment"]
             with _parsing_fields():
@@ -186,12 +197,10 @@ def cli_main(argv=None) -> int:
                 beta_conf = float(exp.get("beta_conf", 0.01))
             dim = as_count("dim", exp.get("dim", cfg["problem"].m))
             k = sample_size_rule(delta, beta_conf, dim)
-            _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim, "k": k},
-                  args.out)
+            _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim, "k": k}, out)
         else:
             ecfg = _experiment_config(cfg, args)
             rows, comments = run_experiment(ecfg)
-            out = args.out or cfg["out"] or "report.csv"
             write_report(rows, out, comments)
             print(f"wrote {len(rows)} rows to {out}")
     except (ConfigError, ParameterError) as exc:
@@ -199,6 +208,10 @@ def cli_main(argv=None) -> int:
         return 2
     except RareccError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # past load_config, only writing the output file touches the file system
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -5,6 +5,8 @@ counts may also be integral floats, which :func:`rarecc.experiments.as_count`
 turns into ints before applying the same rule.
 """
 
+import math
+
 import numpy as np
 
 
@@ -36,16 +38,17 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def check_vector(v, size: int, name: str) -> np.ndarray:
+def check_vector(v, size: int, name: str, lo: float = 0.0, hi: float = math.inf) -> np.ndarray:
     """``v`` as a float vector of shape (size,): a wrong shape raises
-    ContractError, a non-finite or negative entry InputError."""
+    ContractError, a non-finite entry or one outside [lo, hi] InputError.
+    The default bounds require nonnegative entries."""
     v = np.asarray(v, dtype=float)
     if v.shape != (size,):
         raise ContractError(f"{name} has shape {v.shape}, expected ({size},)")
     if not np.isfinite(v).all():
         raise InputError(f"{name} must be finite")
-    if (v < 0).any():
-        raise InputError(f"{name} must be nonnegative")
+    if (v < lo).any() or (v > hi).any():
+        raise InputError(f"{name} must lie in [{lo:g}, {hi:g}]")
     return v
 
 

@@ -18,13 +18,13 @@ import numpy as np
 from .errors import ParameterError, check_count
 from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
                      solve_lt_limit)
-from .methods import (_STREAM_CHUNK, analytic_ccp_value, analytic_cvar_value,
-                      ccp_oracle, cvar_solve, scenario_solve, violation_prob,
-                      wilson_halfwidth)
+from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
+                      cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
-from .sampler import (HeavyTailModel, LightTailModel, TailModel, draws_range,
-                      heavy_fbar_inv, heavy_radii_range, sample_tail,
-                      tail_radius)
+from .sampler import (HeavyTailModel, LightTailModel, TailModel, draw_chunks,
+                      heavy_fbar_inv, heavy_radius_max, sample_tail, tail_radius)
+# unused here, but bench/spans.py wraps these two names in this module
+from .sampler import draws_range, heavy_radii_range  # noqa: F401
 from .search import mix_seed
 
 EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
@@ -284,6 +284,14 @@ def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
     Per replication the statistic is max_j R_j / Fbar^{-1}(1/k); the
     aggregate row carries the KS distance of the replicated statistics to
     the Frechet(alpha) law, whose median is the per-row target.
+
+    The maximal radius comes from the smallest uniform u, since R =
+    u^(-1/alpha) falls as u grows, so the k radii are never built
+    (:func:`~rarecc.sampler.heavy_radius_max`).  Every uniform within a
+    relative alpha 2^-40 of the smallest gets its pow and the largest pow
+    is kept: radii further apart differ by about 2^-40 relative, far beyond
+    pow's rounding error, so the statistic equals the maximum of all k
+    radii bit for bit without relying on pow being monotone in its last bit.
     """
     if cfg.kind != "frechet_check":
         raise ParameterError("config kind must be frechet_check")
@@ -294,8 +302,7 @@ def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
     median = math.log(2.0) ** (-1.0 / alpha)
 
     def task(gi, k, rep, seed):
-        radii = heavy_radii_range(tail, seed, 0, k)
-        stat = float(radii.max() / heavy_fbar_inv(tail, 1.0 / k))
+        stat = heavy_radius_max(tail, seed, k) / heavy_fbar_inv(tail, 1.0 / k)
         return ReportRow(cfg.kind, float(k), rep, stat, median, alpha, k, seed)
 
     def agg(gi, k, rows):
@@ -325,8 +332,9 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     """Monte Carlo check of the exceedance ratio against its angular moment.
 
     For a probe decision y the ratio P(loss(y, L) > r) / P(|L| > r) is
-    estimated on a shared sample at each probe radius r; the closed-form
-    limit sum_k w_k phi(y, theta_k)^alpha is the target.
+    estimated at each probe radius r on one shared sample, streamed chunk
+    by chunk (:func:`~rarecc.sampler.draw_chunks`); the closed-form limit
+    sum_k w_k phi(y, theta_k)^alpha is the target.
     """
     if cfg.kind != "tail_ratio":
         raise ParameterError("config kind must be tail_ratio")
@@ -341,9 +349,7 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
 
     def task(gi, r, rep, seed):
         hits_num = hits_den = 0
-        for lo in range(0, cfg.budget, _STREAM_CHUNK):
-            hi = min(lo + _STREAM_CHUNK, cfg.budget)
-            block = draws_range(tail, seed, lo, hi)
+        for block in draw_chunks(tail, seed, cfg.budget):
             hits_num += int((phi_many(cfg.problem, y, block) > r).sum())
             hits_den += int((_row_sums(block) > r).sum())
         # a probe with identically zero loss has ratio 0 by definition; the

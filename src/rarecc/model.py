@@ -94,10 +94,6 @@ def phi_many(problem: ProblemInstance, x: np.ndarray, draws: np.ndarray) -> np.n
 
 
 def box_clip(problem: ProblemInstance, x) -> np.ndarray:
-    """Coordinatewise projection of x onto the box X = [0, h]^m."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.m,):
-        raise ContractError(f"x has shape {x.shape}, expected ({problem.m},)")
-    if not np.isfinite(x).all():
-        raise InputError("x must be finite")
+    """Coordinatewise projection of a finite x onto the box X = [0, h]^m."""
+    x = check_vector(x, problem.m, "x", lo=-np.inf)
     return np.clip(x, 0.0, problem.h)

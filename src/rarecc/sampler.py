@@ -38,6 +38,14 @@ them, and every value stays the same:
   partial first or last block draws only its rows ``[0, hi)``.  Light
   1 < theta < inf reads V and W, and a multi-atom heavy model its picks,
   after all B rows, so their partial blocks still draw the whole block.
+
+A Monte Carlo budget need not be held at once.  :func:`draw_chunks` yields
+the draws [0, count) as successive (rows, n) views of one buffer of
+``_CHUNK`` = 8 B rows (0.75 MiB at n = 3), allocated per call and refilled
+in place through :func:`draws_range`, so an estimate that reduces each
+chunk before asking for the next keeps one chunk in memory whatever its
+budget.  :func:`heavy_radius_max` takes the largest heavy radius the same
+way, from one block of uniforms at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from .errors import ContractError, ParameterError, check_count, check_vector
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
+_CHUNK = 8 * _BLOCK    # rows per view of draw_chunks
+_MARGIN = 2.0 ** -40   # heavy_radius_max compares the pows of uniforms this close, times alpha
 
 
 @dataclass(frozen=True)
@@ -225,8 +235,10 @@ def _heavy_block(model: HeavyTailModel, rng: np.random.Generator, out: np.ndarra
     out *= r[:rows, None]
 
 
-def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple) -> np.ndarray:
-    """Rows [start, stop) of the concatenated per-block streams of block_fn.
+def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [start, stop) of the concatenated per-block streams of block_fn,
+    written into ``out`` (a new array when it is None).
 
     ``block_fn(model, rng, out)`` writes the first len(out) rows of the
     block whose stream ``rng`` reads.  A block whose part of the range
@@ -236,7 +248,11 @@ def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple)
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
-    out = np.empty((stop - start,) + row_shape)
+    shape = (stop - start,) + row_shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractError(f"out must be a C-contiguous float64 array of shape {shape}")
     pos = 0
     for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
         lo = max(start - b * _BLOCK, 0)
@@ -252,15 +268,66 @@ def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple)
     return out
 
 
-def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
-    """Draws with indices [start, stop); bit-identical however the range is split."""
+def draws_range(model: TailModel, seed: int, start: int, stop: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Draws with indices [start, stop); bit-identical however the range is split.
+
+    Written into ``out``, a C-contiguous float64 array of shape
+    (stop - start, n), when it is given; returns the array written.
+    """
     block_fn = _light_block if isinstance(model, LightTailModel) else _heavy_block
-    return _splice(block_fn, model, seed, start, stop, (model.n,))
+    return _splice(block_fn, model, seed, start, stop, (model.n,), out)
+
+
+def draw_chunks(model: TailModel, seed: int, count: int):
+    """Yield the draws [0, count) as successive (rows, n) views of one
+    buffer of min(count, _CHUNK) rows.
+
+    Each view is refilled in place by the next step, so a caller reduces a
+    chunk before it asks for the next one.  The buffer belongs to this call
+    alone, so threads may stream side by side.
+    """
+    count = check_count("count", count)
+    buf = np.empty((min(count, _CHUNK), model.n))
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        yield draws_range(model, seed, lo, hi, out=buf[:hi - lo])
 
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Radii of the heavy draws with indices [start, stop)."""
     return _splice(_radii_block, model, seed, start, stop, ())
+
+
+def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
+    """``heavy_radii_range(model, seed, 0, count).max()``, bit for bit,
+    without building the radii.
+
+    A radius is u ** (-1/alpha) for its uniform u, so the largest radius
+    comes from the smallest uniform.  Each block's uniforms are read into
+    one buffer of B rows, and only those within a relative alpha 2^-40 of
+    the smallest are kept; their pows are taken as :func:`heavy_radii_range`
+    takes them, and the largest is returned.  Uniforms further apart than
+    that margin give radii about 2^-40 apart relative, far beyond pow's
+    rounding error, so this does not rely on pow being monotone in its last
+    bit.
+    """
+    count = check_count("count", count)
+    widen = 1.0 + _MARGIN * model.alpha
+    buf = np.empty(min(count, _BLOCK))
+    smallest = math.inf
+    kept = []
+    for b in range((count + _BLOCK - 1) // _BLOCK):
+        u = buf[:min(count - b * _BLOCK, _BLOCK)]
+        _STREAMS.at(seed, b).random(out=u)
+        least = float(u.min())
+        if least <= smallest * widen:
+            smallest = min(smallest, least)
+            kept.append(u[u <= smallest * widen])
+    low = np.concatenate(kept)
+    low = low[low <= smallest * widen]
+    low **= -1.0 / model.alpha
+    return float(low.max())
 
 
 def sample_tail(model: TailModel, seed: int, count: int) -> SampleBatch:

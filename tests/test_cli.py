@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import rarecc.cli
 from rarecc.cli import cli_main, load_config
 
 
@@ -341,3 +342,39 @@ def test_out_file_written(ht_cfg, tmp_path, capsys):
     dest = tmp_path / "sol.json"
     assert cli_main(["ht-limit", ht_cfg, "--out", str(dest)]) == 0
     assert json.loads(dest.read_text())["value"] == pytest.approx(2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("command", ["ht-limit", "experiment"])
+def test_out_in_missing_directory_exit_2_before_work(ht_cfg, tmp_path, capsys,
+                                                     monkeypatch, command):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(rarecc.cli, "solve_ht_limit", ran)
+    monkeypatch.setattr(rarecc.cli, "run_experiment", ran)
+    dest = tmp_path / "missing" / "out.txt"
+    assert cli_main([command, ht_cfg, "--out", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(dest) in captured.err
+
+
+def test_config_out_in_missing_directory_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "frechet_check", "k_grid": [200], "replications": 3},
+        "out": str(tmp_path / "missing" / "r.csv"),
+    })
+    assert cli_main(["experiment", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["ht-limit", "experiment"])
+def test_failed_write_exit_1(ht_cfg, tmp_path, capsys, command):
+    # a directory passes the up-front check, but cannot be opened as a file
+    dest = tmp_path / "a_directory"
+    dest.mkdir()
+    assert cli_main([command, ht_cfg, "--out", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(dest) in err

@@ -5,9 +5,11 @@ import pytest
 
 from _oracles import exp_cc_value, exp_cvar_value
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
-                    ParameterError, ProblemInstance, ks_distance,
-                    run_experiment, write_report)
+                    ParameterError, ProblemInstance, ks_distance, phi_many,
+                    run_experiment, wilson_halfwidth, write_report)
 from rarecc.experiments import _row_sums, frechet_cdf
+from rarecc.sampler import draws_range
+from test_sampler import STREAM_BUDGETS
 
 
 def heavy_cfg(**kw):
@@ -131,6 +133,23 @@ def test_tail_ratio_zero_probe(two_atom_model, identity_problem2):
     rows, _ = run_experiment(cfg)
     row = [r for r in rows if r.rep == 0][0]
     assert row.stat == 0.0 and row.target == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tail_ratio_streams_like_the_whole_sample(two_atom_model, identity_problem2, workers):
+    y = np.array([1.0, 0.5])
+    for budget in STREAM_BUDGETS:
+        cfg = ExperimentConfig(kind="tail_ratio", problem=identity_problem2,
+                               tail=two_atom_model, r_grid=(1.5, 2.0), replications=2,
+                               budget=budget, master_seed=3, y_probe=y, workers=workers)
+        rows = [r for r in run_experiment(cfg)[0] if r.rep >= 0]
+        assert len(rows) == 4
+        for row in rows:
+            draws = draws_range(two_atom_model, row.seed, 0, budget)
+            num = int((phi_many(identity_problem2, y, draws) > row.grid).sum())
+            den = int((draws.sum(axis=1) > row.grid).sum())
+            assert (row.stat, row.aux1, row.aux2) == (num / den, wilson_halfwidth(num, den),
+                                                      den), (budget, row)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

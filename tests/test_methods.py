@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
                       pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
-                    analytic_ccp_value, analytic_cvar_value, ccp_oracle,
-                    cvar_solve, sample_size_rule,
+                    analytic_ccp_value, analytic_cvar_value, box_clip, ccp_oracle,
+                    cvar_solve, phi_many, sample_size_rule,
                     scenario_solve, violation_prob, wilson_halfwidth)
 from rarecc.lpsolve import LinearProgram, solve_lp
 from rarecc.sampler import draws_range, sample_tail
+from test_sampler import STREAM_BUDGETS
 
 
 # ------------------------------------------------------- violation_prob
@@ -44,6 +46,50 @@ def test_violation_parameter_errors(scalar_problem, scalar_exp):
         violation_prob(scalar_problem, [0.1], scalar_exp, 999, 1)
     with pytest.raises(InputError):
         violation_prob(scalar_problem, [100.0], scalar_exp, 10_000, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_violation_rejects_non_finite_decision(bad):
+    problem = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[np.eye(2)])
+    with pytest.raises(InputError, match="finite"):
+        violation_prob(problem, [bad, 1.0], LightTailModel(n=2, beta=1.0), 10_000, 1)
+    with pytest.raises(InputError, match="finite"):
+        box_clip(problem, [bad, 1.0])
+
+
+STREAM_CASES = {
+    # d = 2 folds two products; n = 3 light draws with stable factors
+    "light": (ProblemInstance(c=[1.0, 1.0, 1.0], h=10.0, A=[np.eye(3), np.full((3, 3), 0.4)]),
+              LightTailModel(n=3, beta=0.7, theta=2.5), [0.3, 0.2, 0.1]),
+    "heavy": (ProblemInstance(c=[1.0, 1.0], h=10.0, A=[[[1.0, 0.5], [0.0, 1.0]]]),
+              HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=[(0.5, [1, 0]), (0.5, [0, 1])]),
+              [0.4, 0.3]),
+}
+
+
+@pytest.mark.parametrize("budget", STREAM_BUDGETS)
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_violation_streams_like_the_whole_sample(case, budget):
+    problem, tail, x = STREAM_CASES[case]
+    losses = phi_many(problem, np.asarray(x), draws_range(tail, 17, 0, budget))
+    hits = int((losses > 1.0).sum())
+    assert 0 < hits < budget
+    assert violation_prob(problem, x, tail, budget, 17) == (hits / budget,
+                                                            wilson_halfwidth(hits, budget))
+
+
+def test_violation_memory_is_one_chunk():
+    # the whole budget would take 22.9 MiB of draws at n = 3
+    problem = ProblemInstance(c=[1.0, 1.0, 1.0], h=10.0, A=[np.eye(3)])
+    tail = LightTailModel(n=3, beta=0.5, theta=2.0)
+    violation_prob(problem, [0.1] * 3, tail, 1000, 1)   # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        violation_prob(problem, [0.1] * 3, tail, 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_violation_deterministic(scalar_problem, scalar_pareto2):

@@ -7,12 +7,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import rarecc.sampler
 from _oracles import ks_distance
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, dump_batch_csv,
                     heavy_fbar_inv, joint_tail_light, light_qinv,
                     load_batch_csv, sample_tail)
-from rarecc.sampler import draws_range, heavy_radii_range, tail_radius
+from rarecc.sampler import (_CHUNK, draw_chunks, draws_range, heavy_radii_range,
+                            heavy_radius_max, tail_radius)
+
+# budgets around the chunk boundaries of draw_chunks
+STREAM_BUDGETS = (1000, 4097, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 123)
 
 
 def test_light_determinism():
@@ -97,6 +102,45 @@ def test_draws_range_threads_match_serial():
         sys.setswitchinterval(old)
     for job, a, b in zip(jobs, serial, threaded):
         assert a.tobytes() == b.tobytes(), job
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
+def test_draw_chunks_concatenate_to_the_range(name):
+    model = STREAM_MODELS[name]
+    for count in (1, 4097, _CHUNK, 2 * _CHUNK + 5):
+        chunks = [(view.base, view.copy()) for view in draw_chunks(model, 7, count)]
+        buf = chunks[0][0]
+        # every view is a refill of one buffer of at most _CHUNK rows
+        assert buf.shape == (min(count, _CHUNK), model.n)
+        assert all(base is buf for base, _ in chunks)
+        whole = np.concatenate([view for _, view in chunks])
+        assert whole.tobytes() == draws_range(model, 7, 0, count).tobytes()
+
+
+def test_draws_range_writes_into_out():
+    model = STREAM_MODELS["light_dep"]
+    out = np.empty((5000, 3))
+    assert draws_range(model, 3, 100, 5100, out=out) is out
+    assert out.tobytes() == draws_range(model, 3, 100, 5100).tobytes()
+    for bad in (np.empty((4999, 3)), np.empty((5000, 3), dtype=np.float32),
+                np.empty((3, 5000)).T):
+        with pytest.raises(ContractError, match="out"):
+            draws_range(model, 3, 100, 5100, out=bad)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 7.3, 60.0, 5000.0])
+def test_radius_max_equals_max_of_all_radii(monkeypatch, wide, alpha):
+    if wide:
+        # keep every uniform below twice the smallest, which exercises the
+        # choice among several kept pows
+        monkeypatch.setattr(rarecc.sampler, "_MARGIN", 1.0 / alpha)
+    model = HeavyTailModel.from_pairs(n=2, alpha=alpha,
+                                      pairs=[(0.4, [1.0, 0.0]), (0.6, [0.5, 0.5])])
+    for k in (1, 2, 4095, 4096, 4097) + STREAM_BUDGETS:
+        for seed in range(4):
+            radii = heavy_radii_range(model, seed, 0, k)
+            assert heavy_radius_max(model, seed, k) == radii.max(), (k, seed)
 
 
 def test_light_exponential_mean():
