@@ -47,7 +47,7 @@ def _tail_from_dict(data: dict, n: int):
         if atoms is None and n == 1:
             atoms = [[1.0, [1.0]]]
         if atoms is None:
-            raise KeyError("'atoms'")
+            raise ParameterError(f"a heavy tail needs atoms when n >= 2; the problem has n = {n}")
         return HeavyTailModel.from_pairs(n=n, alpha=float(data["alpha"]), pairs=atoms)
     raise ParameterError(f"tail kind must be 'light' or 'heavy', got {kind!r}")
 

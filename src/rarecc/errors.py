@@ -40,9 +40,13 @@ def check_count(name: str, value, least: int = 1) -> int:
 
 def check_vector(v, size: int, name: str, lo: float = 0.0, hi: float = math.inf) -> np.ndarray:
     """``v`` as a float vector of shape (size,): a wrong shape raises
-    ContractError, a non-finite entry or one outside [lo, hi] InputError.
-    The default bounds require nonnegative entries."""
-    v = np.asarray(v, dtype=float)
+    ContractError; entries that are not numbers, or are non-finite or
+    outside [lo, hi], raise InputError.  The default bounds require
+    nonnegative entries."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a vector of numbers: {exc}") from exc
     if v.shape != (size,):
         raise ContractError(f"{name} has shape {v.shape}, expected ({size},)")
     if not np.isfinite(v).all():

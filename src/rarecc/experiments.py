@@ -1,6 +1,11 @@
 """Experiment runner: reproduces the asymptotic statements as CSV reports.
 
-Each run_* function maps a config to a list of report rows, one per
+``_KINDS`` names each experiment kind's grid field and runner.  A runner
+checks the config, does the set-up its grid points share and returns two
+functions that compute numbers only: ``task(g, seed)`` gives one
+replication's (stat, target, aux1, aux2) at grid value g, and
+``agg(g, stats)`` the same four for that grid point's replicated
+statistics.  :func:`_run_grid` writes every report row from them: one per
 (grid point, replication), plus a single aggregate row (rep = -1) per grid
 point.  Per-replication seeds are derived from the master seed and the
 (grid index, replication index) counters only, so results are identical
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ContractError, InputError, ParameterError, check_count, check_vector
 from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
                      solve_lt_limit)
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
@@ -26,9 +31,6 @@ from .sampler import (HeavyTailModel, LightTailModel, TailModel, draw_chunks,
 # unused here, but bench/spans.py wraps these two names in this module
 from .sampler import draws_range, heavy_radii_range  # noqa: F401
 from .search import mix_seed
-
-EXPERIMENT_KINDS = ("cvar_ratio", "scenario_convergence", "feasibility_factor",
-                    "frechet_check", "tail_ratio")
 
 
 def as_count(name: str, value, least: int = 1) -> int:
@@ -58,7 +60,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
         object.__setattr__(self, "workers", check_count("workers", self.workers))
         for name in ("replications", "budget"):
@@ -70,14 +72,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "k_grid", tuple(as_count("k_grid value", k)
                                                  for k in self.k_grid))
-        needs_delta = self.kind in ("cvar_ratio", "feasibility_factor")
-        needs_k = self.kind in ("scenario_convergence", "frechet_check")
-        if needs_delta and not self.delta_grid:
-            raise ParameterError(f"{self.kind} needs a nonempty delta_grid")
-        if needs_k and not self.k_grid:
-            raise ParameterError(f"{self.kind} needs a nonempty k_grid")
-        if self.kind == "tail_ratio" and not self.r_grid:
-            raise ParameterError("tail_ratio needs a nonempty r_grid")
+        grid_name = _KINDS[self.kind][0]
+        if not getattr(self, grid_name):
+            raise ParameterError(f"{self.kind} needs a nonempty {grid_name}")
         for name in ("delta_grid", "k_grid", "r_grid"):
             # report rows are keyed by grid value, so a repeat would make two groups alike
             grid = [float(g) for g in getattr(self, name)]
@@ -87,14 +84,9 @@ class ExperimentConfig:
             raise ParameterError(f"r_grid values must be finite and > 0, got {self.r_grid!r}")
         if self.y_probe is not None:
             try:
-                y = np.asarray(self.y_probe, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"y_probe must be a vector of numbers: {exc}") from exc
-            if y.shape != (self.problem.m,):
-                raise ParameterError(f"y_probe has shape {y.shape}, expected "
-                                     f"({self.problem.m},)")
-            if not (np.isfinite(y).all() and (y >= 0.0).all()):
-                raise ParameterError("y_probe must be finite and nonnegative")
+                y = check_vector(self.y_probe, self.problem.m, "y_probe")
+            except (ContractError, InputError) as exc:
+                raise ParameterError(str(exc)) from exc
             object.__setattr__(self, "y_probe", y)
 
 
@@ -116,24 +108,33 @@ def _is_scalar(problem: ProblemInstance) -> bool:
     return problem.m == 1 and problem.n == 1 and problem.d == 1
 
 
-def _run_grid(cfg: ExperimentConfig, grid, task, agg):
-    """Evaluate ``task(gi, g, rep, seed)`` over grid x replications, in
-    parallel when asked, then append one aggregate row per grid point."""
-    jobs = [(gi, g, rep, mix_seed(cfg.master_seed, gi, rep))
-            for gi, g in enumerate(grid) for rep in range(cfg.replications)]
+def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
+    """Every report row of one experiment, in grid order.
+
+    ``task(g, seed)`` returns one replication's (stat, target, aux1, aux2)
+    at grid value g; it runs over grid x replications, on a thread pool when
+    cfg.workers > 1.  ``agg(g, stats)`` returns the same four numbers for
+    the list of a grid point's replicated stats.  The rows are laid out here
+    and nowhere else: each replication's row carries its seed, and the
+    aggregate row after them has rep = -1 and the master seed.
+    """
+    R = cfg.replications
+    jobs = [(g, mix_seed(cfg.master_seed, gi, rep))
+            for gi, g in enumerate(grid) for rep in range(R)]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda j: task(*j), jobs))
+            results = list(pool.map(lambda j: task(*j), jobs))
     else:
-        rows = [task(*j) for j in jobs]
-    # pool.map keeps job order, so grid point gi owns rows [gi R, (gi + 1) R)
-    R = cfg.replications
-    out = []
+        results = [task(*j) for j in jobs]
+    # pool.map keeps job order, so grid point gi owns jobs [gi R, (gi + 1) R)
+    rows = []
     for gi, g in enumerate(grid):
-        mine = rows[gi * R:(gi + 1) * R]
-        out.extend(mine)
-        out.append(agg(gi, g, mine))
-    return out
+        group = range(gi * R, (gi + 1) * R)
+        rows += [ReportRow(cfg.kind, float(g), rep, *results[i], jobs[i][1])
+                 for rep, i in enumerate(group)]
+        rows.append(ReportRow(cfg.kind, float(g), -1, *agg(g, [results[i][0] for i in group]),
+                              cfg.master_seed))
+    return rows
 
 
 def _mean_cv(values) -> tuple[float, float]:
@@ -143,7 +144,7 @@ def _mean_cv(values) -> tuple[float, float]:
     return mean, (sd / mean if mean != 0.0 else 0.0)
 
 
-def run_cvar_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
+def _run_cvar_ratio(cfg: ExperimentConfig):
     """Ratio of the CVaR relaxation's value to the chance-constrained optimum.
 
     The reference optimum comes from the exact scalar formula when the
@@ -151,13 +152,11 @@ def run_cvar_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     column records the limiting ratio: 1 under light tails, 1 - 1/alpha
     under heavy tails.
     """
-    if cfg.kind != "cvar_ratio":
-        raise ParameterError("config kind must be cvar_ratio")
     light = isinstance(cfg.tail, LightTailModel)
     target = 1.0 if light else 1.0 - 1.0 / cfg.tail.alpha
     scalar = _is_scalar(cfg.problem)
 
-    def task(gi, delta, rep, seed):
+    def task(delta, seed):
         if scalar:
             v_ref = analytic_ccp_value(cfg.problem, cfg.tail, delta)
         else:
@@ -165,26 +164,18 @@ def run_cvar_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
                                mix_seed(seed, 1)).value
         v_cvar = cvar_solve(cfg.problem, cfg.tail, delta, cfg.budget,
                             mix_seed(seed, 2)).value
-        return ReportRow(cfg.kind, float(delta), rep, v_cvar / v_ref, target,
-                         v_ref, v_cvar, seed)
+        return v_cvar / v_ref, target, v_ref, v_cvar
 
-    def agg(gi, delta, rows):
-        mean, cv = _mean_cv([r.stat for r in rows])
+    def agg(delta, stats):
+        mean, cv = _mean_cv(stats)
         try:
             ref = (analytic_cvar_value(cfg.problem, cfg.tail, delta)
                    / analytic_ccp_value(cfg.problem, cfg.tail, delta)) if scalar else target
         except ParameterError:
             ref = target
-        return ReportRow(cfg.kind, float(delta), -1, mean, target, cv, ref,
-                         cfg.master_seed)
+        return mean, target, cv, ref
 
-    return _run_grid(cfg, cfg.delta_grid, task, agg)
-
-
-def _limit_value(cfg: ExperimentConfig):
-    if isinstance(cfg.tail, LightTailModel):
-        return solve_lt_limit(cfg.tail, cfg.problem)
-    return solve_ht_limit(cfg.tail, cfg.problem)
+    return task, agg
 
 
 def _weibull_cv(alpha: float) -> float:
@@ -193,7 +184,7 @@ def _weibull_cv(alpha: float) -> float:
     return math.sqrt(m2 - m1 * m1) / m1
 
 
-def run_scenario_convergence(cfg: ExperimentConfig) -> list[ReportRow]:
+def _run_scenario_convergence(cfg: ExperimentConfig):
     """Value of the radius-scaled scenario program versus the limit value.
 
     Light tails: the normalized value concentrates at the limit value and
@@ -202,11 +193,11 @@ def run_scenario_convergence(cfg: ExperimentConfig) -> list[ReportRow]:
     Weibull(alpha) multiple of the limit value, whose CV is recorded in the
     aggregate row.
     """
-    if cfg.kind != "scenario_convergence":
-        raise ParameterError("config kind must be scenario_convergence")
+    if min(cfg.k_grid) < 2:
+        # the radius at risk level 1/k needs 1/k < 1
+        raise ParameterError("scenario scaling needs k >= 2")
     light = isinstance(cfg.tail, LightTailModel)
-    sol = _limit_value(cfg)
-    v_lim = sol.value
+    v_lim = (solve_lt_limit if light else solve_ht_limit)(cfg.tail, cfg.problem).value
     if light:
         cv_ref = 0.0
     elif _is_scalar(cfg.problem):
@@ -214,25 +205,20 @@ def run_scenario_convergence(cfg: ExperimentConfig) -> list[ReportRow]:
     else:
         cv_ref = math.nan
 
-    def task(gi, k, rep, seed):
-        if k < 2:
-            # the radius at risk level 1/k needs 1/k < 1
-            raise ParameterError("scenario scaling needs k >= 2")
+    def task(k, seed):
         batch = sample_tail(cfg.tail, seed, k)
         radius = tail_radius(cfg.tail, 1.0 / k)
         res = scenario_solve(cfg.problem, batch, radius)
-        return ReportRow(cfg.kind, float(k), rep, res.value, v_lim,
-                         res.value / v_lim, radius, seed)
+        return res.value, v_lim, res.value / v_lim, radius
 
-    def agg(gi, k, rows):
-        mean, cv = _mean_cv([r.stat for r in rows])
-        return ReportRow(cfg.kind, float(k), -1, mean, v_lim, cv, cv_ref,
-                         cfg.master_seed)
+    def agg(k, stats):
+        mean, cv = _mean_cv(stats)
+        return mean, v_lim, cv, cv_ref
 
-    return _run_grid(cfg, cfg.k_grid, task, agg)
+    return task, agg
 
 
-def run_feasibility_factor(cfg: ExperimentConfig) -> list[ReportRow]:
+def _run_feasibility_factor(cfg: ExperimentConfig):
     """Violation probability of the rescaled limit decision, relative to delta.
 
     Restricted to the tail-independent light family with subexponential
@@ -240,26 +226,22 @@ def run_feasibility_factor(cfg: ExperimentConfig) -> list[ReportRow]:
     equals the risk dimension n; a positive shrink eta sends the ratio to
     zero instead (recorded as target 0).
     """
-    if cfg.kind != "feasibility_factor":
-        raise ParameterError("config kind must be feasibility_factor")
     tail = cfg.tail
     if not isinstance(tail, LightTailModel) or tail.theta != 1.0 or tail.beta >= 1.0:
         raise ParameterError("feasibility_factor needs a light tail with theta = 1, beta < 1")
     sol = solve_lt_limit(tail, cfg.problem)
     target = float(tail.n) if cfg.eta == 0.0 else 0.0
 
-    def task(gi, delta, rep, seed):
+    def task(delta, seed):
         x = limit_to_decision(sol, tail, delta, cfg.eta, cfg.problem)
         est, hw = violation_prob(cfg.problem, x, tail, cfg.budget, seed)
-        return ReportRow(cfg.kind, float(delta), rep, est / delta, target,
-                         hw / delta, cfg.eta, seed)
+        return est / delta, target, hw / delta, cfg.eta
 
-    def agg(gi, delta, rows):
-        mean, cv = _mean_cv([r.stat for r in rows])
-        return ReportRow(cfg.kind, float(delta), -1, mean, target, cv, cfg.eta,
-                         cfg.master_seed)
+    def agg(delta, stats):
+        mean, cv = _mean_cv(stats)
+        return mean, target, cv, cfg.eta
 
-    return _run_grid(cfg, cfg.delta_grid, task, agg)
+    return task, agg
 
 
 def ks_distance(samples, cdf) -> float:
@@ -278,7 +260,7 @@ def frechet_cdf(t, alpha: float) -> float:
     return math.exp(-t ** (-alpha))
 
 
-def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
+def _run_frechet_check(cfg: ExperimentConfig):
     """Distribution of the normalized maximal radius over many replications.
 
     Per replication the statistic is max_j R_j / Fbar^{-1}(1/k); the
@@ -293,26 +275,22 @@ def run_frechet_check(cfg: ExperimentConfig) -> list[ReportRow]:
     pow's rounding error, so the statistic equals the maximum of all k
     radii bit for bit without relying on pow being monotone in its last bit.
     """
-    if cfg.kind != "frechet_check":
-        raise ParameterError("config kind must be frechet_check")
     tail = cfg.tail
     if not isinstance(tail, HeavyTailModel):
         raise ParameterError("frechet_check needs a heavy tail")
     alpha = tail.alpha
     median = math.log(2.0) ** (-1.0 / alpha)
 
-    def task(gi, k, rep, seed):
+    def task(k, seed):
         stat = heavy_radius_max(tail, seed, k) / heavy_fbar_inv(tail, 1.0 / k)
-        return ReportRow(cfg.kind, float(k), rep, stat, median, alpha, k, seed)
+        return stat, median, alpha, k
 
-    def agg(gi, k, rows):
-        stats = [r.stat for r in rows]
+    def agg(k, stats):
         ks = ks_distance(stats, lambda t: frechet_cdf(t, alpha))
         mean, _ = _mean_cv(stats)
-        return ReportRow(cfg.kind, float(k), -1, ks, median, mean, len(stats),
-                         cfg.master_seed)
+        return ks, median, mean, len(stats)
 
-    return _run_grid(cfg, cfg.k_grid, task, agg)
+    return task, agg
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
@@ -328,7 +306,7 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return s
 
 
-def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
+def _run_tail_ratio(cfg: ExperimentConfig):
     """Monte Carlo check of the exceedance ratio against its angular moment.
 
     For a probe decision y the ratio P(loss(y, L) > r) / P(|L| > r) is
@@ -336,8 +314,6 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     by chunk (:func:`~rarecc.sampler.draw_chunks`); the closed-form limit
     sum_k w_k phi(y, theta_k)^alpha is the target.
     """
-    if cfg.kind != "tail_ratio":
-        raise ParameterError("config kind must be tail_ratio")
     tail = cfg.tail
     if not isinstance(tail, HeavyTailModel):
         raise ParameterError("tail_ratio needs a heavy tail")
@@ -347,7 +323,7 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
         y = 0.5 * solve_ht_limit(tail, cfg.problem).y_star
     closed = angular_moment(tail, cfg.problem, y)
 
-    def task(gi, r, rep, seed):
+    def task(r, seed):
         hits_num = hits_den = 0
         for block in draw_chunks(tail, seed, cfg.budget):
             hits_num += int((phi_many(cfg.problem, y, block) > r).sum())
@@ -358,30 +334,29 @@ def run_tail_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
             raise ParameterError(
                 f"fewer than 100 exceedances at r={r} (num={hits_num}, den={hits_den}); "
                 "increase the budget or lower r")
-        stat = hits_num / hits_den
-        return ReportRow(cfg.kind, float(r), rep, stat, closed,
-                         wilson_halfwidth(hits_num, hits_den), hits_den, seed)
+        return hits_num / hits_den, closed, wilson_halfwidth(hits_num, hits_den), hits_den
 
-    def agg(gi, r, rows):
-        mean, cv = _mean_cv([r_.stat for r_ in rows])
-        return ReportRow(cfg.kind, float(r), -1, mean, closed, cv, closed,
-                         cfg.master_seed)
+    def agg(r, stats):
+        mean, cv = _mean_cv(stats)
+        return mean, closed, cv, closed
 
-    return _run_grid(cfg, cfg.r_grid, task, agg)
+    return task, agg
 
 
-_RUNNERS = {
-    "cvar_ratio": run_cvar_ratio,
-    "scenario_convergence": run_scenario_convergence,
-    "feasibility_factor": run_feasibility_factor,
-    "frechet_check": run_frechet_check,
-    "tail_ratio": run_tail_ratio,
+# kind -> (the config field holding its grid, its runner)
+_KINDS = {
+    "cvar_ratio": ("delta_grid", _run_cvar_ratio),
+    "scenario_convergence": ("k_grid", _run_scenario_convergence),
+    "feasibility_factor": ("delta_grid", _run_feasibility_factor),
+    "frechet_check": ("k_grid", _run_frechet_check),
+    "tail_ratio": ("r_grid", _run_tail_ratio),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
-    """Dispatch on cfg.kind; returns (rows, CSV comment lines)."""
-    rows = _RUNNERS[cfg.kind](cfg)
+    """Run cfg.kind's runner over its grid; returns (rows, CSV comment lines)."""
+    grid_name, runner = _KINDS[cfg.kind]
+    rows = _run_grid(cfg, getattr(cfg, grid_name), *runner(cfg))
     comments = []
     if cfg.kind == "cvar_ratio":
         comments.append(f"# oracle={'analytic' if _is_scalar(cfg.problem) else 'mc'}")

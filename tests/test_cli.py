@@ -81,6 +81,25 @@ def test_wrong_tail_kind_exit_2(lt_cfg):
     assert cli_main(["ht-limit", lt_cfg]) == 2
 
 
+@pytest.mark.parametrize("command, tail, needle", [
+    ("lt-limit", {"kind": "heavy", "alpha": 2.0, "atoms": [[1.0, [0.5, 0.5]]]},
+     "lt-limit needs a light tail model"),
+    ("lt-limit", {"kind": "medium", "beta": 1.0}, "tail kind must be 'light' or 'heavy'"),
+    ("ht-limit", {"kind": "heavy", "alpha": 2.0}, "heavy tail needs atoms when n >= 2"),
+], ids=["lt-limit-on-heavy", "unknown-kind", "missing-atoms"])
+def test_tail_config_exit_2(tmp_path, capsys, command, tail, needle):
+    cfg = write_cfg(tmp_path / "tail.json", {
+        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
+        "tail": tail,
+    })
+    out = tmp_path / "sol.json"
+    assert cli_main([command, cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and needle in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, fields", [
     ("cvar", {"delta_grid": []}),
     ("oracle", {"delta_grid": []}),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rarecc.experiments
 from _oracles import exp_cc_value, exp_cvar_value
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
                     ParameterError, ProblemInstance, ks_distance, phi_many,
@@ -259,6 +260,19 @@ def test_heavy_scenario_scaling_needs_k_of_two():
     # risk level 1/k = 1 lies outside (0, 1), for heavy tails as for light ones
     with pytest.raises(ParameterError, match="k >= 2"):
         run_experiment(heavy_cfg(kind="scenario_convergence", k_grid=(1,)))
+
+
+def test_scenario_k_rule_fails_before_any_work(monkeypatch):
+    # a k < 2 anywhere in the grid stops the run before the limit solve and
+    # before the replications of the valid k that precede it
+    def ran(*args, **kwargs):
+        raise AssertionError("work started before the k rule was checked")
+
+    for name in ("sample_tail", "solve_ht_limit", "solve_lt_limit"):
+        monkeypatch.setattr(rarecc.experiments, name, ran)
+    for cfg in (heavy_cfg, light_cfg):
+        with pytest.raises(ParameterError, match="k >= 2"):
+            run_experiment(cfg(kind="scenario_convergence", k_grid=(1000, 1)))
 
 
 @pytest.mark.parametrize("workers", [0, -3, True, 2.0])

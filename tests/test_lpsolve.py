@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rarecc.lpsolve
 from _oracles import brute_force_lp
 from rarecc import (ContractError, InputError, LinearProgram, UnboundedError,
                     solve_lp)
@@ -171,3 +172,40 @@ def test_warm_start_leaves_start_intact():
     assert start == SolveResult(start.x, start.objective, start.iterations, start.residual,
                                 start.active_rows)
     assert "_tableau" not in repr(start)
+
+
+def _degenerate_lp(rng):
+    """A random LP whose vertex x = 0 is degenerate: about 60% of the
+    right-hand sides and 30% of the costs are 0.  Returns the LP and the
+    row count of a prefix to warm-start from."""
+    M, N = int(rng.integers(2, 11)), int(rng.integers(2, 7))
+    A = rng.uniform(-1.0, 2.0, (M, N))
+    b = rng.uniform(0.0, 3.0, M) * (rng.random(M) >= 0.6)
+    f = rng.uniform(-1.0, 2.0, N) * (rng.random(N) >= 0.3)
+    hi = rng.uniform(0.5, 4.0, N)
+    return LinearProgram(objective=f, A=A, b=b, hi=hi), int(rng.integers(1, M))
+
+
+def _cold_and_warm(lp, k):
+    first = solve_lp(LinearProgram(objective=lp.objective, A=lp.A[:k], b=lp.b[:k], hi=lp.hi))
+    return solve_lp(lp), solve_lp(lp, start=first)
+
+
+def test_blands_rule_reaches_the_default_optimum(monkeypatch):
+    # with a stall limit of 1 the first pivot that leaves the objective
+    # where it was switches the primal and the dual pass to Bland's rule
+    rng = np.random.default_rng(2024)
+    cases = [_degenerate_lp(rng) for _ in range(200)]
+    default = [_cold_and_warm(lp, k) for lp, k in cases]
+    bland_steps = {}
+    for name in ("_primal_step", "_dual_step"):
+        def step(T, basis, ncols, bland, _name=name, _step=getattr(rarecc.lpsolve, name)):
+            bland_steps[_name] = bland_steps.get(_name, 0) + bland
+            return _step(T, basis, ncols, bland)
+        monkeypatch.setattr(rarecc.lpsolve, name, step)
+    monkeypatch.setattr(rarecc.lpsolve, "_STALL_LIMIT", 1)
+    for trial, ((lp, k), ref) in enumerate(zip(cases, default)):
+        for res, want in zip(_cold_and_warm(lp, k), ref):
+            assert abs(res.objective - want.objective) <= 1e-9 * (1.0 + abs(want.objective)), trial
+            assert res.residual <= 1e-9, trial
+    assert bland_steps["_primal_step"] > 0 and bland_steps["_dual_step"] > 0, bland_steps

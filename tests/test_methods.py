@@ -9,8 +9,8 @@ from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
                       pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
-                    analytic_ccp_value, analytic_cvar_value, box_clip, ccp_oracle,
-                    cvar_solve, phi_many, sample_size_rule,
+                    analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
+                    ccp_oracle, cvar_solve, phi, phi_many, rate_J, sample_size_rule,
                     scenario_solve, violation_prob, wilson_halfwidth)
 from rarecc.lpsolve import LinearProgram, solve_lp
 from rarecc.sampler import draws_range, sample_tail
@@ -55,6 +55,22 @@ def test_violation_rejects_non_finite_decision(bad):
         violation_prob(problem, [bad, 1.0], LightTailModel(n=2, beta=1.0), 10_000, 1)
     with pytest.raises(InputError, match="finite"):
         box_clip(problem, [bad, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob: violation_prob(prob, ["a", 1.0], LightTailModel(n=2, beta=1.0), 10_000, 1),
+    lambda prob: phi(prob, ["a", 1.0], [1.0, 1.0]),
+    lambda prob: phi(prob, [1.0, 1.0], [1.0, "a"]),
+    lambda prob: box_clip(prob, ["a", 1.0]),
+    lambda prob: rate_J(LightTailModel(n=2, beta=1.0), prob, ["a", 1.0]),
+    lambda prob: angular_moment(
+        HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=[(1.0, [0.5, 0.5])]), prob, [None, {}]),
+], ids=["violation_prob", "phi_x", "phi_L", "box_clip", "rate_J", "angular_moment"])
+def test_non_numeric_vector_is_an_input_error(call):
+    # a non-numeric entry is bad input like a NaN: InputError, not numpy's ValueError
+    problem = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[np.eye(2)])
+    with pytest.raises(InputError, match="must be a vector of numbers"):
+        call(problem)
 
 
 STREAM_CASES = {
@@ -140,6 +156,31 @@ def test_oracle_in_sample_violation_within_delta(identity_problem2, two_atom_mod
     res = ccp_oracle(identity_problem2, two_atom_model, delta, budget, 7)
     assert res.violation_estimate <= delta
     assert res.value == pytest.approx(0.19672571022291754, rel=1e-12)
+
+
+def test_oracle_quasirandom_directions_at_m_four(monkeypatch):
+    # A = I4 and one atom at (1/4, ..., 1/4): loss(u, L) = R/4 for every u on
+    # the simplex, so each direction scales to 4 / q and the optimum is
+    # c.x = 4 delta^(1/alpha) = 0.4, whichever direction wins
+    calls = []
+    quasirandom = rarecc.methods.quasirandom_simplex
+
+    def counted(m, count):
+        calls.append((m, count))
+        return quasirandom(m, count)
+
+    monkeypatch.setattr(rarecc.methods, "quasirandom_simplex", counted)
+    problem = ProblemInstance(c=np.ones(4), h=10.0, A=[np.eye(4)])
+    tail = HeavyTailModel.from_pairs(n=4, alpha=2.0, pairs=[(1.0, [0.25] * 4)])
+    delta, budget = 1e-2, 100_000
+    res = ccp_oracle(problem, tail, delta, budget, 3)
+    assert calls == [(4, 1000)]
+    # the quantile's relative standard error is 1 / (alpha sqrt(budget delta))
+    se = 1.0 / (2.0 * math.sqrt(budget * delta))
+    assert res.value == pytest.approx(4.0 * math.sqrt(delta), rel=4 * se)
+    assert res.x.shape == (4,) and (res.x >= 0.0).all() and (res.x <= problem.h).all()
+    assert res.value == pytest.approx(float(problem.c @ res.x), rel=1e-12)
+    assert abs(res.violation_estimate - delta) <= 4 * math.sqrt(delta / budget)
 
 
 def test_oracle_pre_violation(scalar_problem, scalar_pareto2):
