@@ -6,10 +6,10 @@ Usage: python scripts/run_all_experiments.py [RESULTS_DIR]
 Solves the two limit-program examples first, then runs each experiment
 config through the CLI.  Everything is seeded, so reruns reproduce the
 same bytes.  On a shared 2-vCPU Linux VM (Python 3.11, numpy 2.4, default
-OpenBLAS threads) a run took 5.7-6.7 s real (three runs), against 6.0-7.0 s
-for the previous version, which drew each 2^18-row chunk of a streamed
-Monte Carlo budget into a fresh array and built every radius of
-frechet_check.  Timings on that VM move with the host's load by 30% or more.
+OpenBLAS threads) a run took 5.0-5.7 s real (three runs), against 7.2-7.3 s
+for the previous version, which counted each Monte Carlo budget on one
+thread instead of sharding it across the CPUs.  Timings on that VM move
+with the host's load by 30% or more.
 """
 
 import pathlib

@@ -36,11 +36,26 @@ class ConfigError(Exception):
     """Configuration could not be loaded or validated."""
 
 
+def _section(raw: dict, name: str) -> dict:
+    """The config's ``name`` section, which must be a JSON object."""
+    if name not in raw:
+        raise ParameterError(f"a config needs a {name} section")
+    if not isinstance(raw[name], dict):
+        raise ParameterError(f"a config's {name} section must be an object, got {raw[name]!r}")
+    return raw[name]
+
+
+def _tail_param(data: dict, kind: str, key: str) -> float:
+    if key not in data:
+        raise ParameterError(f"a {kind} tail needs {key} in its tail section")
+    return float(data[key])
+
+
 def _tail_from_dict(data: dict, n: int):
     kind = data.get("kind")
     if kind == "light":
         # float() also parses the strings "inf" and "Infinity"
-        return LightTailModel(n=n, beta=float(data["beta"]),
+        return LightTailModel(n=n, beta=_tail_param(data, kind, "beta"),
                               theta=float(data.get("theta", 1.0)))
     if kind == "heavy":
         atoms = data.get("atoms")
@@ -48,7 +63,8 @@ def _tail_from_dict(data: dict, n: int):
             atoms = [[1.0, [1.0]]]
         if atoms is None:
             raise ParameterError(f"a heavy tail needs atoms when n >= 2; the problem has n = {n}")
-        return HeavyTailModel.from_pairs(n=n, alpha=float(data["alpha"]), pairs=atoms)
+        return HeavyTailModel.from_pairs(n=n, alpha=_tail_param(data, kind, "alpha"),
+                                         pairs=atoms)
     raise ParameterError(f"tail kind must be 'light' or 'heavy', got {kind!r}")
 
 
@@ -62,8 +78,8 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
-        problem = ProblemInstance.from_dict(raw["problem"])
-        tail = _tail_from_dict(raw["tail"], problem.n)
+        problem = ProblemInstance.from_dict(_section(raw, "problem"))
+        tail = _tail_from_dict(_section(raw, "tail"), problem.n)
         exp = dict(raw.get("experiment", {}))
         return {
             "problem": problem,

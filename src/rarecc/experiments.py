@@ -26,8 +26,9 @@ from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                       cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
-from .sampler import (HeavyTailModel, LightTailModel, TailModel, draw_chunks,
-                      heavy_fbar_inv, heavy_radius_max, sample_tail, tail_radius)
+from .sampler import (HeavyTailModel, LightTailModel, TailModel, claimed_cpus,
+                      heavy_fbar_inv, heavy_radius_max, sample_tail, sharded_sum,
+                      tail_radius)
 # unused here, but bench/spans.py wraps these two names in this module
 from .sampler import draws_range, heavy_radii_range  # noqa: F401
 from .search import mix_seed
@@ -43,8 +44,10 @@ def as_count(name: str, value, least: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; grids irrelevant to a kind are ignored.
-    Counts may be integral floats (:func:`as_count`), except ``workers``."""
+    """Everything one experiment needs.  All three grids are converted and
+    checked, whatever the kind, and only the grid that ``_KINDS[kind]``
+    names is run.  Counts may be integral floats (:func:`as_count`), except
+    ``workers``."""
 
     kind: str
     problem: ProblemInstance
@@ -113,7 +116,9 @@ def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
 
     ``task(g, seed)`` returns one replication's (stat, target, aux1, aux2)
     at grid value g; it runs over grid x replications, on a thread pool when
-    cfg.workers > 1.  ``agg(g, stats)`` returns the same four numbers for
+    cfg.workers > 1, whose threads beyond the caller's claim CPUs of the
+    sampler's budget, so the Monte Carlo counts inside the tasks shard only
+    over the CPUs left.  ``agg(g, stats)`` returns the same four numbers for
     the list of a grid point's replicated stats.  The rows are laid out here
     and nowhere else: each replication's row carries its seed, and the
     aggregate row after them has rep = -1 and the master seed.
@@ -122,7 +127,7 @@ def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
     jobs = [(g, mix_seed(cfg.master_seed, gi, rep))
             for gi, g in enumerate(grid) for rep in range(R)]
     if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with claimed_cpus(cfg.workers - 1), ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(lambda j: task(*j), jobs))
     else:
         results = [task(*j) for j in jobs]
@@ -310,9 +315,9 @@ def _run_tail_ratio(cfg: ExperimentConfig):
     """Monte Carlo check of the exceedance ratio against its angular moment.
 
     For a probe decision y the ratio P(loss(y, L) > r) / P(|L| > r) is
-    estimated at each probe radius r on one shared sample, streamed chunk
-    by chunk (:func:`~rarecc.sampler.draw_chunks`); the closed-form limit
-    sum_k w_k phi(y, theta_k)^alpha is the target.
+    estimated at each probe radius r on one shared sample, whose two
+    exceedance counts are one :func:`~rarecc.sampler.sharded_sum`; the
+    closed-form limit sum_k w_k phi(y, theta_k)^alpha is the target.
     """
     tail = cfg.tail
     if not isinstance(tail, HeavyTailModel):
@@ -324,10 +329,11 @@ def _run_tail_ratio(cfg: ExperimentConfig):
     closed = angular_moment(tail, cfg.problem, y)
 
     def task(r, seed):
-        hits_num = hits_den = 0
-        for block in draw_chunks(tail, seed, cfg.budget):
-            hits_num += int((phi_many(cfg.problem, y, block) > r).sum())
-            hits_den += int((_row_sums(block) > r).sum())
+        def exceedances(block):
+            return (np.count_nonzero(phi_many(cfg.problem, y, block) > r),
+                    np.count_nonzero(_row_sums(block) > r))
+
+        hits_num, hits_den = map(int, sharded_sum(tail, seed, cfg.budget, exceedances))
         # a probe with identically zero loss has ratio 0 by definition; the
         # exceedance floor only guards estimates of a positive limit
         if hits_den < 100 or (closed > 0.0 and hits_num < 100):

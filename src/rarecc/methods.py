@@ -31,7 +31,7 @@ from .errors import (ParameterError, RareccError, check_count, check_same_n,
 from .lpsolve import LinearProgram, solve_lp
 from .model import ProblemInstance, box_clip, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
-                      draw_chunks, draws_range, light_qinv)
+                      draws_range, light_qinv, sharded_sum)
 from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
@@ -76,17 +76,17 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
                    budget: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(loss(x, L) > 1) with a Wilson 95% half-width.
 
-    Streams the sample through :func:`~rarecc.sampler.draw_chunks`: one
-    buffer of at most 2^15 draws (0.75 MiB at n = 3) and the chunk's losses
-    are all it holds, whatever the budget.  The result depends only on
-    (tail, seed, budget).
+    Counts the violations as a :func:`~rarecc.sampler.sharded_sum`, one
+    shard per unclaimed CPU.  The shards stream their draws through one
+    buffer of 2^15 draws in total (0.75 MiB at n = 3), so that buffer and
+    the chunks' losses are all the count holds, whatever the budget.  The
+    result depends only on (tail, seed, budget).
     """
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)
     x = check_vector(x, problem.m, "x", lo=-1e-12, hi=problem.h + 1e-12)
-    hits = 0
-    for block in draw_chunks(tail, seed, budget):
-        hits += int((phi_many(problem, x, block) > 1.0).sum())
+    hits = int(sharded_sum(tail, seed, budget,
+                           lambda block: np.count_nonzero(phi_many(problem, x, block) > 1.0)))
     return hits / budget, wilson_halfwidth(hits, budget)
 
 

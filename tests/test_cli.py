@@ -81,17 +81,26 @@ def test_wrong_tail_kind_exit_2(lt_cfg):
     assert cli_main(["ht-limit", lt_cfg]) == 2
 
 
-@pytest.mark.parametrize("command, tail, needle", [
-    ("lt-limit", {"kind": "heavy", "alpha": 2.0, "atoms": [[1.0, [0.5, 0.5]]]},
+@pytest.mark.parametrize("command, sections, needle", [
+    ("lt-limit", {"tail": {"kind": "heavy", "alpha": 2.0, "atoms": [[1.0, [0.5, 0.5]]]}},
      "lt-limit needs a light tail model"),
-    ("lt-limit", {"kind": "medium", "beta": 1.0}, "tail kind must be 'light' or 'heavy'"),
-    ("ht-limit", {"kind": "heavy", "alpha": 2.0}, "heavy tail needs atoms when n >= 2"),
-], ids=["lt-limit-on-heavy", "unknown-kind", "missing-atoms"])
-def test_tail_config_exit_2(tmp_path, capsys, command, tail, needle):
-    cfg = write_cfg(tmp_path / "tail.json", {
-        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
-        "tail": tail,
-    })
+    ("lt-limit", {"tail": {"kind": "medium", "beta": 1.0}},
+     "tail kind must be 'light' or 'heavy'"),
+    ("ht-limit", {"tail": {"kind": "heavy", "alpha": 2.0}}, "heavy tail needs atoms when n >= 2"),
+    ("lt-limit", {"tail": {"kind": "light", "theta": 1.0}},
+     "a light tail needs beta in its tail section"),
+    ("ht-limit", {"tail": {"kind": "heavy", "atoms": [[0.5, [1.0, 0.0]], [0.5, [0.0, 1.0]]]}},
+     "a heavy tail needs alpha in its tail section"),
+    ("lt-limit", {}, "a config needs a tail section"),
+    ("lt-limit", {"problem": None, "tail": {"kind": "light", "beta": 0.5}},
+     "a config needs a problem section"),
+    ("lt-limit", {"tail": "light"}, "a config's tail section must be an object, got 'light'"),
+], ids=["lt-limit-on-heavy", "unknown-kind", "missing-atoms", "missing-beta", "missing-alpha",
+        "missing-tail", "missing-problem", "tail-not-an-object"])
+def test_tail_config_exit_2(tmp_path, capsys, command, sections, needle):
+    # the problem is the 2 x 2 identity unless a case leaves it out (None)
+    raw = {"problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]}, **sections}
+    cfg = write_cfg(tmp_path / "tail.json", {k: v for k, v in raw.items() if v is not None})
     out = tmp_path / "sol.json"
     assert cli_main([command, cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
