@@ -26,9 +26,8 @@ from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                       cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
-from .sampler import (HeavyTailModel, LightTailModel, TailModel, claimed_cpus,
-                      heavy_fbar_inv, heavy_radius_max, sample_tail, sharded_sum,
-                      tail_radius)
+from .sampler import (HeavyTailModel, LightTailModel, TailModel, heavy_fbar_inv,
+                      heavy_radius_max, sample_tail, sharded_sum, tail_radius)
 # unused here, but bench/spans.py wraps these two names in this module
 from .sampler import draws_range, heavy_radii_range  # noqa: F401
 from .search import mix_seed
@@ -116,9 +115,7 @@ def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
 
     ``task(g, seed)`` returns one replication's (stat, target, aux1, aux2)
     at grid value g; it runs over grid x replications, on a thread pool when
-    cfg.workers > 1, whose threads beyond the caller's claim CPUs of the
-    sampler's budget, so the Monte Carlo counts inside the tasks shard only
-    over the CPUs left.  ``agg(g, stats)`` returns the same four numbers for
+    cfg.workers > 1.  ``agg(g, stats)`` returns the same four numbers for
     the list of a grid point's replicated stats.  The rows are laid out here
     and nowhere else: each replication's row carries its seed, and the
     aggregate row after them has rep = -1 and the master seed.
@@ -127,7 +124,7 @@ def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
     jobs = [(g, mix_seed(cfg.master_seed, gi, rep))
             for gi, g in enumerate(grid) for rep in range(R)]
     if cfg.workers > 1:
-        with claimed_cpus(cfg.workers - 1), ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(lambda j: task(*j), jobs))
     else:
         results = [task(*j) for j in jobs]

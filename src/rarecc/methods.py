@@ -77,10 +77,10 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
     """Monte Carlo estimate of P(loss(x, L) > 1) with a Wilson 95% half-width.
 
     Counts the violations as a :func:`~rarecc.sampler.sharded_sum`, one
-    shard per unclaimed CPU.  The shards stream their draws through one
-    buffer of 2^15 draws in total (0.75 MiB at n = 3), so that buffer and
-    the chunks' losses are all the count holds, whatever the budget.  The
-    result depends only on (tail, seed, budget).
+    shard per CPU.  The shards stream their draws through one buffer of
+    2^15 draws in total (0.75 MiB at n = 3), so that buffer and the chunks'
+    losses are all the count holds, whatever the budget.  The result
+    depends only on (tail, seed, budget).
     """
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)

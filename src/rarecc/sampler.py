@@ -40,35 +40,36 @@ them, and every value stays the same:
   after all B rows, so their partial blocks still draw the whole block.
 
 A Monte Carlo budget need not be held at once.  :func:`draw_chunks` yields
-draws as successive (rows, n) views of one buffer of at most ``_CHUNK`` =
-8 B rows (0.75 MiB at n = 3), refilled in place through :func:`draws_range`,
-so an estimate that reduces each chunk before asking for the next keeps one
-chunk in memory whatever its budget.  :func:`heavy_radius_max` takes the
-largest heavy radius the same way, from one block of uniforms at a time.
+the draws [0, count) as successive (rows, n) views of one buffer of
+``_CHUNK`` = 8 B rows (0.75 MiB at n = 3), allocated per call and refilled
+in place through :func:`draws_range`, so an estimate that reduces each
+chunk before asking for the next keeps one chunk in memory whatever its
+budget.  :func:`heavy_radius_max` takes the largest heavy radius the same
+way, from one block of uniforms at a time.
 
 A count over a budget runs as a sharded sum (:func:`sharded_sum`).  The
 draws [0, count) are split into one contiguous run of whole shard chunks
-per shard, each run is streamed through :func:`draw_chunks` on its own
-thread, and the integer counts of the runs are added.  Integer addition is
-exact and a draw does not depend on the split, so every count is the same
-for any number of shards.  The shards split one ``_CHUNK``-row buffer
-between them, 8 // t whole blocks each for t shards, so the working set
-stays one chunk in total; at most 4 shards run.
+per shard, one shard per CPU the process may run on
+(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4.  Each
+run is drawn chunk by chunk through :func:`draws_range` on its own thread,
+and the integer counts of the runs are added.  Integer addition is exact and a draw
+does not depend on the split, so every count is the same for any number of
+shards.  The shards split one ``_CHUNK``-row buffer between them, 8 // t
+whole blocks each for t shards, so the working set stays one chunk in
+total.
 
-The shards draw on one CPU budget for the process: the CPUs it may run on
-(``os.sched_getaffinity``, else ``os.cpu_count()``) beyond the caller's
-own.  A thread pool claims one CPU of it per thread beyond the caller's
-(:func:`claimed_cpus`, which the experiment pool uses), and a count shards
-only over the CPUs that nobody has claimed; it always keeps its own thread.
-The other shards run on one process-wide pool of CPUs - 1 threads, built on
-first use.  A caller that waits for a shard which no thread has started
-runs it itself, so a full pool never stalls a count, and counts that run
-side by side cannot deadlock.
+The caller runs the first shard, and one process-wide pool of CPUs - 1
+threads, built on first use, runs the others.  A caller that waits for a
+shard which no thread has started runs it itself, so a busy pool never
+stalls a count, counts that run side by side cannot deadlock, and the pool
+adds at most CPUs - 1 threads to the callers' own.  Shards do not know
+about other thread pools, such as the experiment pool of ``--workers``, or
+about the host's load: on a CPU that another process keeps busy a shard
+runs slower than the caller alone would.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -303,25 +304,19 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int,
     return _splice(block_fn, model, seed, start, stop, (model.n,), out)
 
 
-def draw_chunks(model: TailModel, seed: int, stop: int, start: int = 0,
-                out: np.ndarray | None = None):
-    """Yield the draws [start, stop) as successive (rows, n) views of one
-    buffer: ``out``, a C-contiguous float64 array of shape (rows, n) with
-    rows >= 1, or a new one of min(stop - start, _CHUNK) rows.
+def draw_chunks(model: TailModel, seed: int, count: int):
+    """Yield the draws [0, count) as successive (rows, n) views of one
+    buffer of min(count, _CHUNK) rows.
 
     Each view is refilled in place by the next step, so a caller reduces a
-    chunk before it asks for the next one.  A new buffer belongs to this
-    call alone, so threads may stream side by side.
+    chunk before it asks for the next one.  The buffer belongs to this call
+    alone, so threads may stream side by side.
     """
-    stop = check_count("stop", stop)
-    start = check_count("start", start, least=0)
-    if start >= stop:
-        raise ParameterError("invalid draw range")
-    if out is None:
-        out = np.empty((min(stop - start, _CHUNK), model.n))
-    for lo in range(start, stop, len(out)):
-        hi = min(lo + len(out), stop)
-        yield draws_range(model, seed, lo, hi, out=out[:hi - lo])
+    count = check_count("count", count)
+    buf = np.empty((min(count, _CHUNK), model.n))
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        yield draws_range(model, seed, lo, hi, out=buf[:hi - lo])
 
 
 def _cpu_count() -> int:
@@ -332,46 +327,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-class _CpuBudget:
-    """The CPUs beyond the caller's own that no pool or count has claimed,
-    and the process-wide pool that runs the shards of a count."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._claimed = 0
-        self._pool = None
-
-    def claim(self, want: int) -> int:
-        """Claim up to ``want`` unclaimed CPUs; returns the number claimed."""
-        with self._lock:
-            got = max(0, min(want, _cpu_count() - 1 - self._claimed))
-            self._claimed += got
-            return got
-
-    def release(self, got: int) -> None:
-        with self._lock:
-            self._claimed -= got
-
-    def pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max(1, _cpu_count() - 1),
-                                                thread_name_prefix="rarecc-shard")
-            return self._pool
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
-_BUDGET = _CpuBudget()
-
-
-@contextlib.contextmanager
-def claimed_cpus(want: int):
-    """Claim up to ``want`` CPUs of the budget for the ``with`` block; yields
-    the number claimed, which counts started inside it do not shard over."""
-    got = _BUDGET.claim(want)
-    try:
-        yield got
-    finally:
-        _BUDGET.release(got)
+def _shard_pool() -> ThreadPoolExecutor:
+    """The process-wide pool of CPUs - 1 threads that runs shards."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="rarecc-shard")
+        return _POOL
 
 
 def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
@@ -380,34 +346,34 @@ def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
 
     ``count_fn`` maps a (rows, n) chunk to an integer or a tuple of integers
     and must not keep the chunk, whose buffer is refilled.  The draws are
-    split into up to one shard per unclaimed CPU, with at least one chunk of
-    draws per shard, and the shards run side by side; the sum does not
-    depend on their number.  An exception in any shard propagates once the
-    other shards have stopped.
+    split into up to one shard per CPU, with at least one chunk of draws per
+    shard, and the shards run side by side; the sum does not depend on their
+    number.  An exception in any shard propagates once the other shards have
+    stopped.
     """
     count = check_count("count", count)
-    with claimed_cpus(min(_SHARDS_MAX, -(-count // _CHUNK)) - 1) as extra:
-        shards = extra + 1
-        rows = _CHUNK // _BLOCK // shards * _BLOCK
-        units = -(-count // rows)
-        bounds = [min(count, i * units // shards * rows) for i in range(shards + 1)]
-        buf = np.empty((shards, min(rows, count), model.n))
+    shards = min(_cpu_count(), _SHARDS_MAX, -(-count // _CHUNK))
+    rows = _CHUNK // _BLOCK // shards * _BLOCK
+    units = -(-count // rows)
+    bounds = [min(count, i * units // shards * rows) for i in range(shards + 1)]
+    buf = np.empty((shards, min(rows, count), model.n))
 
-        def shard(i):
-            chunks = draw_chunks(model, seed, bounds[i + 1], bounds[i], buf[i])
-            return np.sum([count_fn(chunk) for chunk in chunks], axis=0, dtype=np.int64)
+    def shard(i):
+        return np.sum([count_fn(draws_range(model, seed, lo, min(lo + rows, count),
+                                            out=buf[i, :min(rows, count - lo)]))
+                       for lo in range(bounds[i], bounds[i + 1], rows)], axis=0, dtype=np.int64)
 
-        futures = [_BUDGET.pool().submit(shard, i) for i in range(1, shards)]
-        try:
-            total = shard(0)
-            for i, fut in enumerate(futures, 1):
-                # a shard that no thread has started runs here
-                total = total + (shard(i) if fut.cancel() else fut.result())
-        finally:
-            # a cancelled future counts as done only once a pool thread has
-            # dequeued it, so wait only for the shards that have started
-            wait([fut for fut in futures if not fut.cancel()])
-        return total
+    futures = [_shard_pool().submit(shard, i) for i in range(1, shards)]
+    try:
+        total = shard(0)
+        for i, fut in enumerate(futures, 1):
+            # a shard that no thread has started runs here
+            total = total + (shard(i) if fut.cancel() else fut.result())
+    finally:
+        # a cancelled future counts as done only once a pool thread has
+        # dequeued it, so wait only for the shards that have started
+        wait([fut for fut in futures if not fut.cancel()])
+    return total
 
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
