@@ -26,8 +26,8 @@ from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                       cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
-from .sampler import (HeavyTailModel, LightTailModel, TailModel, heavy_fbar_inv,
-                      heavy_radius_max, sample_tail, sharded_sum, tail_radius)
+from .sampler import (HeavyTailModel, LightTailModel, TailModel, exceedances,
+                      heavy_fbar_inv, heavy_radius_max, sample_tail, tail_radius)
 # unused here, but bench/spans.py wraps these two names in this module
 from .sampler import draws_range, heavy_radii_range  # noqa: F401
 from .search import mix_seed
@@ -313,7 +313,7 @@ def _run_tail_ratio(cfg: ExperimentConfig):
 
     For a probe decision y the ratio P(loss(y, L) > r) / P(|L| > r) is
     estimated at each probe radius r on one shared sample, whose two
-    exceedance counts are one :func:`~rarecc.sampler.sharded_sum`; the
+    exceedance counts are one :func:`~rarecc.sampler.exceedances`; the
     closed-form limit sum_k w_k phi(y, theta_k)^alpha is the target.
     """
     tail = cfg.tail
@@ -325,12 +325,11 @@ def _run_tail_ratio(cfg: ExperimentConfig):
         y = 0.5 * solve_ht_limit(tail, cfg.problem).y_star
     closed = angular_moment(tail, cfg.problem, y)
 
-    def task(r, seed):
-        def exceedances(block):
-            return (np.count_nonzero(phi_many(cfg.problem, y, block) > r),
-                    np.count_nonzero(_row_sums(block) > r))
+    def losses(draws):
+        return phi_many(cfg.problem, y, draws), _row_sums(draws)
 
-        hits_num, hits_den = map(int, sharded_sum(tail, seed, cfg.budget, exceedances))
+    def task(r, seed):
+        hits_num, hits_den = map(int, exceedances(tail, seed, cfg.budget, losses, (r, r)))
         # a probe with identically zero loss has ratio 0 by definition; the
         # exceedance floor only guards estimates of a positive limit
         if hits_den < 100 or (closed > 0.0 and hits_num < 100):

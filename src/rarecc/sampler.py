@@ -39,24 +39,36 @@ them, and every value stays the same:
   1 < theta < inf reads V and W, and a multi-atom heavy model its picks,
   after all B rows, so their partial blocks still draw the whole block.
 
-A Monte Carlo budget need not be held at once.  :func:`draw_chunks` yields
-the draws [0, count) as successive (rows, n) views of one buffer of
-``_CHUNK`` = 8 B rows (0.75 MiB at n = 3), allocated per call and refilled
-in place through :func:`draws_range`, so an estimate that reduces each
-chunk before asking for the next keeps one chunk in memory whatever its
-budget.  :func:`heavy_radius_max` takes the largest heavy radius the same
-way, from one block of uniforms at a time.
+The heavy exceedance counts of :func:`exceedances` read the same numbers
+without building the draws (:func:`_heavy_uniforms`): the radius uniforms
+of each block, then its picks, with the same partial-block rules.
 
-A count over a budget runs as a sharded sum (:func:`sharded_sum`).  The
-draws [0, count) are split into one contiguous run of whole shard chunks
-per shard, one shard per CPU the process may run on
-(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4.  Each
-run is drawn chunk by chunk through :func:`draws_range` on its own thread,
-and the integer counts of the runs are added.  Integer addition is exact and a draw
-does not depend on the split, so every count is the same for any number of
-shards.  The shards split one ``_CHUNK``-row buffer between them, 8 // t
-whole blocks each for t shards, so the working set stays one chunk in
-total.
+A Monte Carlo budget need not be held at once.  A count over a budget runs
+as a sharded sum (:func:`sharded_sum`).  The draws [0, count) are split
+into one contiguous run of whole shard chunks per shard, one shard per CPU
+the process may run on (``os.sched_getaffinity``, else ``os.cpu_count()``)
+and at most 4.  Each run is drawn chunk by chunk through
+:func:`draws_range` on its own thread, and the integer counts of the runs
+are added.  Integer addition is exact and a draw does not depend on the
+split, so every count is the same for any number of shards.  The shards
+split one buffer of ``_CHUNK`` = 8 B rows (0.75 MiB at n = 3) between them,
+8 // t whole blocks each for t shards, refilled in place chunk after chunk,
+so the working set stays one chunk in total whatever the budget.
+:func:`heavy_radius_max` takes the largest heavy radius from one block of
+uniforms at a time.
+
+:func:`exceedances` counts, for each of a few thresholds t_j, the draws whose
+j-th degree-1 homogeneous loss exceeds t_j, through the same shards, chunks
+and buffer.  A light chunk is drawn and its losses are compared.  A heavy
+draw R theta_k with R = u^(-1/alpha) exceeds t_j exactly when its radius
+uniform u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
+rounding, so a heavy chunk reads only its uniforms and picks into the
+shard's part of the buffer and compares u with its atom's levels: no pow,
+no (rows, n) draws and no loss.  The chunk is drawn and counted as a light
+one is, on the same rows and buffer, when any uniform lies within a
+relative alpha ``_MARGIN`` (2^-40) of its level, where rounding could
+decide, or is 0, whose radius is infinite and whose draw may hold nan.  So
+every count is the one the draws give, bit for bit.
 
 The caller runs the first shard, and one process-wide pool of CPUs - 1
 threads, built on first use, runs the others.  A caller that waits for a
@@ -82,11 +94,13 @@ from .errors import ContractError, ParameterError, check_count, check_vector
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
-_CHUNK = 8 * _BLOCK    # rows per view of draw_chunks
+_CHUNK = 8 * _BLOCK    # rows of the one buffer that a sharded count streams through
 # each shard also holds a block's scratch while it draws (about 0.2 MiB for
 # dependent light draws), so more shards would outgrow the one-chunk buffer
 _SHARDS_MAX = 4
-_MARGIN = 2.0 ** -40   # heavy_radius_max compares the pows of uniforms this close, times alpha
+# heavy_radius_max compares the pows of uniforms this close, and exceedances
+# draws the chunks with a uniform this close to its level, both times alpha
+_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -304,21 +318,6 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int,
     return _splice(block_fn, model, seed, start, stop, (model.n,), out)
 
 
-def draw_chunks(model: TailModel, seed: int, count: int):
-    """Yield the draws [0, count) as successive (rows, n) views of one
-    buffer of min(count, _CHUNK) rows.
-
-    Each view is refilled in place by the next step, so a caller reduces a
-    chunk before it asks for the next one.  The buffer belongs to this call
-    alone, so threads may stream side by side.
-    """
-    count = check_count("count", count)
-    buf = np.empty((min(count, _CHUNK), model.n))
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        yield draws_range(model, seed, lo, hi, out=buf[:hi - lo])
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -340,27 +339,31 @@ def _shard_pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
-    """The sum of ``count_fn(chunk)`` over chunks of the draws [0, count),
-    as an int64 numpy scalar or array.
+def _shard_sum(model: TailModel, count: int, count_chunk):
+    """The sum of ``count_chunk(lo, hi, scratch)`` over the chunks [lo, hi)
+    of the draws [0, count), as an int64 numpy scalar or array.
 
-    ``count_fn`` maps a (rows, n) chunk to an integer or a tuple of integers
-    and must not keep the chunk, whose buffer is refilled.  The draws are
-    split into up to one shard per CPU, with at least one chunk of draws per
-    shard, and the shards run side by side; the sum does not depend on their
-    number.  An exception in any shard propagates once the other shards have
-    stopped.
+    The draws are split into up to one shard per CPU, with at least one
+    chunk of draws per shard, and the shards run side by side; the sum does
+    not depend on their number.  Every chunk but a shard's last has the
+    shard's chunk size, a whole number of blocks, so each chunk starts at a
+    block's row 0.  ``scratch`` is the shard's flat float64 slice of the one
+    buffer, refilled chunk after chunk: room for a chunk's (rows, n) draws
+    and, for a heavy model, for the uniforms of its whole blocks.  An
+    exception in any shard propagates once the other shards have stopped.
     """
     count = check_count("count", count)
     shards = min(_cpu_count(), _SHARDS_MAX, -(-count // _CHUNK))
     rows = _CHUNK // _BLOCK // shards * _BLOCK
     units = -(-count // rows)
     bounds = [min(count, i * units // shards * rows) for i in range(shards + 1)]
-    buf = np.empty((shards, min(rows, count), model.n))
+    size = min(rows, count) * model.n
+    if isinstance(model, HeavyTailModel) and model.weights.size > 1:
+        size = max(size, 2 * -(-min(rows, count) // _BLOCK) * _BLOCK)
+    buf = np.empty((shards, size))
 
     def shard(i):
-        return np.sum([count_fn(draws_range(model, seed, lo, min(lo + rows, count),
-                                            out=buf[i, :min(rows, count - lo)]))
+        return np.sum([count_chunk(lo, min(lo + rows, count), buf[i])
                        for lo in range(bounds[i], bounds[i + 1], rows)], axis=0, dtype=np.int64)
 
     futures = [_shard_pool().submit(shard, i) for i in range(1, shards)]
@@ -374,6 +377,109 @@ def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
         # dequeued it, so wait only for the shards that have started
         wait([fut for fut in futures if not fut.cancel()])
     return total
+
+
+def _draws_into(model: TailModel, seed: int, start: int, stop: int,
+                scratch: np.ndarray) -> np.ndarray:
+    """The draws [start, stop) through :func:`draws_range`, written into the
+    front of the flat ``scratch`` as a (stop - start, n) view."""
+    shape = (stop - start, model.n)
+    return draws_range(model, seed, start, stop, out=scratch[:shape[0] * shape[1]].reshape(shape))
+
+
+def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
+    """The sum of ``count_fn(chunk)`` over chunks of the draws [0, count),
+    as an int64 numpy scalar or array.
+
+    ``count_fn`` maps a (rows, n) chunk to an integer or a tuple of integers
+    and must not keep the chunk, whose buffer is refilled.  The chunks are
+    those of :func:`_shard_sum`, drawn through :func:`draws_range`.
+    """
+    return _shard_sum(model, count,
+                      lambda lo, hi, scratch: count_fn(_draws_into(model, seed, lo, hi, scratch)))
+
+
+def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
+                    out: np.ndarray) -> tuple:
+    """The radius uniforms of the heavy draws [start, stop), and their
+    angular picks (None for a one-atom model), as views of the flat ``out``.
+
+    ``start`` is a block's row 0.  Each block's uniforms are read as
+    :func:`_heavy_block` reads them: a one-atom model reads only the radius
+    uniforms of the rows it returns; a multi-atom model reads every block
+    whole, all B radius uniforms and then all B picks, so ``out`` holds
+    twice the range's whole blocks.
+    """
+    rows = stop - start
+    if model.weights.size == 1:
+        u = out[:rows]
+        for lo in range(0, rows, _BLOCK):
+            _STREAMS.at(seed, (start + lo) // _BLOCK).random(out=u[lo:lo + _BLOCK])
+        return u, None
+    span = -(-rows // _BLOCK) * _BLOCK
+    u, pick = out[:span], out[span:2 * span]
+    for lo in range(0, span, _BLOCK):
+        rng = _STREAMS.at(seed, (start + lo) // _BLOCK)
+        rng.random(out=u[lo:lo + _BLOCK])
+        rng.random(out=pick[lo:lo + _BLOCK])
+    return u[:rows], pick[:rows]
+
+
+def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) -> np.ndarray:
+    """For each threshold t_j, the number of the draws [0, count) whose j-th
+    loss exceeds t_j, as an int64 array.
+
+    ``loss_fn`` maps a (rows, n) array of risk vectors to one array of row
+    losses per threshold, and each loss must be positively homogeneous of
+    degree 1 and computed with at most a few roundings from nonnegative
+    terms, as :func:`~rarecc.model.phi_many` and row sums are.  The counts
+    equal those of :func:`sharded_sum` with the count function
+    ``[count_nonzero(loss > t_j) ...]`` bit for bit, for every model.
+
+    A light model is counted that way.  A heavy draw is R theta_k with
+    R = u^(-1/alpha), so its j-th loss exceeds t_j exactly when u lies below
+    tau_jk = (loss_j(theta_k) / t_j)^alpha, up to rounding.  A heavy chunk
+    is therefore counted from its uniforms alone (:func:`_heavy_uniforms`),
+    its picks sent to atoms by the cumulative weights as
+    :func:`_heavy_block` sends them.  A uniform further than a relative
+    alpha ``_MARGIN`` (2^-40) from its level gives a loss about 2^-40 or
+    more from t_j, far beyond the rounding of the pow, the product and the
+    loss.  A chunk with a uniform within that margin, or with a zero uniform
+    (an infinite radius, whose draw may hold nan), is drawn and counted
+    through :func:`draws_range` and ``loss_fn`` instead, on the same rows.
+    """
+    t = np.asarray(thresholds, dtype=float)
+    if not (np.isfinite(t).all() and (t > 0).all()):
+        raise ParameterError(f"thresholds must be finite and > 0, got {thresholds!r}")
+
+    def by_draws(chunk):
+        return [np.count_nonzero(loss > tj) for loss, tj in zip(loss_fn(chunk), t)]
+
+    if isinstance(model, LightTailModel):
+        return sharded_sum(model, seed, count, by_draws)
+    levels = (np.asarray(loss_fn(model.atoms), dtype=float) / t[:, None]) ** model.alpha
+    widen = _MARGIN * model.alpha
+    low, high = levels * (1.0 - widen), levels * (1.0 + widen)
+    # atom k is picked when cuts[k-1] <= pick < cuts[k], as in _heavy_block
+    cuts = np.cumsum(model.weights)[:-1]
+
+    def count_chunk(lo, hi, scratch):
+        u, pick = _heavy_uniforms(model, seed, lo, hi, scratch)
+        picked = [True]
+        if pick is not None:
+            above = [pick >= cut for cut in cuts]
+            picked = [~above[0]] + [a & ~b for a, b in zip(above, above[1:])] + [above[-1]]
+
+        def hits(levels, op):
+            return [sum(np.count_nonzero(op(u, level) & mask) for level, mask in zip(row, picked))
+                    for row in levels]
+
+        below = hits(low, np.less)
+        if below == hits(high, np.less_equal) and u.min() > 0.0:
+            return below
+        return by_draws(_draws_into(model, seed, lo, hi, scratch))
+
+    return _shard_sum(model, count, count_chunk)
 
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:

@@ -10,13 +10,14 @@ import pytest
 import rarecc.sampler
 from _oracles import ks_distance
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
-                    ParameterError, dump_batch_csv,
+                    ParameterError, ProblemInstance, dump_batch_csv,
                     heavy_fbar_inv, joint_tail_light, light_qinv,
                     load_batch_csv, sample_tail)
-from rarecc.sampler import (_CHUNK, draw_chunks, draws_range, heavy_radii_range,
+from rarecc.model import phi_many
+from rarecc.sampler import (_CHUNK, draws_range, exceedances, heavy_radii_range,
                             heavy_radius_max, tail_radius)
 
-# budgets around the chunk boundaries of draw_chunks
+# budgets around the chunk boundaries of a streamed count
 STREAM_BUDGETS = (1000, 4097, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 123)
 
 
@@ -104,19 +105,6 @@ def test_draws_range_threads_match_serial():
         assert a.tobytes() == b.tobytes(), job
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_MODELS))
-def test_draw_chunks_concatenate_to_the_range(name):
-    model = STREAM_MODELS[name]
-    for count in (1, 4097, _CHUNK, 2 * _CHUNK + 5):
-        chunks = [(view.base, view.copy()) for view in draw_chunks(model, 7, count)]
-        buf = chunks[0][0]
-        # every view is a refill of one buffer of at most _CHUNK rows
-        assert buf.shape == (min(count, _CHUNK), model.n)
-        assert all(base is buf for base, _ in chunks)
-        whole = np.concatenate([view for _, view in chunks])
-        assert whole.tobytes() == draws_range(model, 7, 0, count).tobytes()
-
-
 def test_draws_range_writes_into_out():
     model = STREAM_MODELS["light_dep"]
     out = np.empty((5000, 3))
@@ -141,6 +129,28 @@ def test_radius_max_equals_max_of_all_radii(monkeypatch, wide, alpha):
         for seed in range(4):
             radii = heavy_radii_range(model, seed, 0, k)
             assert heavy_radius_max(model, seed, k) == radii.max(), (k, seed)
+
+
+@pytest.mark.parametrize("t", [0.47, 1.2, 3.0, 10.0])
+def test_heavy_exceedances_match_their_closed_form(t):
+    # R >= 1 is Pareto, so P(loss(R theta_k) > t) = min(1, (loss(theta_k) / t)^alpha)
+    # for a degree-1 homogeneous loss, and a count is binomial
+    model = STREAM_MODELS["heavy_three_atoms"]
+    problem = ProblemInstance(c=[1.0, 1.0], h=10.0, A=[np.eye(2), [[0.2, 0.9], [0.4, 0.1]]])
+    x = np.array([0.5, 0.4])
+    budget = 400_000
+    hits = exceedances(model, 5, budget, lambda draws: (phi_many(problem, x, draws),
+                                                        draws.sum(axis=1)), (t, t))
+    for count, loss in zip(hits, (phi_many(problem, x, model.atoms), np.ones(3))):
+        p = float(np.sum(model.weights * np.minimum(1.0, (loss / t) ** model.alpha)))
+        assert abs(count - budget * p) <= 4.0 * math.sqrt(budget * p * (1.0 - p)), (count, p)
+
+
+def test_exceedance_thresholds_must_be_positive():
+    model = STREAM_MODELS["heavy_one_atom"]
+    for bad in ((0.0,), (-1.0,), (math.inf,), (math.nan,)):
+        with pytest.raises(ParameterError, match="thresholds"):
+            exceedances(model, 1, 1000, lambda draws: (draws.sum(axis=1),), bad)
 
 
 def test_light_exponential_mean():
