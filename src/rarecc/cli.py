@@ -81,6 +81,8 @@ def load_config(path: str) -> dict:
         problem = ProblemInstance.from_dict(_section(raw, "problem"))
         tail = _tail_from_dict(_section(raw, "tail"), problem.n)
         exp = dict(raw.get("experiment", {}))
+        if not isinstance(raw.get("out", ""), (str, type(None))):
+            raise TypeError(f"out must be a path string, got {raw['out']!r}")
         return {
             "problem": problem,
             "tail": tail,

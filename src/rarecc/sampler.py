@@ -18,57 +18,34 @@ one Philox generator and re-keys it to ``[seed, block]`` with counter 0
 before each block, which gives the same stream as a fresh generator with
 that key without building one per block.
 
-Within a block of B = 4096 draws the stream is read in this order:
+Within a block of B = 4096 draws a light model reads its stream in this
+order, and :func:`_heavy_uniforms`, the one reader of a heavy block, states
+the heavy order:
 
-* light, theta = 1 (within 1e-9): the (B, n) unit exponentials;
-* light, 1 < theta < inf: the (B, n) unit exponentials, then the B stable
-  angles V, then the B stable exponentials W;
-* light, theta = inf: the B shared exponentials;
-* heavy: the B radius uniforms, then the B angular picks.
+* theta = 1 (within 1e-9): the (B, n) unit exponentials;
+* 1 < theta < inf: the (B, n) unit exponentials, then the B stable angles
+  V, then the B stable exponentials W;
+* theta = inf: the B shared exponentials.
 
 Each block reads its own stream front to back, so a value depends only on
 the numbers read up to it in its own block, never on what is read after
-it.  A block may therefore leave out its trailing draws when nothing uses
-them, and every value stays the same:
+it.  A block may therefore leave out its trailing numbers when nothing uses
+them, and every value stays the same: where row ``j`` of a block reads only
+the stream's first numbers (theta = 1 and theta = inf), a partial first or
+last block draws only its rows ``[0, hi)``.  Theta in (1, inf) reads V and
+W after all B rows, so its partial blocks still draw the whole block.
 
-* the heavy radii (:func:`heavy_radii_range`) and one-atom heavy models,
-  whose picks would all select the same atom, never draw the picks;
-* where row ``j`` of a block reads only the stream's first numbers (light
-  theta = 1 and theta = inf, one-atom heavy models and the radii), a
-  partial first or last block draws only its rows ``[0, hi)``.  Light
-  1 < theta < inf reads V and W, and a multi-atom heavy model its picks,
-  after all B rows, so their partial blocks still draw the whole block.
-
-The heavy exceedance counts of :func:`exceedances` read the same numbers
-without building the draws (:func:`_heavy_uniforms`): the radius uniforms
-of each block, then its picks, with the same partial-block rules.
-
-A Monte Carlo budget need not be held at once.  A count over a budget runs
-as a sharded sum (:func:`sharded_sum`).  The draws [0, count) are split
-into one contiguous run of whole shard chunks per shard, one shard per CPU
-the process may run on (``os.sched_getaffinity``, else ``os.cpu_count()``)
-and at most 4.  Each run is drawn chunk by chunk through
-:func:`draws_range` on its own thread, and the integer counts of the runs
-are added.  Integer addition is exact and a draw does not depend on the
-split, so every count is the same for any number of shards.  The shards
-split one buffer of ``_CHUNK`` = 8 B rows (0.75 MiB at n = 3) between them,
-8 // t whole blocks each for t shards, refilled in place chunk after chunk,
-so the working set stays one chunk in total whatever the budget.
-:func:`heavy_radius_max` takes the largest heavy radius from one block of
-uniforms at a time.
-
-:func:`exceedances` counts, for each of a few thresholds t_j, the draws whose
-j-th degree-1 homogeneous loss exceeds t_j, through the same shards, chunks
-and buffer.  A light chunk is drawn and its losses are compared.  A heavy
-draw R theta_k with R = u^(-1/alpha) exceeds t_j exactly when its radius
-uniform u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
-rounding, so a heavy chunk reads only its uniforms and picks into the
-shard's part of the buffer and compares u with its atom's levels: no pow,
-no (rows, n) draws and no loss.  The chunk is drawn and counted as a light
-one is, on the same rows and buffer, when any uniform lies within a
-relative alpha ``_MARGIN`` (2^-40) of its level, where rounding could
-decide, or is 0, whose radius is infinite and whose draw may hold nan.  So
-every count is the one the draws give, bit for bit.
+A Monte Carlo count (:func:`exceedances`) need not hold its budget at once.
+The draws [0, count) are split into one contiguous run of whole shard
+chunks per shard, one shard per CPU the process may run on
+(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4.  Each
+run is counted chunk by chunk on its own thread, and the integer counts of
+the runs are added.  Integer addition is exact and a draw does not depend
+on the split, so every count is the same for any number of shards.  The
+shards split one buffer of ``_CHUNK`` = 8 B rows (0.75 MiB at n = 3)
+between them, 8 // t whole blocks each for t shards, refilled in place
+chunk after chunk, so the working set stays one chunk in total whatever
+the budget.
 
 The caller runs the first shard, and one process-wide pool of CPUs - 1
 threads, built on first use, runs the others.  A caller that waits for a
@@ -94,7 +71,7 @@ from .errors import ContractError, ParameterError, check_count, check_vector
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
-_CHUNK = 8 * _BLOCK    # rows of the one buffer that a sharded count streams through
+_CHUNK = 8 * _BLOCK    # rows of a count's one buffer, and of each heavy transform
 # each shard also holds a block's scratch while it draws (about 0.2 MiB for
 # dependent light draws), so more shards would outgrow the one-chunk buffer
 _SHARDS_MAX = 4
@@ -244,67 +221,68 @@ def _light_block(model: LightTailModel, rng: np.random.Generator, out: np.ndarra
     out **= 1.0 / (theta * beta)
 
 
-def _radii_block(model: HeavyTailModel, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Write the block's first len(out) Pareto radii into ``out``."""
-    rng.random(out=out)
-    out **= -1.0 / model.alpha
+def _splice(model: LightTailModel, seed: int, start: int, stop: int, out: np.ndarray) -> None:
+    """Write the light draws [start, stop) into ``out``.
 
-
-def _heavy_block(model: HeavyTailModel, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Write the block's first len(out) draws into ``out`` of shape (rows, n)."""
-    rows = len(out)
-    if model.weights.size == 1:
-        # the picks would all select atom 0, so they are not drawn
-        r = np.empty(rows)
-        _radii_block(model, rng, r)
-        np.multiply.outer(r, model.atoms[0], out=out)
-        return
-    # the picks follow all B radius uniforms, so a partial block draws them all
-    r = np.empty(_BLOCK)
-    _radii_block(model, rng, r)
-    pick = rng.random(_BLOCK)[:rows]
-    # atom k is picked when cum[k-1] <= pick < cum[k]; counting only the first
-    # K - 1 cutoffs sends a pick above the rounded cumsum's last entry to atom K - 1
-    idx = np.zeros(rows, dtype=np.intp)
-    for cut in np.cumsum(model.weights)[:-1]:
-        idx += pick >= cut
-    # idx <= K - 1 already; mode "clip" only spares take the buffered copy
-    # of ``out`` that mode "raise" makes
-    np.take(model.atoms, idx, axis=0, out=out, mode="clip")
-    out *= r[:rows, None]
-
-
-def _splice(block_fn, model, seed: int, start: int, stop: int, row_shape: tuple,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Rows [start, stop) of the concatenated per-block streams of block_fn,
-    written into ``out`` (a new array when it is None).
-
-    ``block_fn(model, rng, out)`` writes the first len(out) rows of the
-    block whose stream ``rng`` reads.  A block whose part of the range
-    starts at its row 0 is written in place into its slice of the result;
-    only a partial first block goes through a scratch array, of its rows
-    up to the range's end.
+    A block whose part of the range starts at its row 0 is written in place
+    into its slice of ``out``; only a partial first block goes through a
+    scratch array, of its rows up to the range's end.
     """
-    if start < 0 or stop < start:
-        raise ParameterError("invalid draw range")
-    shape = (stop - start,) + row_shape
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractError(f"out must be a C-contiguous float64 array of shape {shape}")
     pos = 0
-    for b in range(start // _BLOCK, (stop + _BLOCK - 1) // _BLOCK if stop > start else 0):
+    for b in range(start // _BLOCK, -(-stop // _BLOCK) if stop > start else 0):
         lo = max(start - b * _BLOCK, 0)
         hi = min(stop - b * _BLOCK, _BLOCK)
         rng = _STREAMS.at(seed, b)
         if lo == 0:
-            block_fn(model, rng, out[pos:pos + hi])
+            _light_block(model, rng, out[pos:pos + hi])
         else:
-            scratch = np.empty((hi,) + row_shape)
-            block_fn(model, rng, scratch)
+            scratch = np.empty((hi, model.n))
+            _light_block(model, rng, scratch)
             out[pos:pos + hi - lo] = scratch[lo:]
         pos += hi - lo
-    return out
+
+
+def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
+                    out: np.ndarray | None = None, picks: bool = True) -> tuple:
+    """The radius uniforms of the heavy draws [start, stop) and their
+    angular picks, as views of the flat ``out`` (a new array when None).
+
+    The one reader of the heavy stream.  A block reads its B radius
+    uniforms u, then its B picks; its draw i is u_i^(-1/alpha) times the
+    atom :func:`_atom_index` gives pick i.  With ``picks`` false, or for a
+    one-atom model, whose picks would all select atom 0, the picks are not
+    read and None is returned for them, and a block reads only its rows up
+    to ``stop``; otherwise it reads all B rows of both.  A partial first
+    block is read from its row 0 and sliced, so ``out`` needs room for the
+    range's whole blocks, twice that with picks.
+    """
+    if start < 0 or stop < start:
+        raise ParameterError("invalid draw range")
+    first = start // _BLOCK * _BLOCK
+    picks = picks and model.weights.size > 1
+    span = -(-stop // _BLOCK) * _BLOCK - first if picks else stop - first
+    if out is None:
+        out = np.empty((1 + picks) * span)
+    u, pick = out[:span], out[span:2 * span]
+    for lo in range(0, span, _BLOCK):
+        rng = _STREAMS.at(seed, (first + lo) // _BLOCK)
+        rng.random(out=u[lo:lo + _BLOCK])
+        if picks:
+            rng.random(out=pick[lo:lo + _BLOCK])
+    rows = slice(start - first, stop - first)
+    return u[rows], (pick[rows] if picks else None)
+
+
+def _atom_index(model: HeavyTailModel, pick: np.ndarray) -> np.ndarray:
+    """The atom of each angular pick: atom k when cum[k-1] <= pick < cum[k]
+    for the cumulative weights cum.  Counting only the first K - 1 cutoffs
+    sends a pick above the rounded cumsum's last entry to atom K - 1.  The
+    index has the smallest unsigned type that holds K - 1."""
+    cuts = np.cumsum(model.weights)[:-1]
+    idx = np.zeros(len(pick), dtype=np.min_scalar_type(len(cuts)))
+    for cut in cuts:
+        idx += pick >= cut
+    return idx
 
 
 def draws_range(model: TailModel, seed: int, start: int, stop: int,
@@ -312,10 +290,36 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int,
     """Draws with indices [start, stop); bit-identical however the range is split.
 
     Written into ``out``, a C-contiguous float64 array of shape
-    (stop - start, n), when it is given; returns the array written.
+    (stop - start, n), when it is given; returns the array written.  Heavy
+    draws are built from :func:`_heavy_uniforms` one ``_CHUNK`` at a time.
     """
-    block_fn = _light_block if isinstance(model, LightTailModel) else _heavy_block
-    return _splice(block_fn, model, seed, start, stop, (model.n,), out)
+    if start < 0 or stop < start:
+        raise ParameterError("invalid draw range")
+    shape = (stop - start, model.n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractError(f"out must be a C-contiguous float64 array of shape {shape}")
+    if isinstance(model, LightTailModel):
+        _splice(model, seed, start, stop, out)
+        return out
+    # the largest chunk's whole blocks, for its uniforms and any picks
+    span = min(_CHUNK, -(-stop // _BLOCK) * _BLOCK - start // _BLOCK * _BLOCK)
+    scratch = np.empty((1 + (model.weights.size > 1)) * span)
+    edges = [start, *range(start // _CHUNK * _CHUNK + _CHUNK, stop, _CHUNK), stop]
+    for lo, hi in zip(edges, edges[1:]):
+        u, pick = _heavy_uniforms(model, seed, lo, hi, scratch)
+        rows = out[lo - start:hi - start]
+        if pick is None:
+            rows[:] = model.atoms[0]
+        else:
+            # the index is <= K - 1 already; mode "clip" only spares take the
+            # buffered copy of ``rows`` that mode "raise" makes
+            np.take(model.atoms, _atom_index(model, pick).astype(np.intp), axis=0, out=rows,
+                    mode="clip")
+        u **= -1.0 / model.alpha
+        rows *= u[:, None]
+    return out
 
 
 def _cpu_count() -> int:
@@ -379,52 +383,6 @@ def _shard_sum(model: TailModel, count: int, count_chunk):
     return total
 
 
-def _draws_into(model: TailModel, seed: int, start: int, stop: int,
-                scratch: np.ndarray) -> np.ndarray:
-    """The draws [start, stop) through :func:`draws_range`, written into the
-    front of the flat ``scratch`` as a (stop - start, n) view."""
-    shape = (stop - start, model.n)
-    return draws_range(model, seed, start, stop, out=scratch[:shape[0] * shape[1]].reshape(shape))
-
-
-def sharded_sum(model: TailModel, seed: int, count: int, count_fn):
-    """The sum of ``count_fn(chunk)`` over chunks of the draws [0, count),
-    as an int64 numpy scalar or array.
-
-    ``count_fn`` maps a (rows, n) chunk to an integer or a tuple of integers
-    and must not keep the chunk, whose buffer is refilled.  The chunks are
-    those of :func:`_shard_sum`, drawn through :func:`draws_range`.
-    """
-    return _shard_sum(model, count,
-                      lambda lo, hi, scratch: count_fn(_draws_into(model, seed, lo, hi, scratch)))
-
-
-def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
-                    out: np.ndarray) -> tuple:
-    """The radius uniforms of the heavy draws [start, stop), and their
-    angular picks (None for a one-atom model), as views of the flat ``out``.
-
-    ``start`` is a block's row 0.  Each block's uniforms are read as
-    :func:`_heavy_block` reads them: a one-atom model reads only the radius
-    uniforms of the rows it returns; a multi-atom model reads every block
-    whole, all B radius uniforms and then all B picks, so ``out`` holds
-    twice the range's whole blocks.
-    """
-    rows = stop - start
-    if model.weights.size == 1:
-        u = out[:rows]
-        for lo in range(0, rows, _BLOCK):
-            _STREAMS.at(seed, (start + lo) // _BLOCK).random(out=u[lo:lo + _BLOCK])
-        return u, None
-    span = -(-rows // _BLOCK) * _BLOCK
-    u, pick = out[:span], out[span:2 * span]
-    for lo in range(0, span, _BLOCK):
-        rng = _STREAMS.at(seed, (start + lo) // _BLOCK)
-        rng.random(out=u[lo:lo + _BLOCK])
-        rng.random(out=pick[lo:lo + _BLOCK])
-    return u[:rows], pick[:rows]
-
-
 def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) -> np.ndarray:
     """For each threshold t_j, the number of the draws [0, count) whose j-th
     loss exceeds t_j, as an int64 array.
@@ -433,42 +391,41 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     losses per threshold, and each loss must be positively homogeneous of
     degree 1 and computed with at most a few roundings from nonnegative
     terms, as :func:`~rarecc.model.phi_many` and row sums are.  The counts
-    equal those of :func:`sharded_sum` with the count function
-    ``[count_nonzero(loss > t_j) ...]`` bit for bit, for every model.
+    are those of ``[count_nonzero(loss > t_j) ...]`` on the draws, bit for
+    bit, summed over the chunks of :func:`_shard_sum`.
 
-    A light model is counted that way.  A heavy draw is R theta_k with
-    R = u^(-1/alpha), so its j-th loss exceeds t_j exactly when u lies below
-    tau_jk = (loss_j(theta_k) / t_j)^alpha, up to rounding.  A heavy chunk
-    is therefore counted from its uniforms alone (:func:`_heavy_uniforms`),
-    its picks sent to atoms by the cumulative weights as
-    :func:`_heavy_block` sends them.  A uniform further than a relative
-    alpha ``_MARGIN`` (2^-40) from its level gives a loss about 2^-40 or
-    more from t_j, far beyond the rounding of the pow, the product and the
-    loss.  A chunk with a uniform within that margin, or with a zero uniform
-    (an infinite radius, whose draw may hold nan), is drawn and counted
-    through :func:`draws_range` and ``loss_fn`` instead, on the same rows.
+    A light chunk is drawn and counted that way.  A heavy draw is
+    R theta_k with R = u^(-1/alpha), so its j-th loss exceeds t_j exactly
+    when u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
+    rounding.  A heavy chunk is therefore counted from its uniforms and
+    picks alone (:func:`_heavy_uniforms`).  A uniform further than a
+    relative alpha ``_MARGIN`` (2^-40) from its level gives a loss about
+    2^-40 or more from t_j, far beyond the rounding of the pow, the product
+    and the loss.  A chunk with a uniform within that margin, or with a zero
+    uniform (an infinite radius, whose draw may hold nan), is drawn and
+    counted as a light one is, on the same rows.
     """
     t = np.asarray(thresholds, dtype=float)
     if not (np.isfinite(t).all() and (t > 0).all()):
         raise ParameterError(f"thresholds must be finite and > 0, got {thresholds!r}")
 
-    def by_draws(chunk):
+    def by_draws(lo, hi, scratch):
+        chunk = scratch[:(hi - lo) * model.n].reshape(-1, model.n)
+        draws_range(model, seed, lo, hi, out=chunk)
         return [np.count_nonzero(loss > tj) for loss, tj in zip(loss_fn(chunk), t)]
 
     if isinstance(model, LightTailModel):
-        return sharded_sum(model, seed, count, by_draws)
+        return _shard_sum(model, count, by_draws)
     levels = (np.asarray(loss_fn(model.atoms), dtype=float) / t[:, None]) ** model.alpha
     widen = _MARGIN * model.alpha
     low, high = levels * (1.0 - widen), levels * (1.0 + widen)
-    # atom k is picked when cuts[k-1] <= pick < cuts[k], as in _heavy_block
-    cuts = np.cumsum(model.weights)[:-1]
 
     def count_chunk(lo, hi, scratch):
         u, pick = _heavy_uniforms(model, seed, lo, hi, scratch)
         picked = [True]
         if pick is not None:
-            above = [pick >= cut for cut in cuts]
-            picked = [~above[0]] + [a & ~b for a, b in zip(above, above[1:])] + [above[-1]]
+            idx = _atom_index(model, pick)
+            picked = [idx == k for k in range(len(model.weights))]
 
         def hits(levels, op):
             return [sum(np.count_nonzero(op(u, level) & mask) for level, mask in zip(row, picked))
@@ -477,14 +434,16 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
         below = hits(low, np.less)
         if below == hits(high, np.less_equal) and u.min() > 0.0:
             return below
-        return by_draws(_draws_into(model, seed, lo, hi, scratch))
+        return by_draws(lo, hi, scratch)
 
     return _shard_sum(model, count, count_chunk)
 
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Radii of the heavy draws with indices [start, stop)."""
-    return _splice(_radii_block, model, seed, start, stop, ())
+    u, _ = _heavy_uniforms(model, seed, start, stop, picks=False)
+    u **= -1.0 / model.alpha
+    return u
 
 
 def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
@@ -492,22 +451,21 @@ def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
     without building the radii.
 
     A radius is u ** (-1/alpha) for its uniform u, so the largest radius
-    comes from the smallest uniform.  Each block's uniforms are read into
-    one buffer of B rows, and only those within a relative alpha 2^-40 of
-    the smallest are kept; their pows are taken as :func:`heavy_radii_range`
-    takes them, and the largest is returned.  Uniforms further apart than
-    that margin give radii about 2^-40 apart relative, far beyond pow's
-    rounding error, so this does not rely on pow being monotone in its last
-    bit.
+    comes from the smallest uniform.  The uniforms are read one ``_CHUNK``
+    at a time into one buffer, and only those within a relative alpha
+    ``_MARGIN`` (2^-40) of the smallest are kept; their pows are taken as
+    :func:`heavy_radii_range` takes them, and the largest is returned.
+    Uniforms further apart than that margin give radii about 2^-40 apart
+    relative, far beyond pow's rounding error, so this does not rely on pow
+    being monotone in its last bit.
     """
     count = check_count("count", count)
     widen = 1.0 + _MARGIN * model.alpha
-    buf = np.empty(min(count, _BLOCK))
+    buf = np.empty(min(count, _CHUNK))
     smallest = math.inf
     kept = []
-    for b in range((count + _BLOCK - 1) // _BLOCK):
-        u = buf[:min(count - b * _BLOCK, _BLOCK)]
-        _STREAMS.at(seed, b).random(out=u)
+    for lo in range(0, count, _CHUNK):
+        u, _ = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), buf, picks=False)
         least = float(u.min())
         if least <= smallest * widen:
             smallest = min(smallest, least)

@@ -398,6 +398,21 @@ def test_config_out_in_missing_directory_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("out", [5, ["r.csv"], {"path": "r.csv"}, True])
+def test_config_out_not_a_string_exit_2(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "c.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "frechet_check", "k_grid": [200], "replications": 3},
+        "out": out,
+    })
+    assert cli_main(["experiment", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out must be a path string" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
 @pytest.mark.parametrize("command", ["ht-limit", "experiment"])
 def test_failed_write_exit_1(ht_cfg, tmp_path, capsys, command):
     # a directory passes the up-front check, but cannot be opened as a file

@@ -8,7 +8,7 @@ from _oracles import exp_cc_value, exp_cvar_value
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
                     ParameterError, ProblemInstance, ks_distance, phi_many,
                     run_experiment, wilson_halfwidth, write_report)
-from rarecc.experiments import _row_sums, frechet_cdf
+from rarecc.experiments import frechet_cdf
 from rarecc.sampler import draws_range
 from test_sampler import STREAM_BUDGETS
 
@@ -151,13 +151,6 @@ def test_tail_ratio_streams_like_the_whole_sample(two_atom_model, identity_probl
             den = int((draws.sum(axis=1) > row.grid).sum())
             assert (row.stat, row.aux1, row.aux2) == (num / den, wilson_halfwidth(num, den),
                                                       den), (budget, row)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_row_sums_match_numpy_bitwise(n):
-    rng = np.random.default_rng(n)
-    block = rng.standard_cauchy((50_000, n)) * rng.random((50_000, n)) ** -3.0
-    assert np.array_equal(_row_sums(block), block.sum(axis=1))
 
 
 def test_tail_ratio_insufficient_exceedances(two_atom_model, identity_problem2):

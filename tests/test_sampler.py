@@ -14,7 +14,7 @@ from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     heavy_fbar_inv, joint_tail_light, light_qinv,
                     load_batch_csv, sample_tail)
 from rarecc.model import phi_many
-from rarecc.sampler import (_CHUNK, draws_range, exceedances, heavy_radii_range,
+from rarecc.sampler import (_CHUNK, _atom_index, draws_range, exceedances, heavy_radii_range,
                             heavy_radius_max, tail_radius)
 
 # budgets around the chunk boundaries of a streamed count
@@ -49,6 +49,12 @@ STREAM_DIGESTS = {
     "heavy_three_atoms": "bcd5d4dc07a09656138fe348e6d0abf0cede17db9f7ec1ef4d1a98f8901d2208",
 }
 RADII_DIGEST = "deb51d57eb136629b6aef8b530a0b5a26ab0c85de55c2f5eb4866622ba955a69"
+# sha256 of draws [_CHUNK - 5000, 2 _CHUNK + 5000) at seed 2024, across two
+# edges of the chunks that heavy draws are built in
+CROSS_CHUNK_DIGESTS = {
+    "heavy_one_atom": "9b8baaf236c634610b89d3c56420db8b7d4062a31adac43c851812f9d1e1891c",
+    "heavy_three_atoms": "c32b3c4fc29621edadd5ec8a975dc3cbb772bd5b947e07294e925b79e133aa34",
+}
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -58,6 +64,12 @@ def _sha256(a: np.ndarray) -> str:
 @pytest.mark.parametrize("name", sorted(STREAM_MODELS))
 def test_stream_digest(name):
     assert _sha256(draws_range(STREAM_MODELS[name], 2024, 1000, 10_000)) == STREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHUNK_DIGESTS))
+def test_stream_digest_across_chunks(name):
+    draws = draws_range(STREAM_MODELS[name], 2024, _CHUNK - 5000, 2 * _CHUNK + 5000)
+    assert _sha256(draws) == CROSS_CHUNK_DIGESTS[name]
 
 
 def test_radii_stream_digest():
@@ -74,7 +86,8 @@ def _stream_ranges(seed):
 
 def test_shard_merge_invariance():
     # draws [0, k) + [k, n) must equal draws [0, n) for any split point
-    for name, draw in _stream_ranges(7).items():
+    ranges = _stream_ranges(7)
+    for name, draw in ranges.items():
         full = draw(0, 10_000)
         for cut in (1, 100, 4095, 4096, 4097, 9999):
             merged = np.concatenate([draw(0, cut), draw(cut, 10_000)])
@@ -84,6 +97,13 @@ def test_shard_merge_invariance():
         for lo, hi in ((4095, 8193), (5, 17), (4095, 4097), (4096, 4097)):
             assert draw(lo, hi).tobytes() == full[lo:hi].tobytes(), (name, lo, hi)
         assert draw(5, 5).shape[0] == 0
+    # heavy draws are built one chunk at a time
+    for name in CROSS_CHUNK_DIGESTS:
+        draw = ranges[name]
+        full = draw(0, 2 * _CHUNK + 10)
+        for cut in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+            merged = np.concatenate([draw(0, cut), draw(cut, 2 * _CHUNK + 10)])
+            assert np.array_equal(merged, full), (name, cut)
 
 
 def test_draws_range_threads_match_serial():
@@ -106,14 +126,28 @@ def test_draws_range_threads_match_serial():
 
 
 def test_draws_range_writes_into_out():
-    model = STREAM_MODELS["light_dep"]
-    out = np.empty((5000, 3))
-    assert draws_range(model, 3, 100, 5100, out=out) is out
-    assert out.tobytes() == draws_range(model, 3, 100, 5100).tobytes()
-    for bad in (np.empty((4999, 3)), np.empty((5000, 3), dtype=np.float32),
-                np.empty((3, 5000)).T):
-        with pytest.raises(ContractError, match="out"):
-            draws_range(model, 3, 100, 5100, out=bad)
+    for name in ("light_dep", "heavy_three_atoms"):
+        model = STREAM_MODELS[name]
+        n = model.n
+        out = np.empty((5000, n))
+        assert draws_range(model, 3, 100, 5100, out=out) is out
+        assert out.tobytes() == draws_range(model, 3, 100, 5100).tobytes(), name
+        for bad in (np.empty((4999, n)), np.empty((5000, n), dtype=np.float32),
+                    np.empty((n, 5000)).T):
+            with pytest.raises(ContractError, match="out"):
+                draws_range(model, 3, 100, 5100, out=bad)
+
+
+def test_atom_index_follows_the_cumulative_weights():
+    # past 256 atoms the index needs a wider type than one byte
+    rng = np.random.default_rng(4)
+    for k in (2, 3, 300):
+        weights = rng.random(k)
+        model = HeavyTailModel(n=1, alpha=2.0, weights=weights / weights.sum(),
+                               atoms=np.ones((k, 1)))
+        pick = np.concatenate([rng.random(50_000), np.cumsum(model.weights), [0.0]])
+        want = np.searchsorted(np.cumsum(model.weights)[:-1], pick, side="right")
+        assert np.array_equal(_atom_index(model, pick), want), k
 
 
 @pytest.mark.parametrize("wide", [False, True])

@@ -15,7 +15,7 @@ import pytest
 import rarecc.sampler as sampler
 from rarecc import (ExperimentConfig, HeavyTailModel, ProblemInstance, phi_many, run_experiment,
                     violation_prob)
-from rarecc.sampler import _BLOCK, _CHUNK, draws_range, exceedances, sharded_sum
+from rarecc.sampler import _BLOCK, _CHUNK, _shard_sum, draws_range, exceedances
 from test_methods import STREAM_CASES
 from test_sampler import STREAM_BUDGETS, STREAM_MODELS
 
@@ -35,13 +35,15 @@ def cpus(monkeypatch):
     def spy(name):
         reader, ranges = getattr(sampler, name), reads.setdefault(name, [])
 
-        def read(model, seed, start, stop, out=None):
+        def read(model, seed, start, stop, *args, **kwargs):
             ranges.append((start, stop))
-            return reader(model, seed, start, stop, out)
+            return reader(model, seed, start, stop, *args, **kwargs)
         return read
 
     for name in ("draws_range", "_heavy_uniforms"):
         monkeypatch.setattr(sampler, name, spy(name))
+    # a pool built before this test is set aside, not shut down, and comes back after it
+    monkeypatch.setattr(sampler, "_POOL", None)
 
     def drop_pool():
         if sampler._POOL is not None:
@@ -168,17 +170,20 @@ def test_a_zero_uniform_sends_its_chunk_to_the_draws(cpus, monkeypatch):
     reads = cpus(1)
     want = list(exceedances(model, 17, budget, losses, THRESHOLDS))
     read = sampler._heavy_uniforms
+    zeroed = []
 
-    def zero_in_second_chunk(model, seed, start, stop, out=None):
-        u, pick = read(model, seed, start, stop, out)
-        if start == _CHUNK:
+    def zero_in_second_chunk(model, seed, start, stop, *args, **kwargs):
+        u, pick = read(model, seed, start, stop, *args, **kwargs)
+        # once: the draws of the chunk read its uniforms again, unchanged
+        if start == _CHUNK and not zeroed:
             u[7] = 0.0
+            zeroed.append(start)
         return u, pick
 
     monkeypatch.setattr(sampler, "_heavy_uniforms", zero_in_second_chunk)
     reads = cpus(1)
     assert list(exceedances(model, 17, budget, losses, THRESHOLDS)) == want
-    assert reads["draws_range"] == [(_CHUNK, 2 * _CHUNK)]
+    assert zeroed and reads["draws_range"] == [(_CHUNK, 2 * _CHUNK)]
 
 
 @pytest.mark.parametrize("bad_start", [0, _CHUNK, 2 * _CHUNK])
@@ -186,26 +191,25 @@ def test_shard_exception_propagates_after_the_other_shards_stop(cpus, bad_start)
     cpus(3)
     model = STREAM_CASES["heavy"][1]
     count = 3 * _CHUNK + 123     # three shards, from 0, _CHUNK and 2 * _CHUNK
-    bad_row = draws_range(model, 5, bad_start, bad_start + 1)[0]
     lock = threading.Lock()
     running = [0]
 
-    def count_fn(chunk):
+    def count_chunk(lo, hi, scratch):
         with lock:
             running[0] += 1
         try:
-            if np.array_equal(chunk[0], bad_row):
+            if lo == bad_start:
                 raise RuntimeError("shard failed")
             time.sleep(0.005)    # keeps the other shards busy when one fails
-            return len(chunk)
+            return hi - lo
         finally:
             with lock:
                 running[0] -= 1
 
     with pytest.raises(RuntimeError, match="shard failed"):
-        sharded_sum(model, 5, count, count_fn)
+        _shard_sum(model, count, count_chunk)
     assert running[0] == 0
-    assert sharded_sum(model, 5, count, len) == count
+    assert _shard_sum(model, count, lambda lo, hi, scratch: hi - lo) == count
 
 
 def test_side_by_side_counts_do_not_deadlock(cpus):
