@@ -38,6 +38,12 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def check_delta(delta, name: str = "delta") -> None:
+    """Raise ParameterError naming ``name`` unless 0 < delta < 1."""
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1)")
+
+
 def check_vector(v, size: int, name: str, lo: float = 0.0, hi: float = math.inf) -> np.ndarray:
     """``v`` as a float vector of shape (size,): a wrong shape raises
     ContractError; entries that are not numbers, or are non-finite or

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError, ParameterError, check_count, check_vector
+from .errors import (ContractError, InputError, ParameterError, check_count, check_delta,
+                     check_vector)
 from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
                      solve_lt_limit)
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
@@ -82,6 +83,8 @@ class ExperimentConfig:
             grid = [float(g) for g in getattr(self, name)]
             if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate values")
+        for d in self.delta_grid:
+            check_delta(float(d), f"delta_grid value {d!r}")
         if not all(0.0 < float(r) < math.inf for r in self.r_grid):
             raise ParameterError(f"r_grid values must be finite and > 0, got {self.r_grid!r}")
         if self.y_probe is not None:

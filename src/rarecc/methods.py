@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ParameterError, RareccError, check_count, check_same_n,
+from .errors import (ParameterError, RareccError, check_count, check_delta, check_same_n,
                      check_vector)
-from .lpsolve import LinearProgram, solve_lp
+from .lpsolve import _FEAS_TOL, LinearProgram, solve_lp
 from .model import ProblemInstance, box_clip, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
                       draws_range, exceedances, light_qinv)
@@ -104,8 +104,7 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     the order statistic of rank ceil(budget (1-delta)).  Exact up to Monte
     Carlo quantile error and grid resolution.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     budget = check_count("budget", budget)
     check_same_n(problem, tail.n)
     if delta * budget < 100:
@@ -195,8 +194,20 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
 
 
 def _exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
-    """:func:`_cut_loop` for the sampled LPs, whose optimum it must reach."""
+    """:func:`_cut_loop` for the sampled LPs, whose optimum it must reach.
+
+    The LP cannot see a cut's violation below ``_FEAS_TOL`` times the cut's
+    largest entry times ``upper`` (4e-10 relative in a loose box), and then
+    returns its own iterate x.  If g(x) - radius is within 10 times that,
+    the feasible x radius / g(x) is separated and returned instead; its
+    value lies below the optimum by at most a relative g(x) / radius - 1.
+    """
     x, g, cuts, pivots = _cut_loop(c, upper, radius, separate)
+    if g > radius * (1.0 + 1e-12):
+        scaled = x * radius / g
+        g_scaled, s = separate(scaled)      # also a subgradient at x
+        if g - radius <= 10.0 * _FEAS_TOL * np.max(s * upper):
+            x, g = scaled, g_scaled
     if g > radius * (1.0 + 1e-12):
         raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
                           f"after {cuts} cuts")
@@ -215,8 +226,7 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     A_i L_j give the subgradient.  ``tau`` is the value-at-risk (the k-th
     largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     n_total = check_count("sample_count", sample_count)
     check_same_n(problem, tail.n)
     if delta * n_total < 100:
@@ -290,8 +300,7 @@ def sample_size_rule(delta: float, beta_conf: float, dim: int) -> int:
     probability at least 1 - beta_conf:
     ceil((2/delta) log(1/beta_conf) + 2 dim + (2 dim / delta) log(2/delta)).
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     if not 0.0 < beta_conf < 1.0:
         raise ParameterError("beta_conf must lie in (0, 1)")
     dim = check_count("dim", dim)
@@ -308,8 +317,7 @@ def _scalar_data(problem: ProblemInstance) -> tuple[float, float]:
 
 def analytic_ccp_value(problem: ProblemInstance, tail: TailModel, delta: float) -> float:
     """Exact optimal value of the scalar chance-constrained problem."""
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     c0, a = _scalar_data(problem)
     if isinstance(tail, LightTailModel):
         x = 1.0 / (a * light_qinv(tail, math.log(1.0 / delta)))
@@ -324,8 +332,7 @@ def analytic_cvar_value(problem: ProblemInstance, tail: TailModel, delta: float)
     Closed forms exist for the Pareto radius (any alpha) and for the
     exponential marginal (beta = 1); other light tails raise.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     c0, a = _scalar_data(problem)
     if isinstance(tail, HeavyTailModel):
         x = (1.0 - 1.0 / tail.alpha) * delta ** (1.0 / tail.alpha) / a

@@ -47,14 +47,12 @@ between them, 8 // t whole blocks each for t shards, refilled in place
 chunk after chunk, so the working set stays one chunk in total whatever
 the budget.
 
-The caller runs the first shard, and one process-wide pool of CPUs - 1
-threads, built on first use, runs the others.  A caller that waits for a
-shard which no thread has started runs it itself, so a busy pool never
-stalls a count, counts that run side by side cannot deadlock, and the pool
-adds at most CPUs - 1 threads to the callers' own.  Shards do not know
-about other thread pools, such as the experiment pool of ``--workers``, or
-about the host's load: on a CPU that another process keeps busy a shard
-runs slower than the caller alone would.
+Each count starts its own threads for shards 1 to t - 1, runs shard 0
+on the caller and joins them before it returns, so counts that run side by
+side share no pool and cannot wait on each other.  Shards do not know about
+other threads, such as the experiment pool of ``--workers``, or about the
+host's load: on a CPU that another process keeps busy a shard runs slower
+than the caller alone would.
 """
 
 from __future__ import annotations
@@ -62,12 +60,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, check_count, check_vector
+from .errors import ContractError, ParameterError, check_count, check_delta, check_vector
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
@@ -330,31 +328,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    """The process-wide pool of CPUs - 1 threads that runs shards."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="rarecc-shard")
-        return _POOL
-
-
 def _shard_sum(model: TailModel, count: int, count_chunk):
     """The sum of ``count_chunk(lo, hi, scratch)`` over the chunks [lo, hi)
     of the draws [0, count), as an int64 numpy scalar or array.
 
     The draws are split into up to one shard per CPU, with at least one
     chunk of draws per shard, and the shards run side by side; the sum does
-    not depend on their number.  Every chunk but a shard's last has the
-    shard's chunk size, a whole number of blocks, so each chunk starts at a
-    block's row 0.  ``scratch`` is the shard's flat float64 slice of the one
-    buffer, refilled chunk after chunk: room for a chunk's (rows, n) draws
-    and, for a heavy model, for the uniforms of its whole blocks.  An
-    exception in any shard propagates once the other shards have stopped.
+    not depend on their number.  The caller runs shard 0 and threads of the
+    count's own the others, all joined before it returns, so an exception in
+    any shard propagates once the other shards have stopped.  Every chunk
+    but a shard's last has the shard's chunk size, a whole number of blocks,
+    so each chunk starts at a block's row 0.  ``scratch`` is the shard's
+    flat float64 slice of the one buffer, refilled chunk after chunk: room
+    for a chunk's (rows, n) draws and, for a heavy model, for the uniforms
+    of its whole blocks.
     """
     count = check_count("count", count)
     shards = min(_cpu_count(), _SHARDS_MAX, -(-count // _CHUNK))
@@ -370,17 +357,9 @@ def _shard_sum(model: TailModel, count: int, count_chunk):
         return np.sum([count_chunk(lo, min(lo + rows, count), buf[i])
                        for lo in range(bounds[i], bounds[i + 1], rows)], axis=0, dtype=np.int64)
 
-    futures = [_shard_pool().submit(shard, i) for i in range(1, shards)]
-    try:
-        total = shard(0)
-        for i, fut in enumerate(futures, 1):
-            # a shard that no thread has started runs here
-            total = total + (shard(i) if fut.cancel() else fut.result())
-    finally:
-        # a cancelled future counts as done only once a pool thread has
-        # dequeued it, so wait only for the shards that have started
-        wait([fut for fut in futures if not fut.cancel()])
-    return total
+    with ThreadPoolExecutor(max(1, shards - 1), thread_name_prefix="rarecc-shard") as pool:
+        futures = [pool.submit(shard, i) for i in range(1, shards)]
+        return shard(0) + sum(fut.result() for fut in futures)
 
 
 def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) -> np.ndarray:
@@ -523,8 +502,7 @@ def heavy_fbar_inv(model: HeavyTailModel, delta: float) -> float:
 
 def tail_radius(model: TailModel, delta: float) -> float:
     """The regime's normalizing radius at risk level delta in (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
+    check_delta(delta)
     if isinstance(model, LightTailModel):
         return light_qinv(model, math.log(1.0 / delta))
     return heavy_fbar_inv(model, delta)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rarecc.cli
+import rarecc.experiments
 from rarecc.cli import cli_main, load_config
 
 
@@ -167,6 +168,19 @@ def test_bad_k_grid_exit_2(tmp_path, capsys, k_grid):
     assert cli_main(["experiment", cfg, "--out", str(tmp_path / "r.csv")]) == 2
     assert "k_grid" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_bad_delta_grid_exit_2_before_any_replication(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rarecc.experiments, "cvar_solve", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path / "d.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"kind": "cvar_ratio", "delta_grid": [0.02, 1.5], "budget": 200000},
+    })
+    assert cli_main(["experiment", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "delta_grid" in capsys.readouterr().err
+    assert not calls and not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

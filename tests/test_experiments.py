@@ -241,6 +241,13 @@ def test_config_rejects_bad_r_grid(r):
         heavy_cfg(kind="tail_ratio", r_grid=(10.0, r))
 
 
+@pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1, math.nan])
+def test_config_rejects_bad_delta_grid(delta):
+    # [0.02, 1.5] ran every 0.02 replication before failing on 1.5
+    with pytest.raises(ParameterError, match="delta_grid"):
+        heavy_cfg(kind="cvar_ratio", delta_grid=(0.02, delta))
+
+
 def test_config_holds_the_defaults_and_conversions():
     cfg = heavy_cfg(kind="cvar_ratio", r_grid=[10, 30.0], eta=0, k_grid=[100])
     assert cfg.delta_grid == (1e-2, 1e-3, 1e-4)

@@ -270,6 +270,21 @@ def test_sampled_lps_raise_when_cut_lp_stalls(stalled_lp):
         scenario_solve(prob, sample_tail(tail, 9, 200), 1.0)
 
 
+def test_cvar_returns_the_scaled_iterate_when_a_loose_box_hides_the_violation():
+    # at h = 100 the cut LP cannot see the newest cut's violation, 2.6e-10
+    # relative, and hands back its own iterate; at h = 1 the box does not bind
+    tail = HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=[(0.5, [1, 0]), (0.5, [0, 1])])
+    problems = [ProblemInstance(c=[1.0, 1.0], h=h, A=[np.eye(2)]) for h in (100.0, 1.0)]
+    loose, tight = (cvar_solve(problem, tail, 0.02, 200_000, 22) for problem in problems)
+    assert loose.meta["gap"] <= 1e-12
+    assert tight.value * (1.0 - 1e-9) <= loose.value <= tight.value * (1.0 + 1e-12)
+    # the violation count and tau describe the returned x
+    losses = phi_many(problems[0], loose.x, draws_range(tail, 22, 0, 200_000))
+    assert loose.violation_estimate == np.count_nonzero(losses > 1.0) / 200_000
+    k = loose.meta["kept_scenarios"]
+    assert loose.meta["tau"] == min(np.sort(losses)[-k] - 1.0, 0.0)
+
+
 def _spy_solve_lp(monkeypatch):
     calls = []
 

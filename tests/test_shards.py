@@ -1,8 +1,7 @@
 """Sharded Monte Carlo counts: the same counts at any shard count, inside
 the experiment pool or out of it.
 
-Every test runs on a fresh shard pool whose CPU count it forces, so none
-depends on the host or on the tests before it.
+Every test forces the CPU count the shards see, so none depends on the host.
 """
 
 import sys
@@ -26,10 +25,10 @@ READER = {"light": "draws_range", "heavy": "_heavy_uniforms"}
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(k)`` gives the shards k CPUs and a fresh pool, and returns a
-    map from each reader of the stream, :func:`draws_range` and the heavy
-    uniforms' ``_heavy_uniforms``, to the list of the [start, stop) ranges
-    that the shards read through it from then on."""
+    """``cpus(k)`` gives the shards k CPUs, and returns a map from each
+    reader of the stream, :func:`draws_range` and the heavy uniforms'
+    ``_heavy_uniforms``, to the list of the [start, stop) ranges that the
+    shards read through it from then on."""
     reads = {}
 
     def spy(name):
@@ -42,23 +41,19 @@ def cpus(monkeypatch):
 
     for name in ("draws_range", "_heavy_uniforms"):
         monkeypatch.setattr(sampler, name, spy(name))
-    # a pool built before this test is set aside, not shut down, and comes back after it
-    monkeypatch.setattr(sampler, "_POOL", None)
-
-    def drop_pool():
-        if sampler._POOL is not None:
-            sampler._POOL.shutdown()
-        monkeypatch.setattr(sampler, "_POOL", None)
 
     def force(count):
-        drop_pool()
         monkeypatch.setattr(sampler, "_cpu_count", lambda: count)
         for ranges in reads.values():
             ranges.clear()
         return reads
 
-    yield force
-    drop_pool()
+    return force
+
+
+def shard_threads():
+    """The shard threads still alive; a count joins its own before it returns."""
+    return [t for t in threading.enumerate() if t.name.startswith("rarecc-shard")]
 
 
 def shard_rows(cpus, count):
@@ -84,6 +79,7 @@ def test_violation_is_the_same_at_every_shard_count(cpus, case):
             reads = cpus(k)
             results.append(violation_prob(problem, x, tail, budget, 17))
             assert_tiled(reads[READER[case]], budget, shard_rows(k, budget))
+            assert not shard_threads()
         assert results[0] == results[1] == results[2], budget
 
 
@@ -96,7 +92,7 @@ def tail_ratio_cfg(model, problem, budget, workers=1):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tail_ratio_rows_are_the_same_at_every_shard_count(cpus, workers, two_atom_model,
                                                            identity_problem2):
-    # at two workers every task's count shards too, through the one pool
+    # at two workers every task's count shards too, on threads of its own
     for budget in STREAM_BUDGETS:
         cfg = tail_ratio_cfg(two_atom_model, identity_problem2, budget, workers)
         rows = []
@@ -209,19 +205,18 @@ def test_shard_exception_propagates_after_the_other_shards_stop(cpus, bad_start)
     with pytest.raises(RuntimeError, match="shard failed"):
         _shard_sum(model, count, count_chunk)
     assert running[0] == 0
+    assert not shard_threads()
     assert _shard_sum(model, count, lambda lo, hi, scratch: hi - lo) == count
 
 
 def test_side_by_side_counts_do_not_deadlock(cpus):
-    # one spare CPU, and the pool's one thread is busy: each caller must run
-    # the shards that no thread has started itself
+    # each count starts and joins its own shard threads, with a thread switch
+    # at nearly every bytecode so that the two counts interleave
     problem, tail, x = STREAM_CASES["light"]
     budget = 3 * _CHUNK + 123
     cpus(1)
     want = violation_prob(problem, x, tail, budget, 17)
     cpus(2)
-    release = threading.Event()
-    blocker = sampler._shard_pool().submit(release.wait, 60)
     results = [None, None]
 
     def count(i):
@@ -238,6 +233,5 @@ def test_side_by_side_counts_do_not_deadlock(cpus):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old)
-        release.set()
-    assert blocker.result(timeout=60)
     assert results == [want, want]
+    assert not shard_threads()
