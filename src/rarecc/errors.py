@@ -44,6 +44,14 @@ def check_delta(delta, name: str = "delta") -> None:
         raise ParameterError(f"{name} must lie in (0, 1)")
 
 
+def check_tail_count(delta: float, count: int, name: str, why: str = "") -> None:
+    """Raise ParameterError unless delta * count >= 100, the fewest draws a
+    sampled (1 - delta)-quantile or CVaR may rest on; the message names
+    ``count`` as ``name`` and ends with ``why``."""
+    if delta * count < 100:
+        raise ParameterError(f"need delta * {name} >= 100{why}")
+
+
 def check_vector(v, size: int, name: str, lo: float = 0.0, hi: float = math.inf) -> np.ndarray:
     """``v`` as a float vector of shape (size,): a wrong shape raises
     ContractError; entries that are not numbers, or are non-finite or

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractError, InputError, ParameterError, check_count, check_delta,
-                     check_vector)
+                     check_tail_count, check_vector)
 from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
                      solve_lt_limit)
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
@@ -160,6 +160,11 @@ def _run_cvar_ratio(cfg: ExperimentConfig):
     light = isinstance(cfg.tail, LightTailModel)
     target = 1.0 if light else 1.0 - 1.0 / cfg.tail.alpha
     scalar = _is_scalar(cfg.problem)
+    # the first method each task runs checks this rule too; every delta is
+    # checked here, before any task runs
+    name, why = ("sample_count", "") if scalar else ("budget", " for a stable quantile")
+    for delta in cfg.delta_grid:
+        check_tail_count(float(delta), cfg.budget, name, why)
 
     def task(delta, seed):
         if scalar:

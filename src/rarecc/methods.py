@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ParameterError, RareccError, check_count, check_delta, check_same_n,
-                     check_vector)
+                     check_tail_count, check_vector)
 from .lpsolve import _FEAS_TOL, LinearProgram, solve_lp
 from .model import ProblemInstance, box_clip, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
@@ -77,10 +77,11 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
     """Monte Carlo estimate of P(loss(x, L) > 1) with a Wilson 95% half-width.
 
     Counts the violations with :func:`~rarecc.sampler.exceedances`, one
-    shard per CPU.  The shards stream their draws, or for a heavy tail the
-    draws' uniforms, through one buffer of 2^15 draws in total (0.75 MiB at
-    n = 3), so that buffer and one chunk's losses are all the count holds,
-    whatever the budget.  The result depends only on (tail, seed, budget).
+    shard per CPU.  Each shard draws, or for a heavy tail reads the draws'
+    uniforms of, one chunk at a time, a fresh array of 2^15 / t rows for t
+    shards (0.75 MiB of draws in total at n = 3), so those chunks and their
+    losses are all the count holds, whatever the budget.  The result depends
+    only on (tail, seed, budget).
     """
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)
@@ -107,8 +108,7 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     check_delta(delta)
     budget = check_count("budget", budget)
     check_same_n(problem, tail.n)
-    if delta * budget < 100:
-        raise ParameterError("need delta * budget >= 100 for a stable quantile")
+    check_tail_count(delta, budget, "budget", " for a stable quantile")
     draws = draws_range(tail, seed, 0, budget)
     rank = math.ceil(budget * (1.0 - delta))
     best_val, best = -math.inf, None
@@ -201,17 +201,20 @@ def _exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     returns its own iterate x.  If g(x) - radius is within 10 times that,
     the feasible x radius / g(x) is separated and returned instead; its
     value lies below the optimum by at most a relative g(x) / radius - 1.
+    Returns :func:`_cut_loop`'s tuple and that bound, the stall excess, which
+    is 0.0 when the loop's own iterate is returned.
     """
     x, g, cuts, pivots = _cut_loop(c, upper, radius, separate)
+    excess = 0.0
     if g > radius * (1.0 + 1e-12):
         scaled = x * radius / g
         g_scaled, s = separate(scaled)      # also a subgradient at x
         if g - radius <= 10.0 * _FEAS_TOL * np.max(s * upper):
-            x, g = scaled, g_scaled
+            x, g, excess = scaled, g_scaled, g / radius - 1.0
     if g > radius * (1.0 + 1e-12):
         raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
                           f"after {cuts} cuts")
-    return x, g, cuts, pivots
+    return x, g, cuts, pivots, excess
 
 
 def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
@@ -224,13 +227,14 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     weights the k largest losses by 1/(delta N) each, the smallest of them by
     the fractional remainder, and the same weights on the loss-attaining rows
     A_i L_j give the subgradient.  ``tau`` is the value-at-risk (the k-th
-    largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit.
+    largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit,
+    and ``stall_excess`` bounds how far below the optimum a rescued answer of
+    :func:`_exact_cut_loop` may lie (0.0 for any other).
     """
     check_delta(delta)
     n_total = check_count("sample_count", sample_count)
     check_same_n(problem, tail.n)
-    if delta * n_total < 100:
-        raise ParameterError("need delta * sample_count >= 100")
+    check_tail_count(delta, n_total, "sample_count")
     draws = draws_range(tail, seed, 0, n_total)
     dn = delta * n_total
     k = math.ceil(dn)
@@ -246,8 +250,8 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         rows = np.einsum("jmn,jn->jm", problem.A[attain], draws[top])
         return float(weights @ losses[top]), weights @ rows
 
-    x, g, cuts, pivots = _exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0,
-                                         separate)
+    x, g, cuts, pivots, excess = _exact_cut_loop(problem.c, np.full(problem.m, problem.h),
+                                                 1.0, separate)
     hits = int((losses > 1.0).sum())
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=delta,
@@ -255,7 +259,8 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         violation_halfwidth=wilson_halfwidth(hits, n_total),
         meta={"method": "cvar", "seed": seed, "samples": n_total,
               "tau": min(float(losses[top[0]]) - 1.0, 0.0), "kept_scenarios": k,
-              "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0},
+              "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0,
+              "stall_excess": excess},
     )
 
 
@@ -268,12 +273,13 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
     program, the regime radii give its scaled variants.  Solved by the cut
     loop: each round adds the sampled row with the largest y^T A_i L_j.
     ``binding_candidates`` counts the rows added, ``gap`` is the largest
-    row value over the radius, minus 1, at exit.
+    row value over the radius, minus 1, at exit, and ``stall_excess`` is as
+    in :func:`cvar_solve`.
     """
     if batch.count < 1:
         raise ParameterError("scenario batch must be nonempty")
-    if not radius > 0:
-        raise ParameterError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ParameterError(f"radius must be finite and > 0, got {radius!r}")
     check_same_n(problem, batch.n)
     W = np.einsum("imn,jn->jim", problem.A, batch.samples).reshape(-1, problem.m)
     scalar = problem.m == 1
@@ -284,14 +290,14 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         return float(scores[j]), W[j]
 
     radius = float(radius)
-    x, g, cuts, pivots = _exact_cut_loop(problem.c, np.full(problem.m, problem.h * radius),
-                                         radius, separate)
+    x, g, cuts, pivots, excess = _exact_cut_loop(
+        problem.c, np.full(problem.m, problem.h * radius), radius, separate)
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=None,
         violation_estimate=None, violation_halfwidth=None,
         meta={"method": "scenario", "seed": batch.seed, "radius": radius,
               "scenarios": batch.count, "binding_candidates": cuts,
-              "lp_iterations": pivots, "gap": g / radius - 1.0},
+              "lp_iterations": pivots, "gap": g / radius - 1.0, "stall_excess": excess},
     )
 
 

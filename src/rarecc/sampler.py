@@ -33,7 +33,9 @@ it.  A block may therefore leave out its trailing numbers when nothing uses
 them, and every value stays the same: where row ``j`` of a block reads only
 the stream's first numbers (theta = 1 and theta = inf), a partial first or
 last block draws only its rows ``[0, hi)``.  Theta in (1, inf) reads V and
-W after all B rows, so its partial blocks still draw the whole block.
+W after all B rows, so its partial blocks still draw the whole block.  Every
+reader allocates the array it returns, reads a range from the row 0 of its
+first block and returns the rows from ``start`` on, a C-contiguous view.
 
 A Monte Carlo count (:func:`exceedances`) need not hold its budget at once.
 The draws [0, count) are split into one contiguous run of whole shard
@@ -41,11 +43,11 @@ chunks per shard, one shard per CPU the process may run on
 (``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4.  Each
 run is counted chunk by chunk on its own thread, and the integer counts of
 the runs are added.  Integer addition is exact and a draw does not depend
-on the split, so every count is the same for any number of shards.  The
-shards split one buffer of ``_CHUNK`` = 8 B rows (0.75 MiB at n = 3)
-between them, 8 // t whole blocks each for t shards, refilled in place
-chunk after chunk, so the working set stays one chunk in total whatever
-the budget.
+on the split, so every count is the same for any number of shards.  A
+shard's chunk is 8 // t whole blocks for t shards, a fresh array of
+``_CHUNK`` / t rows (0.75 / t MiB of draws at n = 3) that is dropped once it
+is counted, so the working set stays about one ``_CHUNK`` = 8 B rows in
+total whatever the budget.
 
 Each count starts its own threads for shards 1 to t - 1, runs shard 0
 on the caller and joins them before it returns, so counts that run side by
@@ -69,9 +71,9 @@ from .errors import ContractError, ParameterError, check_count, check_delta, che
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 4096          # draws per Philox stream; fixed, part of the format
-_CHUNK = 8 * _BLOCK    # rows of a count's one buffer, and of each heavy transform
+_CHUNK = 8 * _BLOCK    # rows that a count's shards hold between them, and of each heavy transform
 # each shard also holds a block's scratch while it draws (about 0.2 MiB for
-# dependent light draws), so more shards would outgrow the one-chunk buffer
+# dependent light draws), so more shards would outgrow one chunk's memory
 _SHARDS_MAX = 4
 # heavy_radius_max compares the pows of uniforms this close, and exceedances
 # draws the chunks with a uniform this close to its level, both times alpha
@@ -219,49 +221,27 @@ def _light_block(model: LightTailModel, rng: np.random.Generator, out: np.ndarra
     out **= 1.0 / (theta * beta)
 
 
-def _splice(model: LightTailModel, seed: int, start: int, stop: int, out: np.ndarray) -> None:
-    """Write the light draws [start, stop) into ``out``.
-
-    A block whose part of the range starts at its row 0 is written in place
-    into its slice of ``out``; only a partial first block goes through a
-    scratch array, of its rows up to the range's end.
-    """
-    pos = 0
-    for b in range(start // _BLOCK, -(-stop // _BLOCK) if stop > start else 0):
-        lo = max(start - b * _BLOCK, 0)
-        hi = min(stop - b * _BLOCK, _BLOCK)
-        rng = _STREAMS.at(seed, b)
-        if lo == 0:
-            _light_block(model, rng, out[pos:pos + hi])
-        else:
-            scratch = np.empty((hi, model.n))
-            _light_block(model, rng, scratch)
-            out[pos:pos + hi - lo] = scratch[lo:]
-        pos += hi - lo
-
-
 def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
-                    out: np.ndarray | None = None, picks: bool = True) -> tuple:
+                    picks: bool = True) -> tuple:
     """The radius uniforms of the heavy draws [start, stop) and their
-    angular picks, as views of the flat ``out`` (a new array when None).
+    angular picks, as C-contiguous views of new arrays.
 
     The one reader of the heavy stream.  A block reads its B radius
     uniforms u, then its B picks; its draw i is u_i^(-1/alpha) times the
     atom :func:`_atom_index` gives pick i.  With ``picks`` false, or for a
     one-atom model, whose picks would all select atom 0, the picks are not
     read and None is returned for them, and a block reads only its rows up
-    to ``stop``; otherwise it reads all B rows of both.  A partial first
-    block is read from its row 0 and sliced, so ``out`` needs room for the
-    range's whole blocks, twice that with picks.
+    to ``stop``; otherwise it reads all B rows of both.  Like every reader
+    here, it reads from the row 0 of the range's first block and returns the
+    rows from ``start`` on.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
     first = start // _BLOCK * _BLOCK
     picks = picks and model.weights.size > 1
     span = -(-stop // _BLOCK) * _BLOCK - first if picks else stop - first
-    if out is None:
-        out = np.empty((1 + picks) * span)
-    u, pick = out[:span], out[span:2 * span]
+    u = np.empty(span)
+    pick = np.empty(span) if picks else None
     for lo in range(0, span, _BLOCK):
         rng = _STREAMS.at(seed, (first + lo) // _BLOCK)
         rng.random(out=u[lo:lo + _BLOCK])
@@ -283,31 +263,28 @@ def _atom_index(model: HeavyTailModel, pick: np.ndarray) -> np.ndarray:
     return idx
 
 
-def draws_range(model: TailModel, seed: int, start: int, stop: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Draws with indices [start, stop); bit-identical however the range is split.
 
-    Written into ``out``, a C-contiguous float64 array of shape
-    (stop - start, n), when it is given; returns the array written.  Heavy
-    draws are built from :func:`_heavy_uniforms` one ``_CHUNK`` at a time.
+    Returns a C-contiguous float64 array of shape (stop - start, n), the
+    rows from ``start`` on of the draws read from the row 0 of the range's
+    first block.  Light draws are written block by block, heavy draws are
+    built from :func:`_heavy_uniforms` one ``_CHUNK`` at a time; an empty
+    range reads no block.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
-    shape = (stop - start, model.n)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractError(f"out must be a C-contiguous float64 array of shape {shape}")
+    first = start // _BLOCK * _BLOCK if stop > start else stop
+    out = np.empty((stop - first, model.n))
     if isinstance(model, LightTailModel):
-        _splice(model, seed, start, stop, out)
-        return out
-    # the largest chunk's whole blocks, for its uniforms and any picks
-    span = min(_CHUNK, -(-stop // _BLOCK) * _BLOCK - start // _BLOCK * _BLOCK)
-    scratch = np.empty((1 + (model.weights.size > 1)) * span)
-    edges = [start, *range(start // _CHUNK * _CHUNK + _CHUNK, stop, _CHUNK), stop]
-    for lo, hi in zip(edges, edges[1:]):
-        u, pick = _heavy_uniforms(model, seed, lo, hi, scratch)
-        rows = out[lo - start:hi - start]
+        for lo in range(first, stop, _BLOCK):
+            _light_block(model, _STREAMS.at(seed, lo // _BLOCK),
+                         out[lo - first:min(lo + _BLOCK, stop) - first])
+        return out[start - first:]
+    for lo in range(first, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        u, pick = _heavy_uniforms(model, seed, lo, hi)
+        rows = out[lo - first:hi - first]
         if pick is None:
             rows[:] = model.atoms[0]
         else:
@@ -317,7 +294,7 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int,
                     mode="clip")
         u **= -1.0 / model.alpha
         rows *= u[:, None]
-    return out
+    return out[start - first:]
 
 
 def _cpu_count() -> int:
@@ -328,8 +305,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_sum(model: TailModel, count: int, count_chunk):
-    """The sum of ``count_chunk(lo, hi, scratch)`` over the chunks [lo, hi)
+def _shard_sum(count: int, count_chunk):
+    """The sum of ``count_chunk(lo, hi)`` over the chunks [lo, hi)
     of the draws [0, count), as an int64 numpy scalar or array.
 
     The draws are split into up to one shard per CPU, with at least one
@@ -338,23 +315,18 @@ def _shard_sum(model: TailModel, count: int, count_chunk):
     count's own the others, all joined before it returns, so an exception in
     any shard propagates once the other shards have stopped.  Every chunk
     but a shard's last has the shard's chunk size, a whole number of blocks,
-    so each chunk starts at a block's row 0.  ``scratch`` is the shard's
-    flat float64 slice of the one buffer, refilled chunk after chunk: room
-    for a chunk's (rows, n) draws and, for a heavy model, for the uniforms
-    of its whole blocks.
+    so each chunk starts at a block's row 0.  ``count_chunk`` reads and
+    allocates its chunk's arrays itself, so t shards hold one ``_CHUNK`` of
+    draws between them at a time, 8 // t whole blocks each.
     """
     count = check_count("count", count)
     shards = min(_cpu_count(), _SHARDS_MAX, -(-count // _CHUNK))
     rows = _CHUNK // _BLOCK // shards * _BLOCK
     units = -(-count // rows)
     bounds = [min(count, i * units // shards * rows) for i in range(shards + 1)]
-    size = min(rows, count) * model.n
-    if isinstance(model, HeavyTailModel) and model.weights.size > 1:
-        size = max(size, 2 * -(-min(rows, count) // _BLOCK) * _BLOCK)
-    buf = np.empty((shards, size))
 
     def shard(i):
-        return np.sum([count_chunk(lo, min(lo + rows, count), buf[i])
+        return np.sum([count_chunk(lo, min(lo + rows, count))
                        for lo in range(bounds[i], bounds[i + 1], rows)], axis=0, dtype=np.int64)
 
     with ThreadPoolExecutor(max(1, shards - 1), thread_name_prefix="rarecc-shard") as pool:
@@ -371,7 +343,8 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     degree 1 and computed with at most a few roundings from nonnegative
     terms, as :func:`~rarecc.model.phi_many` and row sums are.  The counts
     are those of ``[count_nonzero(loss > t_j) ...]`` on the draws, bit for
-    bit, summed over the chunks of :func:`_shard_sum`.
+    bit, summed over the chunks of :func:`_shard_sum`; each chunk reads its
+    draws, or its uniforms and picks, into new arrays of its own.
 
     A light chunk is drawn and counted that way.  A heavy draw is
     R theta_k with R = u^(-1/alpha), so its j-th loss exceeds t_j exactly
@@ -388,19 +361,18 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     if not (np.isfinite(t).all() and (t > 0).all()):
         raise ParameterError(f"thresholds must be finite and > 0, got {thresholds!r}")
 
-    def by_draws(lo, hi, scratch):
-        chunk = scratch[:(hi - lo) * model.n].reshape(-1, model.n)
-        draws_range(model, seed, lo, hi, out=chunk)
-        return [np.count_nonzero(loss > tj) for loss, tj in zip(loss_fn(chunk), t)]
+    def by_draws(lo, hi):
+        losses = loss_fn(draws_range(model, seed, lo, hi))
+        return [np.count_nonzero(loss > tj) for loss, tj in zip(losses, t)]
 
     if isinstance(model, LightTailModel):
-        return _shard_sum(model, count, by_draws)
+        return _shard_sum(count, by_draws)
     levels = (np.asarray(loss_fn(model.atoms), dtype=float) / t[:, None]) ** model.alpha
     widen = _MARGIN * model.alpha
     low, high = levels * (1.0 - widen), levels * (1.0 + widen)
 
-    def count_chunk(lo, hi, scratch):
-        u, pick = _heavy_uniforms(model, seed, lo, hi, scratch)
+    def count_chunk(lo, hi):
+        u, pick = _heavy_uniforms(model, seed, lo, hi)
         picked = [True]
         if pick is not None:
             idx = _atom_index(model, pick)
@@ -413,9 +385,9 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
         below = hits(low, np.less)
         if below == hits(high, np.less_equal) and u.min() > 0.0:
             return below
-        return by_draws(lo, hi, scratch)
+        return by_draws(lo, hi)
 
-    return _shard_sum(model, count, count_chunk)
+    return _shard_sum(count, count_chunk)
 
 
 def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -> np.ndarray:
@@ -431,20 +403,19 @@ def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
 
     A radius is u ** (-1/alpha) for its uniform u, so the largest radius
     comes from the smallest uniform.  The uniforms are read one ``_CHUNK``
-    at a time into one buffer, and only those within a relative alpha
-    ``_MARGIN`` (2^-40) of the smallest are kept; their pows are taken as
-    :func:`heavy_radii_range` takes them, and the largest is returned.
-    Uniforms further apart than that margin give radii about 2^-40 apart
-    relative, far beyond pow's rounding error, so this does not rely on pow
-    being monotone in its last bit.
+    at a time, and only those within a relative alpha ``_MARGIN`` (2^-40)
+    of the smallest are kept; their pows are taken as :func:`heavy_radii_range`
+    takes them, and the largest is returned.  Uniforms further apart than
+    that margin give radii about 2^-40 apart relative, far beyond pow's
+    rounding error, so this does not rely on pow being monotone in its last
+    bit.
     """
     count = check_count("count", count)
     widen = 1.0 + _MARGIN * model.alpha
-    buf = np.empty(min(count, _CHUNK))
     smallest = math.inf
     kept = []
     for lo in range(0, count, _CHUNK):
-        u, _ = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), buf, picks=False)
+        u, _ = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), picks=False)
         least = float(u.min())
         if least <= smallest * widen:
             smallest = min(smallest, least)

@@ -183,6 +183,39 @@ def test_bad_delta_grid_exit_2_before_any_replication(tmp_path, capsys, monkeypa
     assert not calls and not (tmp_path / "r.csv").exists()
 
 
+def test_small_delta_budget_exit_2_before_any_replication(tmp_path, capsys, monkeypatch):
+    # delta * budget = 20 < 100 at the second grid point
+    calls = []
+    monkeypatch.setattr(rarecc.experiments, "cvar_solve", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path / "d.json", {
+        "problem": {"c": [1.0, 1.0], "h": 100.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0,
+                 "atoms": [[0.5, [1.0, 0.0]], [0.5, [0.0, 1.0]]]},
+        "experiment": {"kind": "cvar_ratio", "delta_grid": [0.02, 0.0001],
+                       "replications": 4, "budget": 200000},
+    })
+    assert cli_main(["experiment", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "need delta * budget >= 100" in capsys.readouterr().err
+    assert not calls and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["1e309", '"inf"'])
+def test_infinite_scenario_radius_exit_2(tmp_path, capsys, radius):
+    # a bad configuration: exit 2, not exit 0 with "value": Infinity
+    path = tmp_path / "s.json"
+    cfg = write_cfg(path, {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": {"k_grid": [1000], "radius": "RADIUS"},
+    })
+    path.write_text(path.read_text().replace('"RADIUS"', radius))
+    out = tmp_path / "r.json"
+    assert cli_main(["scenario", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "radius must be finite" in captured.err and not captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_bad_workers_exit_2(ht_cfg, tmp_path, capsys, workers):
     out = tmp_path / "r.csv"

@@ -275,6 +275,26 @@ def test_scenario_k_rule_fails_before_any_work(monkeypatch):
             run_experiment(cfg(kind="scenario_convergence", k_grid=(1000, 1)))
 
 
+@pytest.mark.parametrize("oracle", ["analytic", "mc"])
+def test_cvar_ratio_tail_count_rule_fails_before_any_work(monkeypatch, oracle, two_atom_model,
+                                                          identity_problem2):
+    # delta * budget = 20 < 100 at the last grid point must fail before the
+    # replications of the valid delta ahead of it run
+    def ran(*args, **kwargs):
+        raise AssertionError("work started before the tail-count rule was checked")
+
+    for name in ("analytic_ccp_value", "ccp_oracle", "cvar_solve"):
+        monkeypatch.setattr(rarecc.experiments, name, ran)
+    kw = dict(kind="cvar_ratio", delta_grid=(0.02, 0.0001), replications=4, budget=200_000)
+    if oracle == "analytic":
+        cfg, message = heavy_cfg(**kw), "need delta \\* sample_count >= 100$"
+    else:
+        cfg = heavy_cfg(problem=identity_problem2, tail=two_atom_model, **kw)
+        message = "need delta \\* budget >= 100 for a stable quantile"
+    with pytest.raises(ParameterError, match=message):
+        run_experiment(cfg)
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, 2.0])
 def test_config_rejects_bad_workers(workers):
     with pytest.raises(ParameterError):

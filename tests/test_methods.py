@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rarecc.methods
+import rarecc.sampler
 from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
                       pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
@@ -94,18 +95,23 @@ def test_violation_streams_like_the_whole_sample(case, budget):
                                                             wilson_halfwidth(hits, budget))
 
 
-def test_violation_memory_is_one_chunk():
-    # the whole budget would take 22.9 MiB of draws at n = 3
-    problem = ProblemInstance(c=[1.0, 1.0, 1.0], h=10.0, A=[np.eye(3)])
-    tail = LightTailModel(n=3, beta=0.5, theta=2.0)
-    violation_prob(problem, [0.1] * 3, tail, 1000, 1)   # lazy set-up outside the trace
-    tracemalloc.start()
-    try:
-        violation_prob(problem, [0.1] * 3, tail, 1_000_000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+def test_violation_memory_is_one_chunk(monkeypatch):
+    # the whole budget would take 22.9 MiB of light draws at n = 3, and
+    # 15.3 MiB of a two-atom heavy model's uniforms and picks; the CPU count
+    # sets the number of shards, which split one chunk between them
+    light = (ProblemInstance(c=[1.0, 1.0, 1.0], h=10.0, A=[np.eye(3)]),
+             LightTailModel(n=3, beta=0.5, theta=2.0), [0.1] * 3)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(rarecc.sampler, "_cpu_count", lambda: cpus)
+        for problem, tail, x in (light, STREAM_CASES["heavy"]):
+            violation_prob(problem, x, tail, 1000, 1)   # lazy set-up outside the trace
+            tracemalloc.start()
+            try:
+                violation_prob(problem, x, tail, 1_000_000, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20, (cpus, tail, peak)
 
 
 def test_violation_deterministic(scalar_problem, scalar_pareto2):
@@ -278,6 +284,9 @@ def test_cvar_returns_the_scaled_iterate_when_a_loose_box_hides_the_violation():
     loose, tight = (cvar_solve(problem, tail, 0.02, 200_000, 22) for problem in problems)
     assert loose.meta["gap"] <= 1e-12
     assert tight.value * (1.0 - 1e-9) <= loose.value <= tight.value * (1.0 + 1e-12)
+    # the rescue reports how far below the optimum its answer may lie
+    assert loose.meta["stall_excess"] > 0.0 and tight.meta["stall_excess"] == 0.0
+    assert loose.value >= tight.value * (1.0 - loose.meta["stall_excess"])
     # the violation count and tau describe the returned x
     losses = phi_many(problems[0], loose.x, draws_range(tail, 22, 0, 200_000))
     assert loose.violation_estimate == np.count_nonzero(losses > 1.0) / 200_000
@@ -417,10 +426,11 @@ def test_scenario_matches_matmul_separation(m, n, d):
         return float(scores[j]), W[j]
     for radius in (0.3, 1.0, 40.0):
         res = scenario_solve(prob, batch, radius)
-        x, g, cuts, pivots = rarecc.methods._exact_cut_loop(
+        x, g, cuts, pivots, excess = rarecc.methods._exact_cut_loop(
             prob.c, np.full(m, prob.h * radius), radius, separate)
         assert res.x.tobytes() == x.tobytes() and res.meta["gap"] == g / radius - 1.0
         assert (res.meta["binding_candidates"], res.meta["lp_iterations"]) == (cuts, pivots)
+        assert res.meta["stall_excess"] == excess
 
 
 def test_cvar_value_does_not_depend_on_units_of_x():
@@ -459,6 +469,16 @@ def test_scenario_empty_risk_batch(scalar_problem):
     batch = SampleBatch(samples=np.zeros((5, 1)), seed=0)
     res = scenario_solve(scalar_problem, batch, 2.0)
     assert res.x[0] == pytest.approx(scalar_problem.h * 2.0)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+def test_scenario_rejects_a_radius_that_is_not_finite_and_positive(
+        scalar_problem, scalar_pareto2, identity_problem2, two_atom_model, radius):
+    # an infinite radius would give x = inf at m = 1 and an InputError from the
+    # cut LP at m = 2
+    for problem, tail in ((scalar_problem, scalar_pareto2), (identity_problem2, two_atom_model)):
+        with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+            scenario_solve(problem, sample_tail(tail, 1, 1000), radius)
 
 
 def test_scenario_max_binds(scalar_problem):

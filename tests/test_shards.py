@@ -185,12 +185,11 @@ def test_a_zero_uniform_sends_its_chunk_to_the_draws(cpus, monkeypatch):
 @pytest.mark.parametrize("bad_start", [0, _CHUNK, 2 * _CHUNK])
 def test_shard_exception_propagates_after_the_other_shards_stop(cpus, bad_start):
     cpus(3)
-    model = STREAM_CASES["heavy"][1]
     count = 3 * _CHUNK + 123     # three shards, from 0, _CHUNK and 2 * _CHUNK
     lock = threading.Lock()
     running = [0]
 
-    def count_chunk(lo, hi, scratch):
+    def count_chunk(lo, hi):
         with lock:
             running[0] += 1
         try:
@@ -203,10 +202,10 @@ def test_shard_exception_propagates_after_the_other_shards_stop(cpus, bad_start)
                 running[0] -= 1
 
     with pytest.raises(RuntimeError, match="shard failed"):
-        _shard_sum(model, count, count_chunk)
+        _shard_sum(count, count_chunk)
     assert running[0] == 0
     assert not shard_threads()
-    assert _shard_sum(model, count, lambda lo, hi, scratch: hi - lo) == count
+    assert _shard_sum(count, lambda lo, hi: hi - lo) == count
 
 
 def test_side_by_side_counts_do_not_deadlock(cpus):
