@@ -8,11 +8,8 @@ config through the CLI, writing into RESULTS_DIR (default: results).  The
 package is imported from this checkout's ``src``, so no PYTHONPATH is
 needed.  Everything is seeded, so reruns reproduce the same bytes.  On a
 shared 2-vCPU Linux VM (Python 3.11, numpy 2.4, default OpenBLAS threads)
-three runs took 4.5-4.9 s real, ``tail_ratio`` 1.5-1.7 s of it, against
-5.2-5.6 s (``tail_ratio`` 2.6 s) for the previous version, which built
-every heavy draw of an exceedance count instead of comparing its radius
-uniform with the atom's level.  Timings on that VM move with the host's
-load by 30% or more.
+three runs took 3.8-4.1 s real, ``tail_ratio`` 1.5-1.7 s of it.  Timings
+on that VM move with the host's load by 30% or more.
 """
 
 import argparse

@@ -18,7 +18,6 @@ before any work; a write that fails all the same is a runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -30,10 +29,6 @@ from .limits import solve_ht_limit, solve_lt_limit
 from .methods import ccp_oracle, cvar_solve, sample_size_rule, scenario_solve
 from .model import ProblemInstance
 from .sampler import HeavyTailModel, LightTailModel, sample_tail
-
-
-class ConfigError(Exception):
-    """Configuration could not be loaded or validated."""
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -69,14 +64,15 @@ def _tail_from_dict(data: dict, n: int):
 
 
 def load_config(path: str) -> dict:
-    """Parse the JSON config into model objects; raises ConfigError on any defect."""
+    """Parse the JSON config into model objects; every defect, an unreadable
+    file included, raises ParameterError naming ``path``."""
     try:
         with open(path, "r") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         problem = ProblemInstance.from_dict(_section(raw, "problem"))
         tail = _tail_from_dict(_section(raw, "tail"), problem.n)
@@ -92,36 +88,7 @@ def load_config(path: str) -> dict:
             "workers": as_count("workers", raw.get("workers", 1)),
         }
     except (KeyError, ValueError, TypeError, RareccError) as exc:
-        raise ConfigError(f"config file {path} is invalid: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _parsing_fields():
-    """Turn the errors that a malformed experiment field raises while it is
-    parsed into ConfigError, as load_config does for the rest of a config;
-    wrap no solver call in it."""
-    try:
-        yield
-    except (IndexError, ValueError, TypeError) as exc:
-        raise ConfigError(f"experiment config is invalid: {exc}") from exc
-
-
-def _experiment_config(cfg: dict, args) -> ExperimentConfig:
-    exp = cfg["experiment"]
-    try:
-        kind = exp["kind"]
-    except KeyError as exc:
-        raise ConfigError(f"experiment config missing key {exc}") from exc
-    fields = {key: exp[key] for key in ("delta_grid", "k_grid", "replications", "budget",
-                                        "eta", "r_grid", "y_probe") if key in exp}
-    if args.reps is not None:
-        fields["replications"] = args.reps
-    with _parsing_fields():
-        return ExperimentConfig(
-            kind=kind, problem=cfg["problem"], tail=cfg["tail"],
-            master_seed=args.seed if args.seed is not None else cfg["master_seed"],
-            workers=args.workers if args.workers is not None else cfg["workers"],
-            **fields)
+        raise ParameterError(f"config file {path} is invalid: {exc}") from exc
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -132,27 +99,73 @@ def _emit(payload: dict, out_path) -> None:
             fh.write(text + "\n")
 
 
-def _single_method(cfg: dict, args):
+# A reader parses its subcommand's config fields and returns the run, a
+# function of the output path.  It calls no solver, so that cli_main can
+# report what a malformed field raises while it is read as a bad config.
+
+def _read_limit(cfg: dict, args):
+    light = args.command == "lt-limit"
+    if not isinstance(cfg["tail"], LightTailModel if light else HeavyTailModel):
+        raise ParameterError(f"{args.command} needs a {'light' if light else 'heavy'} tail model")
+    return lambda out: _emit((solve_lt_limit if light else solve_ht_limit)(
+        cfg["tail"], cfg["problem"]).to_json_dict(), out)
+
+
+def _first_delta(exp: dict) -> float:
+    return float(exp.get("delta_grid", [1e-3])[0])
+
+
+def _read_method(cfg: dict, args):
+    exp, problem, tail, seed = cfg["experiment"], cfg["problem"], cfg["tail"], cfg["master_seed"]
+    delta = _first_delta(exp)
+    budget = as_count("budget", exp.get("budget", ExperimentConfig.budget))
+    if args.command == "scenario":
+        k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
+        radius = float(exp.get("radius", 1.0))
+        return lambda out: _emit(
+            scenario_solve(problem, sample_tail(tail, seed, k), radius).to_json_dict(), out)
+    return lambda out: _emit((ccp_oracle if args.command == "oracle" else cvar_solve)(
+        problem, tail, delta, budget, seed).to_json_dict(), out)
+
+
+def _read_sample_size(cfg: dict, args):
     exp = cfg["experiment"]
-    seed = args.seed if args.seed is not None else cfg["master_seed"]
-    with _parsing_fields():
-        delta = float(exp.get("delta_grid", [1e-3])[0])
-        budget = as_count("budget", exp.get("budget", ExperimentConfig.budget))
-        if args.command == "scenario":
-            k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
-            radius = float(exp.get("radius", 1.0))
-    if args.command == "oracle":
-        return ccp_oracle(cfg["problem"], cfg["tail"], delta, budget, seed)
-    if args.command == "cvar":
-        return cvar_solve(cfg["problem"], cfg["tail"], delta, budget, seed)
-    batch = sample_tail(cfg["tail"], seed, k)
-    return scenario_solve(cfg["problem"], batch, radius)
+    delta, beta_conf = _first_delta(exp), float(exp.get("beta_conf", 0.01))
+    dim = as_count("dim", exp.get("dim", cfg["problem"].m))
+    return lambda out: _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim,
+                              "k": sample_size_rule(delta, beta_conf, dim)}, out)
 
 
-# the integer flags each subcommand reads, besides --out; any other exits 2
-_FLAGS = {"lt-limit": (), "ht-limit": (), "oracle": ("--seed",), "cvar": ("--seed",),
-          "scenario": ("--seed",), "sample-size": (),
-          "experiment": ("--seed", "--reps", "--workers")}
+def _read_experiment(cfg: dict, args):
+    exp = cfg["experiment"]
+    if "kind" not in exp:
+        raise ParameterError("experiment config missing key 'kind'")
+    fields = {key: exp[key] for key in ("delta_grid", "k_grid", "replications", "budget",
+                                        "eta", "r_grid", "y_probe") if key in exp}
+    if args.reps is not None:
+        fields["replications"] = args.reps
+    ecfg = ExperimentConfig(
+        kind=exp["kind"], problem=cfg["problem"], tail=cfg["tail"],
+        master_seed=cfg["master_seed"],
+        workers=args.workers if args.workers is not None else cfg["workers"], **fields)
+
+    def run(out):
+        rows, comments = run_experiment(ecfg)
+        write_report(rows, out, comments)
+        print(f"wrote {len(rows)} rows to {out}")
+    return run
+
+
+# each subcommand's integer flags besides --out (any other exits 2), and its reader
+_COMMANDS = {
+    "lt-limit": ((), _read_limit),
+    "ht-limit": ((), _read_limit),
+    "oracle": (("--seed",), _read_method),
+    "cvar": (("--seed",), _read_method),
+    "scenario": (("--seed",), _read_method),
+    "sample-size": ((), _read_sample_size),
+    "experiment": (("--seed", "--reps", "--workers"), _read_experiment),
+}
 
 
 @functools.cache
@@ -161,7 +174,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rarecc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, (flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
@@ -171,64 +184,43 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Every config defect raises ParameterError (exit 2); the config, the
+    output directory, ``--seed`` and the subcommand's fields are read before
+    any solver runs.  Any other package error, or a failed write, exits 1.
+    """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    out = args.out
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out = args.out
-    if args.command == "experiment":
-        out = out or cfg["out"] or "report.csv"
-    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        # checked before any work, so a run is not lost to a mistyped path
-        print(f"error: the directory of output file {out} does not exist", file=sys.stderr)
-        return 2
-
-    try:
+        if args.command == "experiment":
+            out = out or cfg["out"] or "report.csv"
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            # checked before any work, so a run is not lost to a mistyped path
+            raise ParameterError(f"the directory of output file {out} does not exist")
         if getattr(args, "seed", None) is not None:
             # the rule a config's master_seed follows; the sampler keys on
             # seed mod 2^64, so a negative seed would alias a large one
-            check_count("--seed", args.seed, least=0)
-        if args.command == "lt-limit":
-            if not isinstance(cfg["tail"], LightTailModel):
-                raise ConfigError("lt-limit needs a light tail model")
-            sol = solve_lt_limit(cfg["tail"], cfg["problem"])
-            _emit(sol.to_json_dict(), out)
-        elif args.command == "ht-limit":
-            if not isinstance(cfg["tail"], HeavyTailModel):
-                raise ConfigError("ht-limit needs a heavy tail model")
-            sol = solve_ht_limit(cfg["tail"], cfg["problem"])
-            _emit(sol.to_json_dict(), out)
-        elif args.command in ("oracle", "cvar", "scenario"):
-            res = _single_method(cfg, args)
-            _emit(res.to_json_dict(), out)
-        elif args.command == "sample-size":
-            exp = cfg["experiment"]
-            with _parsing_fields():
-                delta = float(exp.get("delta_grid", [1e-3])[0])
-                beta_conf = float(exp.get("beta_conf", 0.01))
-            dim = as_count("dim", exp.get("dim", cfg["problem"].m))
-            k = sample_size_rule(delta, beta_conf, dim)
-            _emit({"delta": delta, "beta_conf": beta_conf, "dim": dim, "k": k}, out)
-        else:
-            ecfg = _experiment_config(cfg, args)
-            rows, comments = run_experiment(ecfg)
-            write_report(rows, out, comments)
-            print(f"wrote {len(rows)} rows to {out}")
-    except (ConfigError, ParameterError) as exc:
+            cfg["master_seed"] = check_count("--seed", args.seed, least=0)
+        try:
+            run = _COMMANDS[args.command][1](cfg, args)
+        except (IndexError, ValueError, TypeError) as exc:
+            raise ParameterError(f"experiment config is invalid: {exc}") from exc
+        run(out)
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RareccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # past load_config, only writing the output file touches the file system
+        # load_config reports an unreadable config itself, so only writing
+        # the output file gets here
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0

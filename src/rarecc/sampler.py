@@ -233,13 +233,13 @@ def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
     read and None is returned for them, and a block reads only its rows up
     to ``stop``; otherwise it reads all B rows of both.  Like every reader
     here, it reads from the row 0 of the range's first block and returns the
-    rows from ``start`` on.
+    rows from ``start`` on (:func:`_own`); an empty range reads no block.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
     first = start // _BLOCK * _BLOCK
     picks = picks and model.weights.size > 1
-    span = -(-stop // _BLOCK) * _BLOCK - first if picks else stop - first
+    span = 0 if stop == start else (-(-stop // _BLOCK) * _BLOCK if picks else stop) - first
     u = np.empty(span)
     pick = np.empty(span) if picks else None
     for lo in range(0, span, _BLOCK):
@@ -248,7 +248,14 @@ def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
         if picks:
             rng.random(out=pick[lo:lo + _BLOCK])
     rows = slice(start - first, stop - first)
-    return u[rows], (pick[rows] if picks else None)
+    return _own(u[rows], start), (_own(pick[rows], start) if picks else None)
+
+
+def _own(rows: np.ndarray, start: int) -> np.ndarray:
+    """The rows of a range read from its first block's row 0: the view when
+    ``start`` is a block start, as for every range the package reads, else
+    a copy, so that the rows do not keep the block's earlier rows alive."""
+    return rows if start % _BLOCK == 0 else rows.copy()
 
 
 def _atom_index(model: HeavyTailModel, pick: np.ndarray) -> np.ndarray:
@@ -268,9 +275,9 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
 
     Returns a C-contiguous float64 array of shape (stop - start, n), the
     rows from ``start`` on of the draws read from the row 0 of the range's
-    first block.  Light draws are written block by block, heavy draws are
-    built from :func:`_heavy_uniforms` one ``_CHUNK`` at a time; an empty
-    range reads no block.
+    first block (:func:`_own`).  Light draws are written block by block,
+    heavy draws are built from :func:`_heavy_uniforms` one ``_CHUNK`` at a
+    time; an empty range reads no block.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
@@ -280,7 +287,7 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
         for lo in range(first, stop, _BLOCK):
             _light_block(model, _STREAMS.at(seed, lo // _BLOCK),
                          out[lo - first:min(lo + _BLOCK, stop) - first])
-        return out[start - first:]
+        return _own(out[start - first:], start)
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         u, pick = _heavy_uniforms(model, seed, lo, hi)
@@ -294,7 +301,7 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
                     mode="clip")
         u **= -1.0 / model.alpha
         rows *= u[:, None]
-    return out[start - first:]
+    return _own(out[start - first:], start)
 
 
 def _cpu_count() -> int:

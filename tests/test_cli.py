@@ -468,3 +468,35 @@ def test_failed_write_exit_1(ht_cfg, tmp_path, capsys, command):
     assert cli_main([command, ht_cfg, "--out", str(dest)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(dest) in err
+
+
+@pytest.mark.parametrize("command, name", [("cvar", "cvar_solve"),
+                                           ("experiment", "run_experiment")])
+def test_value_error_in_a_run_propagates(lt_cfg, tmp_path, capsys, monkeypatch, command, name):
+    # only reading the config's fields maps a ValueError to exit 2; one
+    # raised by the solver or the experiment is a fault, not a bad config
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(rarecc.cli, name, broken)
+    with pytest.raises(ValueError, match="raised inside the run"):
+        cli_main([command, lt_cfg, "--out", str(tmp_path / "r.out")])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("experiment, needle", [
+    ({"delta_grid": [0.01]}, "missing key 'kind'"),
+    ({"kind": "no_such_kind"}, "'no_such_kind'"),
+], ids=["missing-kind", "unknown-kind"])
+def test_experiment_kind_exit_2(tmp_path, capsys, experiment, needle):
+    cfg = write_cfg(tmp_path / "k.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": {"kind": "heavy", "alpha": 2.0},
+        "experiment": experiment,
+    })
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and needle in captured.err
+    assert not out.exists()

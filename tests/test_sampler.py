@@ -110,6 +110,35 @@ def test_shard_merge_invariance():
             assert np.array_equal(merged, full), (name, cut)
 
 
+def test_empty_range_reads_no_block(monkeypatch, two_atom_model):
+    # an empty range that starts mid-block used to read that block, picks too
+    blocks = []
+    at = rarecc.sampler._STREAMS.at
+    monkeypatch.setattr(rarecc.sampler._STREAMS, "at",
+                        lambda seed, block: blocks.append(block) or at(seed, block))
+    light = LightTailModel(n=2, beta=1.0, theta=2.0)
+    assert heavy_radii_range(two_atom_model, 1, 5000, 5000).shape == (0,)
+    u, pick = rarecc.sampler._heavy_uniforms(two_atom_model, 1, 5000, 5000)
+    assert u.shape == pick.shape == (0,)
+    for model in (light, two_atom_model):
+        assert draws_range(model, 1, 5000, 5000).shape == (0, 2)
+    assert blocks == []
+    draws_range(light, 1, 5000, 5001)
+    assert blocks == [1]
+
+
+def test_unaligned_range_owns_only_its_rows(two_atom_model):
+    # a range that starts mid-block is read from the block's row 0; the rows
+    # it returns must not keep the rows before ``start`` alive
+    light = LightTailModel(n=2, beta=1.0, theta=2.0)
+    parts = [draws_range(light, 1, 4095, 4097), draws_range(two_atom_model, 1, 4095, 4097),
+             heavy_radii_range(two_atom_model, 1, 4095, 4097),
+             *rarecc.sampler._heavy_uniforms(two_atom_model, 1, 4095, 4097)]
+    for i, part in enumerate(parts):
+        assert part.shape[0] == 2, i
+        assert part.base is None or part.base.nbytes <= part.nbytes, i
+
+
 def test_draws_range_threads_match_serial():
     # each thread re-keys its own generator; ranges interleaved over more
     # threads than cores, with frequent switches, must equal the serial draws
