@@ -67,10 +67,12 @@ def load_config(path: str) -> dict:
     """Parse the JSON config into model objects; every defect, an unreadable
     file included, raises ParameterError naming ``path``."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
     try:

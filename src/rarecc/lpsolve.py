@@ -10,10 +10,14 @@ produce identical output.
 
 Every solve takes one path, :func:`_extend`: append rows to an optimal
 tableau, where they only break primal feasibility, restore it with dual
-simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve
-extends the empty tableau by every row, which is the simplex from the slack
-basis; given an earlier result of the cut loop as ``start``, a solve extends
-that result's tableau by the rows added since.  The tableau is written in
+simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve,
+:func:`_cold`, extends the empty tableau by every row, which is the simplex
+from the slack basis; :func:`_add_rows` extends an optimal tableau by more
+rows.  ``solve_lp(lp, start=)`` adds the rows of ``lp`` after those of the
+earlier result; the cut loop calls :func:`_cold` in its first round and
+:func:`_add_rows` with each new cut after it, without building a
+:class:`LinearProgram` per round, so its pivots and bits are those of
+chained ``solve_lp(lp, start=previous)`` calls.  The tableau is written in
 z = x / hi for every column with a finite hi > 0, and a cold solve lifts a
 cost row whose largest entry is below 1 into [1, 2) by a power of two, so
 the absolute tolerances depend on the units of neither x nor f; a tiny row
@@ -75,8 +79,8 @@ class LinearProgram:
 class SolveResult:
     """Optimal vertex of one LP solve.
 
-    ``_tableau`` holds the LP, its optimal tableau and basis and the column
-    scale, which a later :func:`solve_lp` with ``start=`` this result
+    ``_tableau`` holds the LP and its tableau state, the optimal tableau,
+    basis and column scale, which a later :func:`solve_lp` with ``start=`` this result
     re-optimises from; it is left out of repr and equality.
     """
 
@@ -182,7 +186,7 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = scale > _PIVOT_TOL
     if not keep.all():
         keep |= np.maximum(G, 0.0).sum(axis=1) > g
-    G, g, scale = G[keep], g[keep], scale[keep]
+        G, g, scale = G[keep], g[keep], scale[keep]
     return G / scale[:, None], g / scale
 
 
@@ -223,6 +227,42 @@ def _extend(T0: np.ndarray, basis0: np.ndarray, ncols: int, G: np.ndarray,
     return T, basis, iters + _iterate(T, basis, total, _primal_step, 1.0)
 
 
+def _reoptimise(tab: tuple, G: np.ndarray, g: np.ndarray) -> tuple[tuple, int, np.ndarray]:
+    """The tableau state (T, basis, col) after appending the rows G z <= g,
+    written in z = x / col, to the optimal state ``tab``; the pivot count;
+    and the x = col * z of its optimal vertex."""
+    T0, basis0, col = tab
+    T, basis, iters = _extend(T0, basis0, col.size, G, g)
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:-1, -1]
+    return (T, basis, col), iters, col * z[:col.size]
+
+
+def _cold(f: np.ndarray, A: np.ndarray, b: np.ndarray,
+          hi: np.ndarray) -> tuple[tuple, int, np.ndarray]:
+    """:func:`_reoptimise` from the empty tableau by the rows A x <= b and
+    the finite bounds: the simplex from the slack basis.  The tableau holds
+    z = x / col for col = hi where hi is finite and > 0, else 1, and a cost
+    row whose largest entry is below 1 is lifted into [1, 2) by a power of
+    two, which keeps every cost's bits."""
+    ncols = f.size
+    col = np.where(np.isfinite(hi) & (hi > 0), hi, 1.0)
+    ub_idx = np.flatnonzero(np.isfinite(hi))
+    T0 = np.zeros((1, ncols + 1))
+    T0[0, :ncols] = -f * col
+    top = np.abs(T0[0]).max()
+    if 0.0 < top < 1.0:
+        T0[0] = np.ldexp(T0[0], 1 - math.frexp(top)[1])
+    return _reoptimise((T0, np.empty(0, dtype=int), col),
+                       np.vstack([A * col, np.eye(ncols)[ub_idx]]),
+                       np.concatenate([b, hi[ub_idx] / col[ub_idx]]))
+
+
+def _add_rows(tab: tuple, A: np.ndarray, b: np.ndarray) -> tuple[tuple, int, np.ndarray]:
+    """:func:`_reoptimise` by the rows A x <= b, given in x."""
+    return _reoptimise(tab, A * tab[2], b)
+
+
 def _same(u: np.ndarray, v: np.ndarray) -> bool:
     return u is v or (u.shape == v.shape and bool((u == v).all()))
 
@@ -240,36 +280,20 @@ def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult
     bounded region.
     """
     f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
-    ncols = A.shape[1]
     if start is None:
-        # the tableau holds z = x / col, each bounded column in units of its bound
-        col = np.where(np.isfinite(hi) & (hi > 0), hi, 1.0)
-        ub_idx = np.flatnonzero(np.isfinite(hi))
-        T0, basis0 = np.zeros((1, ncols + 1)), np.empty(0, dtype=int)
-        T0[0, :ncols] = -f * col
-        top = np.abs(T0[0]).max()
-        if 0.0 < top < 1.0:
-            # lift the largest cost into [1, 2) by a power of two: bits kept
-            T0[0] = np.ldexp(T0[0], 1 - math.frexp(top)[1])
-        G = np.vstack([A * col, np.eye(ncols)[ub_idx]])
-        g = np.concatenate([b, hi[ub_idx] / col[ub_idx]])
+        tab, iters, x = _cold(f, A, b, hi)
     else:
         if start._tableau is None:
             raise ContractError("start carries no tableau to re-optimise from")
-        prev, T0, basis0, col = start._tableau
+        prev, tab = start._tableau
         k = prev.b.size
         if not (k <= b.size and _same(prev.objective, f) and _same(prev.hi, hi)
                 and _same(prev.A, A[:k]) and _same(prev.b, b[:k])):
             raise ContractError("start must solve the same objective and hi over the "
                                 "first rows of this LP")
-        G, g = A[k:] * col, b[k:]
-    T, basis, iters = _extend(T0, basis0, ncols, G, g)
-
-    z = np.zeros(T.shape[1] - 1)
-    z[basis] = T[:-1, -1]
-    x = col * z[:ncols]
+        tab, iters, x = _add_rows(tab, A[k:], b[k:])
     slack_ok = A @ x - b
     # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
     residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
     active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
-    return SolveResult(x, float(f @ x), iters, residual, active, (lp, T, basis, col))
+    return SolveResult(x, float(f @ x), iters, residual, active, (lp, tab))

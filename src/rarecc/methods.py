@@ -26,9 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ParameterError, RareccError, check_count, check_delta, check_same_n,
-                     check_tail_count, check_vector)
-from .lpsolve import _FEAS_TOL, LinearProgram, solve_lp
+from .errors import (InputError, ParameterError, RareccError, check_count, check_delta,
+                     check_same_n, check_tail_count, check_vector)
+from .lpsolve import _FEAS_TOL, _add_rows, _cold
+# unused here, but bench/spans.py wraps this name in this module
+from .lpsolve import solve_lp  # noqa: F401
 from .model import ProblemInstance, box_clip, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
                       draws_range, exceedances, light_qinv)
@@ -146,15 +148,19 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
     therefore valid.  Every round solves the small LP over the box and the
     cuts so far, whose optimum bounds the true one from above, and separates
-    there.  Round 1 solves from the slack basis; every later round passes the
-    previous round's result as ``start``, so :func:`solve_lp` re-optimises
-    its optimal tableau with dual simplex pivots after the one new cut.
+    there.  The loop keeps that LP's simplex tableau itself: round 1 solves
+    it cold from the slack basis (:func:`~rarecc.lpsolve._cold`), and every
+    later round appends only the new cut (:func:`~rarecc.lpsolve._add_rows`),
+    which re-optimises with dual simplex pivots.  Pivots and bits are those of
+    ``solve_lp(lp, start=previous)`` over all cuts so far, with no
+    :class:`~rarecc.lpsolve.LinearProgram` built per round; a non-finite cut
+    raises :class:`InputError`.
 
-    When x has one coordinate, round 1 does not call :func:`solve_lp`: the
-    cold solve of the 1x1 LP is a single pivot, taken here in the LP's own
-    floating-point operations, so x is the LP's to the bit.  g is linear on
-    [0, upper], so that one cut ends the loop; a second round, which
-    rounding could in principle ask for, falls back to a cold :func:`solve_lp`.
+    When x has one coordinate, round 1 builds no tableau: the cold solve of
+    the 1x1 LP is a single pivot, taken here in the LP's own floating-point
+    operations, so x is the LP's to the bit.  g is linear on [0, upper], so
+    that one cut ends the loop; a second round, which rounding could in
+    principle ask for, builds the tableau cold from both cuts.
 
     The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
     when the LP returns the iterate it was given (its tolerances cannot
@@ -166,7 +172,7 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     x = np.where(c > 0, upper, 0.0)
     cuts: list[np.ndarray] = []
     pivots = 0
-    res = None
+    tab = None
     g, s = separate(x)
     for _ in range(_MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
@@ -181,11 +187,13 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
             new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
             pivots += 1
         else:
-            lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
-                               hi=upper)
-            res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
-            new_x = res.x
-            pivots += res.iterations
+            if not np.isfinite(s).all():
+                raise InputError(f"cut coefficients must be finite, got {s!r}")
+            if tab is None:
+                tab, iters, new_x = _cold(c, np.array(cuts), np.full(len(cuts), radius), upper)
+            else:
+                tab, iters, new_x = _add_rows(tab, s[None], np.array([radius]))
+            pivots += iters
         if np.array_equal(new_x, x):
             break
         x = new_x
@@ -240,14 +248,18 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     k = math.ceil(dn)
     weights = np.full(k, 1.0 / dn)
     weights[0] = (dn - (k - 1)) / dn          # top[0] is the k-th largest loss
+    # with one matrix, A_0 attains every loss and needs no argmax
+    A0 = problem.A[np.zeros(k, dtype=np.intp)] if problem.d == 1 else None
     losses = top = None
 
     def separate(x):
         nonlocal losses, top
         losses = phi_many(problem, x, draws)
         top = np.argpartition(losses, n_total - k)[n_total - k:]
-        attain = (draws[top] @ (x @ problem.A).T).argmax(axis=1)   # loss-attaining i
-        rows = np.einsum("jmn,jn->jm", problem.A[attain], draws[top])
+        picked = draws[top]
+        mats = A0 if A0 is not None else \
+            problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]    # loss-attaining A_i
+        rows = np.einsum("jmn,jn->jm", mats, picked)
         return float(weights @ losses[top]), weights @ rows
 
     x, g, cuts, pivots, excess = _exact_cut_loop(problem.c, np.full(problem.m, problem.h),

@@ -357,7 +357,9 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     R theta_k with R = u^(-1/alpha), so its j-th loss exceeds t_j exactly
     when u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
     rounding.  A heavy chunk is therefore counted from its uniforms and
-    picks alone (:func:`_heavy_uniforms`).  A uniform further than a
+    picks alone (:func:`_heavy_uniforms`).  A uniform above the largest
+    widened level counts for no threshold, so only the uniforms at or below
+    it are gathered and compared, with their picks.  A uniform further than a
     relative alpha ``_MARGIN`` (2^-40) from its level gives a loss about
     2^-40 or more from t_j, far beyond the rounding of the pow, the product
     and the loss.  A chunk with a uniform within that margin, or with a zero
@@ -377,9 +379,14 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     levels = (np.asarray(loss_fn(model.atoms), dtype=float) / t[:, None]) ** model.alpha
     widen = _MARGIN * model.alpha
     low, high = levels * (1.0 - widen), levels * (1.0 + widen)
+    highest = high.max()
 
     def count_chunk(lo, hi):
         u, pick = _heavy_uniforms(model, seed, lo, hi)
+        # a zero uniform lies below every level, so it is gathered too
+        rows = np.flatnonzero(u <= highest)
+        u = u.take(rows)
+        pick = None if pick is None else pick.take(rows)
         picked = [True]
         if pick is not None:
             idx = _atom_index(model, pick)
@@ -390,7 +397,7 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
                     for row in levels]
 
         below = hits(low, np.less)
-        if below == hits(high, np.less_equal) and u.min() > 0.0:
+        if below == hits(high, np.less_equal) and u.min(initial=1.0) > 0.0:
             return below
         return by_draws(lo, hi)
 

@@ -13,7 +13,42 @@ import math
 import numpy as np
 
 from rarecc.lpsolve import LinearProgram, solve_lp
+from rarecc.methods import _MAX_CUT_ROUNDS
 from rarecc.sampler import copula_exponent
+
+
+def chained_cut_loop(c, upper, radius, separate):
+    """Kelley's cut loop with the arguments and return tuple of
+    ``rarecc.methods._cut_loop``, each round a full ``LinearProgram`` over
+    every cut so far, solved by ``solve_lp`` with ``start=`` the previous
+    round's result: the loop's own tableau, kept in the loop, must match it
+    to the bit.  A scalar program's first cut LP is taken by its one pivot
+    in closed form, as in the package."""
+    x = np.where(c > 0, upper, 0.0)
+    cuts = []
+    pivots = 0
+    res = None
+    g, s = separate(x)
+    for _ in range(_MAX_CUT_ROUNDS):
+        if g <= radius * (1.0 + 1e-12):
+            break
+        cuts.append(s)
+        if c.size == 1 and len(cuts) == 1:
+            col = upper[0] if 0.0 < upper[0] < math.inf else 1.0
+            q = radius / (s[0] * col)
+            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
+            pivots += 1
+        else:
+            lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
+                               hi=upper)
+            res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
+            new_x = res.x
+            pivots += res.iterations
+        if np.array_equal(new_x, x):
+            break
+        x = new_x
+        g, s = separate(x)
+    return x, g, len(cuts), pivots
 
 
 def empirical_cvar(losses: np.ndarray, delta: float) -> float:

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,15 @@ def identity_problem2():
 
 @pytest.fixture
 def stalled_lp(monkeypatch):
-    """Make every cut LP hand back the box corner the cut loop starts from."""
-    def solve(lp):
-        return SimpleNamespace(iterations=0, x=np.where(lp.objective > 0, lp.hi, 0.0))
-    monkeypatch.setattr(rarecc.methods, "solve_lp", solve)
+    """Make the first cut LP hand back the box corner the cut loop starts
+    from: its cold solve gets no cut, only the box.  The loop then stops, so
+    no later round appends a cut."""
+    cold = rarecc.methods._cold
+
+    def stalled(f, A, b, hi):
+        return cold(f, A[:0], b[:0], hi)
+
+    def no_append(*args):
+        raise AssertionError("a stalled cut loop appends no cut")
+    monkeypatch.setattr(rarecc.methods, "_cold", stalled)
+    monkeypatch.setattr(rarecc.methods, "_add_rows", no_append)

@@ -78,6 +78,14 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert cli_main(["experiment", str(bad)]) == 2
 
 
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli_main(["lt-limit", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_wrong_tail_kind_exit_2(lt_cfg):
     assert cli_main(["ht-limit", lt_cfg]) == 2
 

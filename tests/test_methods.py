@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rarecc.limits
 import rarecc.methods
 import rarecc.sampler
-from _oracles import (empirical_cvar, exp_cc_value, exp_cvar_value,
+from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
                       pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
 from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
                     ccp_oracle, cvar_solve, phi, phi_many, rate_J, sample_size_rule,
-                    scenario_solve, violation_prob, wilson_halfwidth)
+                    scenario_solve, solve_ht_limit, solve_lt_limit, violation_prob,
+                    wilson_halfwidth)
 from rarecc.lpsolve import LinearProgram, solve_lp
 from rarecc.sampler import draws_range, sample_tail
 from test_sampler import STREAM_BUDGETS
@@ -294,26 +296,104 @@ def test_cvar_returns_the_scaled_iterate_when_a_loose_box_hides_the_violation():
     assert loose.meta["tau"] == min(np.sort(losses)[-k] - 1.0, 0.0)
 
 
-def _spy_solve_lp(monkeypatch):
-    calls = []
-
-    def spy(lp, *args, **kwargs):
-        res = solve_lp(lp, *args, **kwargs)
-        calls.append((lp, args, kwargs, res))
-        return res
-    monkeypatch.setattr(rarecc.methods, "solve_lp", spy)
-    return calls
-
-
 def test_cut_loop_warm_starts_after_round_one(monkeypatch):
-    calls = _spy_solve_lp(monkeypatch)
+    # round 1 solves the first cut's LP cold; every later round appends the
+    # one new cut to the previous round's tableau state
+    calls = []
+    cold, add_rows = rarecc.methods._cold, rarecc.methods._add_rows
+
+    def spy_cold(f, A, b, hi):
+        out = cold(f, A, b, hi)
+        calls.append((None, A, out))
+        return out
+
+    def spy_add_rows(tab, A, b):
+        out = add_rows(tab, A, b)
+        calls.append((tab, A, out))
+        return out
+    monkeypatch.setattr(rarecc.methods, "_cold", spy_cold)
+    monkeypatch.setattr(rarecc.methods, "_add_rows", spy_add_rows)
     prob, tail = _heavy_two_matrix()
     res = cvar_solve(prob, tail, 0.25, 500, 9)
     assert len(calls) == res.meta["outer_iterations"] - 1 > 2
-    assert calls[0][1:3] == ((), {})
-    for prev, (lp, args, kwargs, _) in zip(calls, calls[1:]):
-        assert args == () and set(kwargs) == {"start"} and kwargs["start"] is prev[3]
-    assert res.meta["lp_iterations"] == sum(r.iterations for *_, r in calls)
+    assert calls[0][0] is None and calls[0][1].shape == (1, prob.m)
+    for (*_, (tab, _, _)), (tab0, A, _) in zip(calls, calls[1:]):
+        assert tab0 is tab and A.shape == (1, prob.m)
+    assert res.meta["lp_iterations"] == sum(iters for *_, (_, iters, _) in calls)
+
+
+@pytest.mark.parametrize("bad_round", [1, 2])
+def test_cut_loop_rejects_a_non_finite_cut(bad_round):
+    # round 1 builds the tableau cold and round 2 appends to it; a cut with
+    # an inf or nan entry is bad input either way
+    cuts = iter([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    rounds = []
+
+    def separate(x):
+        rounds.append(x)
+        s = next(cuts)
+        if len(rounds) == bad_round:
+            s = np.array([s[0], np.inf]) if bad_round == 1 else np.array([np.nan, s[1]])
+        return 2.0, s
+    with pytest.raises(InputError, match="finite"):
+        rarecc.methods._cut_loop(np.ones(2), np.full(2, 10.0), 1.0, separate)
+    assert len(rounds) == bad_round
+
+
+def _cut_programs(seed):
+    """A random cut-loop instance: m = 2-4, d = 1-2, n = 1-3, a box of
+    h = 10^(-6..6) and risk matrices scaled to 1 / h, so that the box is
+    at most a few decades from the cuts, and a light and a heavy tail."""
+    rng = np.random.default_rng(seed)
+    m, d, n = (int(v) for v in rng.integers((2, 1, 1), (5, 3, 4)))
+    h = 10.0 ** rng.uniform(-6.0, 6.0)
+    A = rng.uniform(0.0, 1.0, (d, m, n)) ** 4 * 10.0 ** rng.uniform(-1.0, 2.0) / h
+    prob = ProblemInstance(c=rng.uniform(0.1, 2.0, m), h=h, A=A)
+    light = LightTailModel(n=n, beta=float(rng.uniform(0.5, 2.0)),
+                           theta=float(rng.choice([1.0, 2.0, math.inf])))
+    atoms = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 5)))
+    heavy = HeavyTailModel.from_pairs(n=n, alpha=float(rng.uniform(1.5, 3.0)),
+                                      pairs=[(1.0 / len(atoms), a) for a in atoms])
+    return prob, light, heavy
+
+
+def _outcome(run):
+    try:
+        res = run()
+    except RareccError as exc:
+        return type(exc), str(exc)
+    if hasattr(res, "y_star"):
+        return res.y_star.tobytes(), res.value, res.gap
+    return (res.x.tobytes(), res.value, res.meta["lp_iterations"],
+            res.meta.get("outer_iterations", res.meta.get("binding_candidates")),
+            res.meta["gap"], res.meta["stall_excess"])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_live_tableau_matches_chained_solve_lp(monkeypatch, seed):
+    # the cut loop keeps its tableau and appends one cut per round; a loop
+    # that hands every round's full LP to solve_lp(start=) must give the same
+    # x bytes, pivots and cut counts, in every cut loop of every solver
+    prob, light, heavy = _cut_programs(seed)
+    runs = [lambda: cvar_solve(prob, light, 0.1, 1000, seed),
+            lambda: cvar_solve(prob, heavy, 0.05, 2000, seed),
+            lambda: scenario_solve(prob, sample_tail(light, seed, 300), 1.0),
+            lambda: scenario_solve(prob, sample_tail(heavy, seed, 300), 0.5),
+            lambda: solve_lt_limit(light, prob),
+            lambda: solve_ht_limit(heavy, prob)]
+    results = {}
+    for name, loop in (("live", rarecc.methods._cut_loop), ("chained", chained_cut_loop)):
+        loops = []
+
+        def recorded(c, upper, radius, separate, _loop=loop, _loops=loops):
+            x, g, cuts, pivots = _loop(c, upper, radius, separate)
+            _loops.append((x.tobytes(), g, cuts, pivots))
+            return x, g, cuts, pivots
+        monkeypatch.setattr(rarecc.methods, "_cut_loop", recorded)
+        monkeypatch.setattr(rarecc.limits, "_cut_loop", recorded)
+        results[name] = [_outcome(run) for run in runs], loops
+    assert results["live"] == results["chained"]
+    assert len(results["live"][1]) == len(runs)
 
 
 def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pareto2, scalar_exp):

@@ -143,6 +143,22 @@ def test_heavy_exceedances_equal_the_counts_of_the_draws(cpus, case):
 
 
 @pytest.mark.parametrize("case", sorted(HEAVY_CASES))
+def test_heavy_exceedances_gathered_below_the_highest_level(cpus, case):
+    # thresholds that put the highest level (loss(theta_k) / t)^alpha of each
+    # loss at 1/32, so each chunk gathers only about 1/32 of its rows
+    model, losses = HEAVY_CASES[case][1], heavy_losses(case)
+    thresholds = [float(loss.max()) * 32.0 ** (1.0 / model.alpha)
+                  for loss in losses(model.atoms)]
+    for budget in STREAM_BUDGETS:
+        want = [np.count_nonzero(loss > t)
+                for loss, t in zip(losses(draws_range(model, 17, 0, budget)), thresholds)]
+        assert all(0 < hits < budget for hits in want)
+        for k in SHARD_COUNTS:
+            cpus(k)
+            assert list(exceedances(model, 17, budget, losses, thresholds)) == want, (budget, k)
+
+
+@pytest.mark.parametrize("case", sorted(HEAVY_CASES))
 def test_heavy_exceedances_are_the_same_when_every_chunk_is_drawn(cpus, monkeypatch, case):
     model, losses = HEAVY_CASES[case][1], heavy_losses(case)
     want = {}
