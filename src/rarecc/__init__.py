@@ -13,7 +13,6 @@ from .methods import (MethodResult, analytic_ccp_value, analytic_cvar_value,
                       scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, box_clip, phi, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
-                      dump_batch_csv, heavy_fbar_inv, joint_tail_light,
-                      light_qinv, load_batch_csv, sample_tail)
+                      heavy_fbar_inv, joint_tail_light, light_qinv, sample_tail)
 
 __version__ = "0.1.0"

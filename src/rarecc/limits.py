@@ -27,7 +27,6 @@ from .sampler import (HeavyTailModel, LightTailModel, TailModel,
                       copula_exponent, tail_radius)
 
 _NEWTON_STEPS = 4          # KKT polishing steps after the cut loop
-_METHOD = "cut-loop"       # LimitSolution.method label written to the CLI's JSON
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class LimitSolution:
     y_star: np.ndarray
     value: float
     residual: float
-    method: str
     gap: float           # upper bound on the optimum over value, minus 1
 
     def to_json_dict(self) -> dict:
@@ -45,7 +43,7 @@ class LimitSolution:
             "y_star": [float(v) for v in self.y_star],
             "value": float(self.value),
             "residual": float(self.residual),
-            "method": self.method,
+            "method": "cut-loop",
             "gap": float(self.gap),
         }
 
@@ -202,8 +200,7 @@ def solve_lt_limit(model: LightTailModel, problem: ProblemInstance) -> LimitSolu
 
     y, gap = _solve_limit(problem.c, separate)
     residual = abs(rate_J(model, problem, y) - 1.0)
-    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual,
-                         method=_METHOD, gap=gap)
+    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual, gap=gap)
 
 
 def solve_ht_limit(model: HeavyTailModel, problem: ProblemInstance) -> LimitSolution:
@@ -229,8 +226,7 @@ def solve_ht_limit(model: HeavyTailModel, problem: ProblemInstance) -> LimitSolu
 
     y, gap = _solve_limit(problem.c, separate)
     residual = abs(angular_moment(model, problem, y) - 1.0)
-    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual,
-                         method=_METHOD, gap=gap)
+    return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual, gap=gap)
 
 
 def limit_to_decision(sol: LimitSolution, tail: TailModel, delta: float,

@@ -13,15 +13,13 @@ tableau, where they only break primal feasibility, restore it with dual
 simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve,
 :func:`_cold`, extends the empty tableau by every row, which is the simplex
 from the slack basis; :func:`_add_rows` extends an optimal tableau by more
-rows.  ``solve_lp(lp, start=)`` adds the rows of ``lp`` after those of the
-earlier result; the cut loop calls :func:`_cold` in its first round and
-:func:`_add_rows` with each new cut after it, without building a
-:class:`LinearProgram` per round, so its pivots and bits are those of
-chained ``solve_lp(lp, start=previous)`` calls.  The tableau is written in
-z = x / hi for every column with a finite hi > 0, and a cold solve lifts a
-cost row whose largest entry is below 1 into [1, 2) by a power of two, so
-the absolute tolerances depend on the units of neither x nor f; a tiny row
-is dropped only when no z in the unit box can violate it.
+rows.  :func:`solve_lp` is :func:`_cold` over a :class:`LinearProgram`; the
+cut loop calls :func:`_cold` in its first round and :func:`_add_rows` with
+each new cut after it, keeping the tableau state itself.  The tableau is
+written in z = x / hi for every column with a finite hi > 0, and a cold
+solve lifts a cost row whose largest entry is below 1 into [1, 2) by a
+power of two, so the absolute tolerances depend on the units of neither x
+nor f; a tiny row is dropped only when no z in the unit box can violate it.
 """
 
 from __future__ import annotations
@@ -77,19 +75,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal vertex of one LP solve.
-
-    ``_tableau`` holds the LP and its tableau state, the optimal tableau,
-    basis and column scale, which a later :func:`solve_lp` with ``start=`` this result
-    re-optimises from; it is left out of repr and equality.
-    """
+    """Optimal vertex of one LP solve."""
 
     x: np.ndarray
     objective: float
     iterations: int
     residual: float
     active_rows: list = field(default_factory=list)
-    _tableau: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
@@ -129,8 +121,10 @@ def _primal_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
 def _dual_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
     """Leaving row by its negative right-hand side, entering column by the
     dual ratio test, which keeps every reduced cost >= 0; None once every
-    right-hand side is >= -_FEAS_TOL."""
+    right-hand side is >= -_FEAS_TOL, or when there is no row."""
     rhs = T[:-1, -1]
+    if rhs.size == 0:
+        return None
     if bland:
         elig = (rhs < -_FEAS_TOL).nonzero()[0]
         if elig.size == 0:
@@ -181,7 +175,11 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of G y <= g less the vacuous ones, each scaled to largest
     magnitude 1.  A row is vacuous when its coefficients are all below the
     pivot tolerance and their positive part sums to at most g, so that no
-    y in the unit box violates it; a tiny row with a tinier g is kept."""
+    y in the unit box violates it; a tiny row with a tinier g is kept.  A
+    column without a finite bound is then solved as if the dropped rows were
+    absent: if no other row bounds it, a positive cost there raises
+    :class:`UnboundedError`, and when every row is dropped the LP is solved
+    over the bounds alone."""
     scale = np.abs(G).max(axis=1)
     keep = scale > _PIVOT_TOL
     if not keep.all():
@@ -206,8 +204,6 @@ def _extend(T0: np.ndarray, basis0: np.ndarray, ncols: int, G: np.ndarray,
     G, g = _scaled_rows(G, g)
     rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
     added = g.size
-    if rows0 + added == 0:
-        raise ContractError("all constraint rows vanished; region is unbounded")
     T = np.zeros((rows0 + added + 1, cols0 + added + 1))
     T[:rows0, :cols0] = T0[:-1, :-1]
     T[:rows0, -1] = T0[:-1, -1]
@@ -263,37 +259,17 @@ def _add_rows(tab: tuple, A: np.ndarray, b: np.ndarray) -> tuple[tuple, int, np.
     return _reoptimise(tab, A * tab[2], b)
 
 
-def _same(u: np.ndarray, v: np.ndarray) -> bool:
-    return u is v or (u.shape == v.shape and bool((u == v).all()))
+def solve_lp(lp: LinearProgram) -> SolveResult:
+    """Solve the LP from the slack basis and return an optimal vertex.
 
-
-def solve_lp(lp: LinearProgram, start: SolveResult | None = None) -> SolveResult:
-    """Solve the LP and return an optimal vertex.
-
-    Without ``start`` the solve extends the empty tableau by every row of
-    ``lp``.  ``start`` is an earlier result of this function for an LP with
-    the same objective and ``hi`` whose rows are the first rows of ``lp``;
-    the solve then extends its optimal tableau by the rest, and any other
-    ``start`` raises :class:`ContractError`.  The region always holds x = 0,
-    so there is no infeasible outcome; unboundedness raises
-    :class:`UnboundedError` because every call site is supposed to pass a
-    bounded region.
+    The region always holds x = 0, so there is no infeasible outcome;
+    unboundedness raises :class:`UnboundedError` because every call site is
+    supposed to pass a bounded region.
     """
     f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
-    if start is None:
-        tab, iters, x = _cold(f, A, b, hi)
-    else:
-        if start._tableau is None:
-            raise ContractError("start carries no tableau to re-optimise from")
-        prev, tab = start._tableau
-        k = prev.b.size
-        if not (k <= b.size and _same(prev.objective, f) and _same(prev.hi, hi)
-                and _same(prev.A, A[:k]) and _same(prev.b, b[:k])):
-            raise ContractError("start must solve the same objective and hi over the "
-                                "first rows of this LP")
-        tab, iters, x = _add_rows(tab, A[k:], b[k:])
+    _, iters, x = _cold(f, A, b, hi)
     slack_ok = A @ x - b
     # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
     residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
     active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
-    return SolveResult(x, float(f @ x), iters, residual, active, (lp, tab))
+    return SolveResult(x, float(f @ x), iters, residual, active)

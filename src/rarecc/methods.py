@@ -80,10 +80,10 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
 
     Counts the violations with :func:`~rarecc.sampler.exceedances`, one
     shard per CPU.  Each shard draws, or for a heavy tail reads the draws'
-    uniforms of, one chunk at a time, a fresh array of 2^15 / t rows for t
-    shards (0.75 MiB of draws in total at n = 3), so those chunks and their
-    losses are all the count holds, whatever the budget.  The result depends
-    only on (tail, seed, budget).
+    uniforms of, one chunk at a time, a fresh array of 8 // t whole
+    4096-row blocks for t shards (at most 0.75 MiB of draws in total at
+    n = 3), so those chunks and their losses are all the count holds,
+    whatever the budget.  The result depends only on (tail, seed, budget).
     """
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)
@@ -151,10 +151,9 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     there.  The loop keeps that LP's simplex tableau itself: round 1 solves
     it cold from the slack basis (:func:`~rarecc.lpsolve._cold`), and every
     later round appends only the new cut (:func:`~rarecc.lpsolve._add_rows`),
-    which re-optimises with dual simplex pivots.  Pivots and bits are those of
-    ``solve_lp(lp, start=previous)`` over all cuts so far, with no
-    :class:`~rarecc.lpsolve.LinearProgram` built per round; a non-finite cut
-    raises :class:`InputError`.
+    which re-optimises with dual simplex pivots.  No
+    :class:`~rarecc.lpsolve.LinearProgram` is built per round; a non-finite
+    cut raises :class:`InputError`.
 
     When x has one coordinate, round 1 builds no tableau: the cold solve of
     the 1x1 LP is a single pivot, taken here in the LP's own floating-point

@@ -491,35 +491,3 @@ def tail_radius(model: TailModel, delta: float) -> float:
     if isinstance(model, LightTailModel):
         return light_qinv(model, math.log(1.0 / delta))
     return heavy_fbar_inv(model, delta)
-
-
-def dump_batch_csv(batch: SampleBatch, path) -> None:
-    """Write a batch as CSV: a ``# seed=`` comment, a header, one draw per row."""
-    n = batch.n
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# seed={batch.seed}\n")
-        fh.write(",".join(f"L{i + 1}" for i in range(n)) + "\n")
-        for row in batch.samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_batch_csv(path) -> SampleBatch:
-    """Read a batch written by :func:`dump_batch_csv`."""
-    seed = 0
-    rows = []
-    with open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                if key.strip() == "seed":
-                    seed = int(val)
-                continue
-            if line.startswith("L1"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ContractError(f"no sample rows found in {path}")
-    return SampleBatch(samples=np.asarray(rows, dtype=float), seed=seed)

@@ -12,22 +12,23 @@ import math
 
 import numpy as np
 
-from rarecc.lpsolve import LinearProgram, solve_lp
+from rarecc.lpsolve import LinearProgram, _add_rows, _cold, solve_lp
 from rarecc.methods import _MAX_CUT_ROUNDS
 from rarecc.sampler import copula_exponent
 
 
 def chained_cut_loop(c, upper, radius, separate):
     """Kelley's cut loop with the arguments and return tuple of
-    ``rarecc.methods._cut_loop``, each round a full ``LinearProgram`` over
-    every cut so far, solved by ``solve_lp`` with ``start=`` the previous
-    round's result: the loop's own tableau, kept in the loop, must match it
-    to the bit.  A scalar program's first cut LP is taken by its one pivot
-    in closed form, as in the package."""
+    ``rarecc.methods._cut_loop``, each round a full, validated
+    ``LinearProgram`` over every cut so far: the first such LP is solved by
+    ``_cold``, and each later one by ``_add_rows`` with the rows beyond the
+    previous LP's.  The loop, which keeps its tableau itself and builds no
+    LP, must match it to the bit.  A scalar program's first cut LP is taken
+    by its one pivot in closed form, as in the package."""
     x = np.where(c > 0, upper, 0.0)
     cuts = []
     pivots = 0
-    res = None
+    tab = prev = None
     g, s = separate(x)
     for _ in range(_MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
@@ -41,9 +42,13 @@ def chained_cut_loop(c, upper, radius, separate):
         else:
             lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
                                hi=upper)
-            res = solve_lp(lp) if res is None else solve_lp(lp, start=res)
-            new_x = res.x
-            pivots += res.iterations
+            if tab is None:
+                tab, iters, new_x = _cold(lp.objective, lp.A, lp.b, lp.hi)
+            else:
+                k = prev.b.size
+                tab, iters, new_x = _add_rows(tab, lp.A[k:], lp.b[k:])
+            prev = lp
+            pivots += iters
         if np.array_equal(new_x, x):
             break
         x = new_x

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -508,3 +512,25 @@ def test_experiment_kind_exit_2(tmp_path, capsys, experiment, needle):
     assert captured.out == ""
     assert captured.err.startswith("error:") and needle in captured.err
     assert not out.exists()
+
+
+def test_documented_exit_codes_from_the_process(tmp_path):
+    # console_main hands cli_main's code to sys.exit: 0 on success, 2 for a
+    # bad config, 1 for a failed write, as the process's own exit status
+    src = pathlib.Path(rarecc.cli.__file__).resolve().parents[1]
+    example = src.parent / "scripts" / "configs" / "lt_limit_example.json"
+    no_tail = json.loads(example.read_text())
+    del no_tail["tail"]
+    (tmp_path / "a_directory").mkdir()
+    cases = [([str(example), "--out", str(tmp_path / "sol.json")], 0),
+             ([write_cfg(tmp_path / "no_tail.json", no_tail)], 2),
+             ([str(example), "--out", str(tmp_path / "a_directory")], 1)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for args, code in cases:
+        run = subprocess.run([sys.executable, "-m", "rarecc.cli", "lt-limit", *args], env=env,
+                             cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert run.returncode == code, (args, run.stderr)
+        if code:
+            assert run.stderr.startswith("error:"), run.stderr
+    assert json.loads((tmp_path / "sol.json").read_text())["value"] == 4.25
+    assert "Is a directory" in run.stderr

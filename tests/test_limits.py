@@ -395,16 +395,14 @@ def test_limit_to_decision_heavy(scalar_pareto2):
     prob2 = ProblemInstance(c=[1.0, 1.0], h=100.0, A=[np.eye(2)])
     model = HeavyTailModel.from_pairs(n=2, alpha=2.0,
                                       pairs=[(0.5, [1, 0]), (0.5, [0, 1])])
-    sol = LimitSolution(y_star=np.array([2.0, 0.0]), value=2.0, residual=0.0,
-                        method="cut-loop", gap=0.0)
+    sol = LimitSolution(y_star=np.array([2.0, 0.0]), value=2.0, residual=0.0, gap=0.0)
     x = limit_to_decision(sol, model, 1e-4, 0.0, prob2)
     assert np.allclose(x, [0.02, 0.0])
 
 
 def test_limit_to_decision_light_shrink(scalar_problem, scalar_exp):
     from rarecc.limits import LimitSolution
-    sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0,
-                        method="cut-loop", gap=0.0)
+    sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0, gap=0.0)
     x = limit_to_decision(sol, scalar_exp, math.exp(-10.0), 0.1, scalar_problem)
     assert x[0] == pytest.approx(0.09, rel=1e-12)
     lt_half = LightTailModel(n=1, beta=0.5)
@@ -414,8 +412,7 @@ def test_limit_to_decision_light_shrink(scalar_problem, scalar_exp):
 
 def test_limit_to_decision_domain(scalar_problem, scalar_exp):
     from rarecc.limits import LimitSolution
-    sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0,
-                        method="cut-loop", gap=0.0)
+    sol = LimitSolution(y_star=np.array([1.0]), value=1.0, residual=0.0, gap=0.0)
     with pytest.raises(ParameterError):
         limit_to_decision(sol, scalar_exp, 0.0, 0.0, scalar_problem)
     with pytest.raises(ParameterError):

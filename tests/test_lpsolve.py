@@ -5,7 +5,7 @@ import rarecc.lpsolve
 from _oracles import brute_force_lp
 from rarecc import (ContractError, InputError, LinearProgram, UnboundedError,
                     solve_lp)
-from rarecc.lpsolve import SolveResult
+from rarecc.lpsolve import _add_rows, _cold
 
 
 def test_single_constraint():
@@ -22,6 +22,29 @@ def test_simplex_face():
 def test_unbounded_raises():
     with pytest.raises(UnboundedError):
         solve_lp(LinearProgram(objective=[1.0, 1.0], A=[[1.0, -1.0]], b=[1.0]))
+
+
+@pytest.mark.parametrize("f, A, hi, x, pivots", [
+    ([-1.0], [[0.0]], None, [0.0], 0),
+    ([0.0, -2.0], [[0.0, 0.0]], None, [0.0, 0.0], 0),
+    ([1.0], [[0.0]], None, None, 0),
+    ([1.0], [[1e-12]], None, None, 0),
+    ([-1.0], [[0.0]], [2.0], [0.0], 0),
+    ([0.0, -2.0], [[0.0, 0.0]], [2.0, 2.0], [0.0, 0.0], 0),
+    ([1.0], [[0.0]], [2.0], [2.0], 1),
+], ids=["negative", "zero-and-negative", "positive", "tiny-row-positive", "negative-boxed",
+        "zero-and-negative-boxed", "positive-boxed"])
+def test_every_row_vacuous(f, A, hi, x, pivots):
+    # no x >= 0 violates a row whose coefficients are all below the pivot
+    # tolerance, so the LP is solved over its bounds alone: x = 0 when no
+    # cost is positive, else the bound, or UnboundedError without one
+    lp = LinearProgram(objective=f, A=A, b=[1.0], hi=hi)
+    if x is None:
+        with pytest.raises(UnboundedError):
+            solve_lp(lp)
+        return
+    res = solve_lp(lp)
+    assert res.x.tolist() == x and res.iterations == pivots and res.residual == 0.0
 
 
 def test_random_instances_match_vertex_enumeration():
@@ -87,6 +110,12 @@ def test_shape_validation():
         LinearProgram(objective=[1.0], A=[[1.0]], b=[1.0], hi=[-1.0])
 
 
+def _violation(lp, x):
+    """Largest violation of A x <= b, x >= 0 and x <= hi, as solve_lp's
+    residual."""
+    return max(0.0, float(np.concatenate([lp.A @ x - lp.b, -x, x - lp.hi]).max()))
+
+
 def _cut_sequence(rng, m, count):
     """Rows as the cut loop adds them, with repeats and parallel copies."""
     rows = []
@@ -111,17 +140,20 @@ def test_warm_start_matches_cold_solve():
         f = rng.uniform(-0.5, 2.0, m)
         hi = rng.uniform(0.5, 4.0, m)
         b = rng.uniform(0.5, 2.0, A.shape[0])
-        res = None
+        tab = None
         for k in range(1, A.shape[0] + 1):
             lp = LinearProgram(objective=f, A=A[:k], b=b[:k], hi=hi)
             cold = solve_lp(lp)
-            res = cold if res is None else solve_lp(lp, start=res)
+            if tab is None:
+                tab, iters, x = _cold(lp.objective, lp.A, lp.b, lp.hi)
+            else:
+                tab, iters, x = _add_rows(tab, lp.A[k - 1:], lp.b[k - 1:])
             scale = 1.0 + abs(cold.objective)
-            assert abs(res.objective - cold.objective) <= 1e-9 * scale, (trial, k)
-            assert np.abs(res.x - cold.x).max() <= 1e-9 * (1.0 + np.abs(cold.x).max()), (trial, k)
-            assert res.residual <= 1e-9 * (1.0 + b[:k].max()), (trial, k)
+            assert abs(f @ x - cold.objective) <= 1e-9 * scale, (trial, k)
+            assert np.abs(x - cold.x).max() <= 1e-9 * (1.0 + np.abs(cold.x).max()), (trial, k)
+            assert _violation(lp, x) <= 1e-9 * (1.0 + b[:k].max()), (trial, k)
             if k > 1:
-                warm_pivots += res.iterations
+                warm_pivots += iters
                 cold_pivots += cold.iterations
     assert warm_pivots < cold_pivots
 
@@ -130,48 +162,23 @@ def test_warm_start_adds_several_rows_at_once():
     rng = np.random.default_rng(3)
     A = _cut_sequence(rng, 4, 12)
     f, hi, b = rng.uniform(0.1, 2.0, 4), np.full(4, 3.0), np.ones(12)
-    first = solve_lp(LinearProgram(objective=f, A=A[:2], b=b[:2], hi=hi))
-    lp = LinearProgram(objective=f, A=A, b=b, hi=hi)
-    res, cold = solve_lp(lp, start=first), solve_lp(lp)
-    assert res.objective == pytest.approx(cold.objective, rel=1e-12)
-    assert np.allclose(res.x, cold.x, rtol=1e-10, atol=1e-12)
-
-
-def test_warm_start_contract():
-    f, hi = np.array([1.0, 2.0]), np.array([3.0, 3.0])
-    A = np.array([[1.0, 1.0], [2.0, 0.5], [0.5, 2.0]])
-    start = solve_lp(LinearProgram(objective=f, A=A[:2], b=np.ones(2), hi=hi))
-    bad = [
-        LinearProgram(objective=f, A=A[[0, 2]], b=np.ones(2), hi=hi),         # other row
-        LinearProgram(objective=f, A=A[:1], b=np.ones(1), hi=hi),             # fewer rows
-        LinearProgram(objective=f, A=A, b=np.array([1.0, 2.0, 1.0]), hi=hi),  # other b
-        LinearProgram(objective=f * 2.0, A=A, b=np.ones(3), hi=hi),
-        LinearProgram(objective=f, A=A, b=np.ones(3), hi=hi * 2.0),
-        LinearProgram(objective=f, A=A, b=np.ones(3)),                        # hi = inf
-    ]
-    for lp in bad:
-        with pytest.raises(ContractError):
-            solve_lp(lp, start=start)
-    bare = SolveResult(start.x, start.objective, start.iterations, start.residual)
-    with pytest.raises(ContractError):
-        solve_lp(LinearProgram(objective=f, A=A, b=np.ones(3), hi=hi), start=bare)
+    first, _, _ = _cold(f, A[:2], b[:2], hi)
+    _, _, x = _add_rows(first, A[2:], b[2:])
+    cold = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=hi))
+    assert f @ x == pytest.approx(cold.objective, rel=1e-12)
+    assert np.allclose(x, cold.x, rtol=1e-10, atol=1e-12)
 
 
 def test_warm_start_leaves_start_intact():
     f, hi = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-    lp1 = LinearProgram(objective=f, A=[[1.0, 0.0]], b=[1.5], hi=hi)
-    start = solve_lp(lp1)
-    x1 = start.x.copy()
-    lp2 = LinearProgram(objective=f, A=[[1.0, 0.0], [0.0, 1.0]], b=[1.5, 0.5], hi=hi)
-    res = solve_lp(lp2, start=start)
-    assert res.x.tolist() == [1.5, 0.5] and res.iterations == 1
-    assert start.x.tolist() == x1.tolist()
+    start, _, x1 = _cold(f, np.array([[1.0, 0.0]]), np.array([1.5]), hi)
+    kept = [a.copy() for a in (*start, x1)]
+    _, iters, x = _add_rows(start, np.array([[0.0, 1.0]]), np.array([0.5]))
+    assert x.tolist() == [1.5, 0.5] and iters == 1
+    assert all(np.array_equal(a, b) for a, b in zip((*start, x1), kept))
     # the same start serves a second, different extension
-    lp3 = LinearProgram(objective=f, A=[[1.0, 0.0], [1.0, 1.0]], b=[1.5, 1.0], hi=hi)
-    assert solve_lp(lp3, start=start).objective == pytest.approx(1.0)
-    assert start == SolveResult(start.x, start.objective, start.iterations, start.residual,
-                                start.active_rows)
-    assert "_tableau" not in repr(start)
+    _, _, x = _add_rows(start, np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert f @ x == pytest.approx(1.0)
 
 
 def _degenerate_lp(rng):
@@ -187,8 +194,11 @@ def _degenerate_lp(rng):
 
 
 def _cold_and_warm(lp, k):
-    first = solve_lp(LinearProgram(objective=lp.objective, A=lp.A[:k], b=lp.b[:k], hi=lp.hi))
-    return solve_lp(lp), solve_lp(lp, start=first)
+    """(objective, largest violation) of the LP solved cold, and solved
+    cold over its first k rows with the rest then appended."""
+    first, _, _ = _cold(lp.objective, lp.A[:k], lp.b[:k], lp.hi)
+    _, _, warm = _add_rows(first, lp.A[k:], lp.b[k:])
+    return [(float(lp.objective @ x), _violation(lp, x)) for x in (solve_lp(lp).x, warm)]
 
 
 def test_blands_rule_reaches_the_default_optimum(monkeypatch):
@@ -205,7 +215,7 @@ def test_blands_rule_reaches_the_default_optimum(monkeypatch):
         monkeypatch.setattr(rarecc.lpsolve, name, step)
     monkeypatch.setattr(rarecc.lpsolve, "_STALL_LIMIT", 1)
     for trial, ((lp, k), ref) in enumerate(zip(cases, default)):
-        for res, want in zip(_cold_and_warm(lp, k), ref):
-            assert abs(res.objective - want.objective) <= 1e-9 * (1.0 + abs(want.objective)), trial
-            assert res.residual <= 1e-9, trial
+        for (value, violation), (want, _) in zip(_cold_and_warm(lp, k), ref):
+            assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), trial
+            assert violation <= 1e-9, trial
     assert bland_steps["_primal_step"] > 0 and bland_steps["_dual_step"] > 0, bland_steps

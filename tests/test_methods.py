@@ -372,8 +372,9 @@ def _outcome(run):
 @pytest.mark.parametrize("seed", range(16))
 def test_live_tableau_matches_chained_solve_lp(monkeypatch, seed):
     # the cut loop keeps its tableau and appends one cut per round; a loop
-    # that hands every round's full LP to solve_lp(start=) must give the same
-    # x bytes, pivots and cut counts, in every cut loop of every solver
+    # that builds every round's full LP and appends the rows beyond the last
+    # round's must give the same x bytes, pivots and cut counts, in every cut
+    # loop of every solver
     prob, light, heavy = _cut_programs(seed)
     runs = [lambda: cvar_solve(prob, light, 0.1, 1000, seed),
             lambda: cvar_solve(prob, heavy, 0.05, 2000, seed),

@@ -11,10 +11,9 @@ import pytest
 
 import rarecc.sampler
 from _oracles import ks_distance
-from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
-                    ParameterError, ProblemInstance, dump_batch_csv,
-                    heavy_fbar_inv, joint_tail_light, light_qinv,
-                    load_batch_csv, sample_tail)
+from rarecc import (HeavyTailModel, InputError, LightTailModel, ParameterError,
+                    ProblemInstance, heavy_fbar_inv, joint_tail_light, light_qinv,
+                    sample_tail)
 from rarecc.model import phi_many
 from rarecc.sampler import (_CHUNK, _atom_index, draws_range, exceedances, heavy_radii_range,
                             heavy_radius_max, tail_radius)
@@ -375,22 +374,3 @@ def test_heavy_model_rejects_non_finite(pairs):
     # every comparison with NaN is false, so NaN passed the sign checks
     with pytest.raises(ParameterError, match="finite"):
         HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=pairs)
-
-
-def test_batch_csv_roundtrip(tmp_path, two_atom_model):
-    batch = sample_tail(two_atom_model, 1234, 500)
-    path = tmp_path / "batch.csv"
-    dump_batch_csv(batch, path)
-    text = path.read_text()
-    assert text.startswith("# seed=1234\nL1,L2\n")
-    assert text.endswith("\n") and "\r" not in text
-    back = load_batch_csv(path)
-    assert back.seed == 1234
-    assert np.array_equal(back.samples, batch.samples)
-
-
-def test_batch_csv_empty_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("# seed=1\nL1\n")
-    with pytest.raises(ContractError):
-        load_batch_csv(path)
