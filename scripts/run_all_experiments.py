@@ -8,8 +8,9 @@ config through the CLI, writing into RESULTS_DIR (default: results).  The
 package is imported from this checkout's ``src``, so no PYTHONPATH is
 needed.  Everything is seeded, so reruns reproduce the same bytes.  On a
 shared 2-vCPU Linux VM (Python 3.11, numpy 2.4, default OpenBLAS threads)
-three runs took 3.8-4.1 s real, ``tail_ratio`` 1.5-1.7 s of it.  Timings
-on that VM move with the host's load by 30% or more.
+four runs took 5.2-6.1 s real, ``tail_ratio`` 2.0-2.4 s and
+``scenario_heavy`` 0.9-1.1 s of it.  Timings on that VM move with the
+host's load by 30% or more.
 """
 
 import argparse

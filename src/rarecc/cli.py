@@ -23,12 +23,12 @@ import json
 import os
 import sys
 
-from .errors import ParameterError, RareccError, check_count
+from .errors import ParameterError, RareccError, check_count, check_radius
 from .experiments import ExperimentConfig, as_count, run_experiment, write_report
 from .limits import solve_ht_limit, solve_lt_limit
 from .methods import ccp_oracle, cvar_solve, sample_size_rule, scenario_solve
 from .model import ProblemInstance
-from .sampler import HeavyTailModel, LightTailModel, sample_tail
+from .sampler import HeavyTailModel, LightTailModel, scenario_batch
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -123,9 +123,9 @@ def _read_method(cfg: dict, args):
     budget = as_count("budget", exp.get("budget", ExperimentConfig.budget))
     if args.command == "scenario":
         k = as_count("k_grid value", exp.get("k_grid", [1000])[0])
-        radius = float(exp.get("radius", 1.0))
+        radius = check_radius(float(exp.get("radius", 1.0)))
         return lambda out: _emit(
-            scenario_solve(problem, sample_tail(tail, seed, k), radius).to_json_dict(), out)
+            scenario_solve(problem, scenario_batch(tail, seed, k), radius).to_json_dict(), out)
     return lambda out: _emit((ccp_oracle if args.command == "oracle" else cvar_solve)(
         problem, tail, delta, budget, seed).to_json_dict(), out)
 

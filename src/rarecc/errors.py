@@ -44,6 +44,13 @@ def check_delta(delta, name: str = "delta") -> None:
         raise ParameterError(f"{name} must lie in (0, 1)")
 
 
+def check_radius(radius) -> float:
+    """``radius`` as a float if it is finite and > 0, else ParameterError."""
+    if not 0.0 < radius < math.inf:
+        raise ParameterError(f"radius must be finite and > 0, got {radius!r}")
+    return float(radius)
+
+
 def check_tail_count(delta: float, count: int, name: str, why: str = "") -> None:
     """Raise ParameterError unless delta * count >= 100, the fewest draws a
     sampled (1 - delta)-quantile or CVaR may rest on; the message names

@@ -28,9 +28,9 @@ from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                       cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, TailModel, exceedances,
-                      heavy_fbar_inv, heavy_radius_max, sample_tail, tail_radius)
-# unused here, but bench/spans.py wraps these two names in this module
-from .sampler import draws_range, heavy_radii_range  # noqa: F401
+                      heavy_fbar_inv, heavy_radius_max, scenario_batch, tail_radius)
+# unused here, but bench/spans.py wraps these three names in this module
+from .sampler import draws_range, heavy_radii_range, sample_tail  # noqa: F401
 from .search import mix_seed
 
 
@@ -201,7 +201,8 @@ def _run_scenario_convergence(cfg: ExperimentConfig):
     the per-k coefficient of variation shrinks.  Heavy tails: the value
     stays random; for the scalar single-atom case its limit law is a
     Weibull(alpha) multiple of the limit value, whose CV is recorded in the
-    aggregate row.
+    aggregate row.  A heavy task solves over each atom's largest radius
+    (:func:`~rarecc.sampler.scenario_batch`).
     """
     if min(cfg.k_grid) < 2:
         # the radius at risk level 1/k needs 1/k < 1
@@ -216,7 +217,7 @@ def _run_scenario_convergence(cfg: ExperimentConfig):
         cv_ref = math.nan
 
     def task(k, seed):
-        batch = sample_tail(cfg.tail, seed, k)
+        batch = scenario_batch(cfg.tail, seed, k)
         radius = tail_radius(cfg.tail, 1.0 / k)
         res = scenario_solve(cfg.problem, batch, radius)
         return res.value, v_lim, res.value / v_lim, radius
@@ -277,9 +278,8 @@ def _run_frechet_check(cfg: ExperimentConfig):
     aggregate row carries the KS distance of the replicated statistics to
     the Frechet(alpha) law, whose median is the per-row target.
 
-    The maximal radius is taken from the uniforms without building the k
-    radii, equal to their maximum bit for bit
-    (:func:`~rarecc.sampler.heavy_radius_max` gives the proof).
+    The maximal radius comes from the smallest uniforms alone, bit for bit
+    (:func:`~rarecc.sampler.heavy_radius_max`).
     """
     tail = cfg.tail
     if not isinstance(tail, HeavyTailModel):

@@ -13,10 +13,6 @@ programs of :mod:`rarecc.limits` with gradient cuts: it solves a small LP
 in the m decision variables over the cuts found so far, evaluates g and a
 subgradient at its optimum with one pass over the sample, and adds that cut,
 until g(x) <= radius (1 + 1e-12).  The result is the optimum of the full LP.
-A one-variable program needs one cut, because g is linear on [0, upper];
-its 1x1 cut LP is then solved by the one pivot the simplex would make,
-computed in closed form, and a scalar scenario program scores its rows by
-an elementwise product instead of a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -27,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InputError, ParameterError, RareccError, check_count, check_delta,
-                     check_same_n, check_tail_count, check_vector)
+                     check_radius, check_same_n, check_tail_count, check_vector)
 from .lpsolve import _FEAS_TOL, _add_rows, _cold
 # unused here, but bench/spans.py wraps this name in this module
 from .lpsolve import solve_lp  # noqa: F401
-from .model import ProblemInstance, box_clip, phi_many
+from .model import ProblemInstance, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
-                      draws_range, exceedances, light_qinv)
+                      draws_range, exceedances, heavy_top, light_qinv)
 from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
@@ -78,12 +74,9 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
                    budget: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(loss(x, L) > 1) with a Wilson 95% half-width.
 
-    Counts the violations with :func:`~rarecc.sampler.exceedances`, one
-    shard per CPU.  Each shard draws, or for a heavy tail reads the draws'
-    uniforms of, one chunk at a time, a fresh array of 8 // t whole
-    4096-row blocks for t shards (at most 0.75 MiB of draws in total at
-    n = 3), so those chunks and their losses are all the count holds,
-    whatever the budget.  The result depends only on (tail, seed, budget).
+    Counts the violations with :func:`~rarecc.sampler.exceedances`, which
+    holds one chunk of draws or uniforms at a time, whatever the budget.
+    The result depends only on (tail, seed, budget).
     """
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)
@@ -101,26 +94,35 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
                budget: int, seed: int) -> MethodResult:
     """Monte Carlo reference solution of the chance-constrained program.
 
-    One shared sample (common random numbers) serves every direction u of a
-    deterministic simplex grid; the maximal feasible scale along u is the
-    reciprocal of the empirical (1-delta)-quantile of loss(u, L), taken as
-    the order statistic of rank ceil(budget (1-delta)).  Exact up to Monte
-    Carlo quantile error and grid resolution.
+    One shared sample serves every direction u of a deterministic simplex
+    grid; the maximal feasible scale along u is the reciprocal of the
+    empirical (1-delta)-quantile of loss(u, L), the order statistic of rank
+    ceil(budget (1-delta)), the t-th largest for t = budget - rank + 1.
+    Exact up to Monte Carlo quantile error and grid resolution.  A heavy
+    sample holds only each atom's t largest radii
+    (:func:`~rarecc.sampler.heavy_top`), which hold every score at or above
+    the t-th largest, as a loss grows with the radius: every result is the
+    whole sample's, bit for bit.
     """
     check_delta(delta)
     budget = check_count("budget", budget)
     check_same_n(problem, tail.n)
     check_tail_count(delta, budget, "budget", " for a stable quantile")
-    draws = draws_range(tail, seed, 0, budget)
     rank = math.ceil(budget * (1.0 - delta))
+    top = budget - rank + 1
+    if isinstance(tail, HeavyTailModel):
+        draws = heavy_top(tail, seed, budget, top)
+    else:
+        draws = draws_range(tail, seed, 0, budget)
+    at = len(draws) - top          # the t-th largest score's index in sorted order
     best_val, best = -math.inf, None
     for u in _oracle_directions(problem.m):
         scores = phi_many(problem, u, draws)
-        q = float(np.partition(scores, rank - 1)[rank - 1])
+        q = float(np.partition(scores, at)[at])
         if q <= 0.0:
             x = np.where(u > 0, problem.h, 0.0)
         else:
-            x = box_clip(problem, u / q)
+            x = np.minimum(u / q, problem.h)      # u / q >= 0: the box projection
         val = float(problem.c @ x)
         if val > best_val:
             best_val, best = val, (u, x, scores, q)
@@ -129,6 +131,10 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
         # loss(u/q, L) = score/q, but evaluating it at x can round the
         # boundary draw's loss up to 1 + ulp; compare the scores with q
         hits = int((scores > q).sum())
+    elif isinstance(tail, HeavyTailModel):
+        # at a clipped x no score bounds the rounded losses: count every draw
+        hits = int(exceedances(tail, seed, budget, lambda d: (phi_many(problem, best_x, d),),
+                               (1.0,))[0])
     else:
         hits = int((phi_many(problem, best_x, draws) > 1.0).sum())
     return MethodResult(
@@ -148,18 +154,13 @@ def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
     therefore valid.  Every round solves the small LP over the box and the
     cuts so far, whose optimum bounds the true one from above, and separates
-    there.  The loop keeps that LP's simplex tableau itself: round 1 solves
-    it cold from the slack basis (:func:`~rarecc.lpsolve._cold`), and every
-    later round appends only the new cut (:func:`~rarecc.lpsolve._add_rows`),
-    which re-optimises with dual simplex pivots.  No
-    :class:`~rarecc.lpsolve.LinearProgram` is built per round; a non-finite
-    cut raises :class:`InputError`.
-
-    When x has one coordinate, round 1 builds no tableau: the cold solve of
-    the 1x1 LP is a single pivot, taken here in the LP's own floating-point
-    operations, so x is the LP's to the bit.  g is linear on [0, upper], so
-    that one cut ends the loop; a second round, which rounding could in
-    principle ask for, builds the tableau cold from both cuts.
+    there.  The loop keeps that LP's tableau: round 1 solves it cold
+    (:func:`~rarecc.lpsolve._cold`), every later round appends the new cut
+    (:func:`~rarecc.lpsolve._add_rows`); a non-finite cut raises
+    :class:`InputError`.  When x has one coordinate, round 1 takes the 1x1
+    LP's single pivot here, in the LP's own arithmetic, and g is linear on
+    [0, upper], so that cut ends the loop; a second round, which rounding
+    could ask for, builds the tableau cold from both cuts.
 
     The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
     when the LP returns the iterate it was given (its tolerances cannot
@@ -283,14 +284,15 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
     for every matrix i and scenario j; radius 1 recovers the plain scenario
     program, the regime radii give its scaled variants.  Solved by the cut
     loop: each round adds the sampled row with the largest y^T A_i L_j.
-    ``binding_candidates`` counts the rows added, ``gap`` is the largest
+    A heavy :func:`~rarecc.sampler.scenario_batch` gives K d rows for K
+    atoms, and the x and value of all its ``count`` draws (``scenarios``)
+    bit for bit.  ``binding_candidates`` counts the rows added, ``gap`` is the largest
     row value over the radius, minus 1, at exit, and ``stall_excess`` is as
     in :func:`cvar_solve`.
     """
     if batch.count < 1:
         raise ParameterError("scenario batch must be nonempty")
-    if not 0.0 < radius < math.inf:
-        raise ParameterError(f"radius must be finite and > 0, got {radius!r}")
+    radius = check_radius(radius)
     check_same_n(problem, batch.n)
     W = np.einsum("imn,jn->jim", problem.A, batch.samples).reshape(-1, problem.m)
     scalar = problem.m == 1
@@ -300,7 +302,6 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         j = int(np.argmax(scores))
         return float(scores[j]), W[j]
 
-    radius = float(radius)
     x, g, cuts, pivots, excess = _exact_cut_loop(
         problem.c, np.full(problem.m, problem.h * radius), radius, separate)
     return MethodResult(

@@ -12,11 +12,7 @@ Two parametric families are implemented:
 
 Draws are generated in fixed-size blocks, each block from its own
 counter-keyed Philox stream, so the value of draw ``i`` depends only on
-(model, seed, i).  Batches can therefore be produced in parallel shards
-and merged in any order without changing the result.  Each thread keeps
-one Philox generator and re-keys it to ``[seed, block]`` with counter 0
-before each block, which gives the same stream as a fresh generator with
-that key without building one per block.
+(model, seed, i), however a range is split (:class:`_BlockStreams`).
 
 Within a block of B = 4096 draws a light model reads its stream in this
 order, and :func:`_heavy_uniforms`, the one reader of a heavy block, states
@@ -34,27 +30,14 @@ them, and every value stays the same: where row ``j`` of a block reads only
 the stream's first numbers (theta = 1 and theta = inf), a partial first or
 last block draws only its rows ``[0, hi)``.  Theta in (1, inf) reads V and
 W after all B rows, so its partial blocks still draw the whole block.  Every
-reader allocates the array it returns, reads a range from the row 0 of its
-first block and returns the rows from ``start`` on, a C-contiguous view.
+reader reads a range from the row 0 of its first block (:func:`_own`).
 
-A Monte Carlo count (:func:`exceedances`) need not hold its budget at once.
-The draws [0, count) are split into one contiguous run of whole shard
-chunks per shard, one shard per CPU the process may run on
-(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4.  Each
-run is counted chunk by chunk on its own thread, and the integer counts of
-the runs are added.  Integer addition is exact and a draw does not depend
-on the split, so every count is the same for any number of shards.  A
-shard's chunk is 8 // t whole blocks for t shards, a fresh array of
-``_CHUNK`` / t rows (0.75 / t MiB of draws at n = 3) that is dropped once it
-is counted, so the working set stays about one ``_CHUNK`` = 8 B rows in
-total whatever the budget.
-
-Each count starts its own threads for shards 1 to t - 1, runs shard 0
-on the caller and joins them before it returns, so counts that run side by
-side share no pool and cannot wait on each other.  Shards do not know about
-other threads, such as the experiment pool of ``--workers``, or about the
-host's load: on a CPU that another process keeps busy a shard runs slower
-than the caller alone would.
+Two kinds of reader stream a heavy budget one ``_CHUNK`` = 8 B rows at a
+time instead of holding it.  A Monte Carlo count (:func:`exceedances`) adds
+the integer counts of its chunks, split between up to one thread per CPU
+(:func:`_shard_sum`), so it is the same for any split.  :func:`heavy_top`
+keeps only the rows of each atom's k largest radii, about K k rows, and
+:func:`heavy_radius_max` only the smallest uniforms (:func:`_least`).
 """
 
 from __future__ import annotations
@@ -75,8 +58,8 @@ _CHUNK = 8 * _BLOCK    # rows that a count's shards hold between them, and of ea
 # each shard also holds a block's scratch while it draws (about 0.2 MiB for
 # dependent light draws), so more shards would outgrow one chunk's memory
 _SHARDS_MAX = 4
-# heavy_radius_max compares the pows of uniforms this close, and exceedances
-# draws the chunks with a uniform this close to its level, both times alpha
+# uniforms a relative alpha _MARGIN apart give radii and losses about _MARGIN
+# apart, beyond rounding: _least keeps and exceedances draws what lies closer
 _MARGIN = 2.0 ** -40
 
 
@@ -147,14 +130,16 @@ TailModel = LightTailModel | HeavyTailModel
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A matrix of i.i.d. draws (one per row) plus the generating seed."""
+    """Draws, one per row, and their seed; ``count`` draws are sampled, the
+    rows unless :func:`scenario_batch` kept fewer."""
 
     samples: np.ndarray
     seed: int
+    count: int | None = None
 
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
+    def __post_init__(self):
+        if self.count is None:
+            object.__setattr__(self, "count", self.samples.shape[0])
 
     @property
     def n(self) -> int:
@@ -224,16 +209,13 @@ def _light_block(model: LightTailModel, rng: np.random.Generator, out: np.ndarra
 def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
                     picks: bool = True) -> tuple:
     """The radius uniforms of the heavy draws [start, stop) and their
-    angular picks, as C-contiguous views of new arrays.
+    angular picks (None without ``picks`` or for one atom), in new arrays.
 
-    The one reader of the heavy stream.  A block reads its B radius
-    uniforms u, then its B picks; its draw i is u_i^(-1/alpha) times the
-    atom :func:`_atom_index` gives pick i.  With ``picks`` false, or for a
-    one-atom model, whose picks would all select atom 0, the picks are not
-    read and None is returned for them, and a block reads only its rows up
-    to ``stop``; otherwise it reads all B rows of both.  Like every reader
-    here, it reads from the row 0 of the range's first block and returns the
-    rows from ``start`` on (:func:`_own`); an empty range reads no block.
+    The one reader of the heavy stream: a block reads its B uniforms u, then
+    its B picks, and its draw i is u_i^(-1/alpha) times the atom
+    :func:`_atom_index` gives pick i.  With picks a block reads all B rows
+    of both, without them its rows up to ``stop``.  An empty range reads no
+    block.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
@@ -271,13 +253,10 @@ def _atom_index(model: HeavyTailModel, pick: np.ndarray) -> np.ndarray:
 
 
 def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
-    """Draws with indices [start, stop); bit-identical however the range is split.
-
-    Returns a C-contiguous float64 array of shape (stop - start, n), the
-    rows from ``start`` on of the draws read from the row 0 of the range's
-    first block (:func:`_own`).  Light draws are written block by block,
-    heavy draws are built from :func:`_heavy_uniforms` one ``_CHUNK`` at a
-    time; an empty range reads no block.
+    """Draws with indices [start, stop), a C-contiguous (stop - start, n)
+    array, bit-identical however the range is split.  Light draws are written
+    block by block, heavy ones built from :func:`_heavy_uniforms` one
+    ``_CHUNK`` at a time.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
@@ -316,15 +295,12 @@ def _shard_sum(count: int, count_chunk):
     """The sum of ``count_chunk(lo, hi)`` over the chunks [lo, hi)
     of the draws [0, count), as an int64 numpy scalar or array.
 
-    The draws are split into up to one shard per CPU, with at least one
-    chunk of draws per shard, and the shards run side by side; the sum does
-    not depend on their number.  The caller runs shard 0 and threads of the
-    count's own the others, all joined before it returns, so an exception in
-    any shard propagates once the other shards have stopped.  Every chunk
-    but a shard's last has the shard's chunk size, a whole number of blocks,
-    so each chunk starts at a block's row 0.  ``count_chunk`` reads and
-    allocates its chunk's arrays itself, so t shards hold one ``_CHUNK`` of
-    draws between them at a time, 8 // t whole blocks each.
+    One contiguous run per shard, up to one shard per CPU (at most
+    ``_SHARDS_MAX``) with a chunk each; the sum does not depend on their
+    number.  The caller runs shard 0 and threads of the count's own the
+    others, joined before it returns, so counts side by side share no pool
+    and a shard's exception propagates once the others stop.  A chunk is
+    8 // t whole blocks for t shards, so the shards hold one ``_CHUNK``.
     """
     count = check_count("count", count)
     shards = min(_cpu_count(), _SHARDS_MAX, -(-count // _CHUNK))
@@ -346,25 +322,21 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     loss exceeds t_j, as an int64 array.
 
     ``loss_fn`` maps a (rows, n) array of risk vectors to one array of row
-    losses per threshold, and each loss must be positively homogeneous of
-    degree 1 and computed with at most a few roundings from nonnegative
-    terms, as :func:`~rarecc.model.phi_many` and row sums are.  The counts
-    are those of ``[count_nonzero(loss > t_j) ...]`` on the draws, bit for
-    bit, summed over the chunks of :func:`_shard_sum`; each chunk reads its
-    draws, or its uniforms and picks, into new arrays of its own.
+    losses per threshold, each positively homogeneous of degree 1 and
+    computed with a few roundings from nonnegative terms, as
+    :func:`~rarecc.model.phi_many` and row sums are.  The counts are those of
+    ``count_nonzero(loss > t_j)`` on the draws, bit for bit, summed over the
+    chunks of :func:`_shard_sum`.
 
     A light chunk is drawn and counted that way.  A heavy draw is
     R theta_k with R = u^(-1/alpha), so its j-th loss exceeds t_j exactly
     when u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
     rounding.  A heavy chunk is therefore counted from its uniforms and
-    picks alone (:func:`_heavy_uniforms`).  A uniform above the largest
-    widened level counts for no threshold, so only the uniforms at or below
-    it are gathered and compared, with their picks.  A uniform further than a
-    relative alpha ``_MARGIN`` (2^-40) from its level gives a loss about
-    2^-40 or more from t_j, far beyond the rounding of the pow, the product
-    and the loss.  A chunk with a uniform within that margin, or with a zero
-    uniform (an infinite radius, whose draw may hold nan), is drawn and
-    counted as a light one is, on the same rows.
+    picks alone (:func:`_heavy_uniforms`), gathering only the uniforms at
+    or below the largest widened level.  A chunk with a uniform within a
+    relative alpha ``_MARGIN`` of its level, where rounding could decide, or
+    with a zero uniform (an infinite radius, whose draw may hold nan), is
+    drawn and counted as a light one is, on the same rows.
     """
     t = np.asarray(thresholds, dtype=float)
     if not (np.isfinite(t).all() and (t > 0).all()):
@@ -411,44 +383,77 @@ def heavy_radii_range(model: HeavyTailModel, seed: int, start: int, stop: int) -
     return u
 
 
-def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
-    """``heavy_radii_range(model, seed, 0, count).max()``, bit for bit,
-    without building the radii.
+def _least(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool = True) -> tuple:
+    """(uniforms, atoms or None), in draw order, of the draws
+    [0, count) whose uniform is at most a relative alpha ``_MARGIN`` above
+    the k-th smallest of its atom's, or of all uniforms without ``picks``;
+    an atom with at most k draws keeps them all.
 
-    A radius is u ** (-1/alpha) for its uniform u, so the largest radius
-    comes from the smallest uniform.  The uniforms are read one ``_CHUNK``
-    at a time, and only those within a relative alpha ``_MARGIN`` (2^-40)
-    of the smallest are kept; their pows are taken as :func:`heavy_radii_range`
-    takes them, and the largest is returned.  Uniforms further apart than
-    that margin give radii about 2^-40 apart relative, far beyond pow's
-    rounding error, so this does not rely on pow being monotone in its last
-    bit.
+    The k largest radii u ** (-1/alpha) have the k smallest uniforms, and
+    past the margin a radius is smaller beyond pow's rounding.  After each
+    chunk adds its rows below the cutoffs, the kept rows set them again, so
+    about K k rows are held besides the chunk.
     """
-    count = check_count("count", count)
     widen = 1.0 + _MARGIN * model.alpha
-    smallest = math.inf
-    kept = []
+    cut = [math.inf] * (model.weights.size if picks else 1)
+
+    def below(u, atom):
+        return (u <= (cut[0] if atom is None else np.array(cut)[atom])).nonzero()[0]
+
+    kept = None
     for lo in range(0, count, _CHUNK):
-        u, _ = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), picks=False)
-        least = float(u.min())
-        if least <= smallest * widen:
-            smallest = min(smallest, least)
-            kept.append(u[u <= smallest * widen])
-    low = np.concatenate(kept)
-    low = low[low <= smallest * widen]
+        u, pick = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), picks)
+        atom = None if pick is None else _atom_index(model, pick)
+        if kept:                # the kept rows and the new ones set the cutoffs again
+            near = below(u, atom)
+            if not near.size:
+                continue
+            u = np.concatenate((kept[0], u.take(near)))
+            atom = None if atom is None else np.concatenate((kept[1], atom.take(near)))
+        for a in range(len(cut)):
+            ua = u if atom is None else u[atom == a]
+            if ua.size < k:
+                cut[a] = math.inf
+            else:
+                cut[a] = float(ua.min() if k == 1 else np.partition(ua, k - 1)[k - 1]) * widen
+        near = below(u, atom)
+        kept = (u.take(near), None if atom is None else atom.take(near))
+    return kept
+
+
+def heavy_top(model: HeavyTailModel, seed: int, count: int, k: int) -> np.ndarray:
+    """The rows of the draws [0, count) that hold each atom's k largest
+    radii (:func:`_least`), in draw order, equal bit for bit to those rows
+    of :func:`draws_range`.  For x >= 0, phi(x, R theta) = R phi(x, theta),
+    so each atom's k largest losses at any x lie in them."""
+    u, atom = _least(model, seed, check_count("count", count), check_count("k", k))
+    u **= -1.0 / model.alpha
+    return (model.atoms[0] if atom is None else model.atoms[atom]) * u[:, None]
+
+
+def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
+    """``heavy_radii_range(model, seed, 0, count).max()``, bit for bit, from
+    the smallest uniforms alone (:func:`_least` with k = 1, no picks)."""
+    low, _ = _least(model, seed, check_count("count", count), 1, picks=False)
     low **= -1.0 / model.alpha
     return float(low.max())
 
 
+def scenario_batch(model: TailModel, seed: int, count: int) -> SampleBatch:
+    """The draws [0, count) that can bind a scenario program over them: all
+    of a light model's; a heavy model's largest radius per atom
+    (:func:`heavy_top` with k = 1), since y^T A_i R theta = R y^T A_i theta
+    for y >= 0."""
+    if isinstance(model, LightTailModel):
+        return sample_tail(model, seed, count)
+    return SampleBatch(samples=heavy_top(model, seed, count, 1), seed=seed, count=count)
+
+
 def sample_tail(model: TailModel, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` i.i.d. risk vectors of either family, the draws
-    [0, count) of :func:`draws_range`.
-
-    Light construction: for theta > 1 draw a positive stable S with exponent
-    1/theta and unit exponentials E_1..E_n, set L_i = (E_i / S)^(1/(theta
-    beta)); for theta = 1 the coordinates are independent Weibull(beta);
-    for theta = inf one shared exponential drives all coordinates.  Heavy
-    construction: L = R * Theta.
+    [0, count) of :func:`draws_range`.  A light draw with theta > 1 is
+    L_i = (E_i / S)^(1/(theta beta)) for unit exponentials E_i and a
+    positive stable S of exponent 1/theta; a heavy one is L = R * Theta.
     """
     count = check_count("count", count)
     return SampleBatch(samples=draws_range(model, seed, 0, count), seed=seed)

@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from rarecc.lpsolve import LinearProgram, _add_rows, _cold, solve_lp
-from rarecc.methods import _MAX_CUT_ROUNDS
-from rarecc.sampler import copula_exponent
+from rarecc.methods import _MAX_CUT_ROUNDS, _oracle_directions, wilson_halfwidth
+from rarecc.model import box_clip, phi_many
+from rarecc.sampler import copula_exponent, draws_range
 
 
 def chained_cut_loop(c, upper, radius, separate):
@@ -54,6 +55,28 @@ def chained_cut_loop(c, upper, radius, separate):
         x = new_x
         g, s = separate(x)
     return x, g, len(cuts), pivots
+
+
+def whole_sample_oracle(problem, tail, delta, budget, seed):
+    """``rarecc.methods.ccp_oracle``'s (x, value, violation, half-width) on
+    the whole sample: every direction scores all ``budget`` draws, takes the
+    order statistic of rank ceil(budget (1 - delta)) and clips u / q to the
+    box; the violations are counted on all the draws."""
+    draws = draws_range(tail, seed, 0, budget)
+    rank = math.ceil(budget * (1.0 - delta))
+    best_val, best = -math.inf, None
+    for u in _oracle_directions(problem.m):
+        scores = phi_many(problem, u, draws)
+        q = float(np.sort(scores)[rank - 1])
+        x = np.where(u > 0, problem.h, 0.0) if q <= 0.0 else box_clip(problem, u / q)
+        if float(problem.c @ x) > best_val:
+            best_val, best = float(problem.c @ x), (u, x, scores, q)
+    u, x, scores, q = best
+    if q > 0.0 and (u / q <= problem.h).all():
+        hits = int((scores > q).sum())
+    else:
+        hits = int((phi_many(problem, x, draws) > 1.0).sum())
+    return x, best_val, hits / budget, wilson_halfwidth(hits, budget)
 
 
 def empirical_cvar(losses: np.ndarray, delta: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import rarecc.cli
 import rarecc.experiments
+import rarecc.sampler
 from rarecc.cli import cli_main, load_config
 
 
@@ -67,8 +69,11 @@ def test_unbounded_limit_exit_1(tmp_path, capsys, command, tail):
         "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.5], [0.0, 0.0]]]},
         "tail": tail,
     })
-    assert cli_main([command, cfg]) == 1
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "solution.json"
+    assert cli_main([command, cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: a profitable coordinate carries no tail risk" in captured.err
+    assert not captured.out and not out.exists()
 
 
 def test_missing_config_exit_2(capsys):
@@ -226,6 +231,52 @@ def test_infinite_scenario_radius_exit_2(tmp_path, capsys, radius):
     captured = capsys.readouterr()
     assert "radius must be finite" in captured.err and not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e309", '"inf"', "0", "-2.5"])
+def test_scenario_radius_checked_before_any_draw(tmp_path, capsys, monkeypatch, radius):
+    # 2e7 light draws would take 0.8 s and 160 MB before the solver saw the
+    # radius; every draw reads a block stream, which must not be touched
+    def drew(*args):
+        raise AssertionError("a draw was made before the radius was checked")
+
+    monkeypatch.setattr(rarecc.sampler._BlockStreams, "at", drew)
+    path = tmp_path / "s.json"
+    cfg = write_cfg(path, {
+        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
+        "tail": {"kind": "light", "beta": 1.0},
+        "experiment": {"k_grid": [20_000_000], "radius": "RADIUS"},
+    })
+    path.write_text(path.read_text().replace('"RADIUS"', radius))
+    assert cli_main(["scenario", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "radius must be finite and > 0" in captured.err and not captured.out
+
+
+# a two-atom heavy program (n = m = 2, d = 2) whose oracle and scenario
+# answers are interior; the digests of their --out files were recorded
+# before the oracle and the scenario program read only each atom's largest
+# radii, and hold at one BLAS thread too
+TWO_ATOM_PROGRAM = {
+    "problem": {"c": [1.0, 1.0], "h": 50.0,
+                "A": [[[1.0, 0.5], [0.25, 1.0]], [[0.5, 1.0], [1.0, 0.0]]]},
+    "tail": {"kind": "heavy", "alpha": 1.5,
+             "atoms": [[0.3, [0.8, 0.2]], [0.7, [0.1, 0.9]]]},
+    "experiment": {"delta_grid": [0.01], "budget": 40000, "k_grid": [70000]},
+    "master_seed": 5,
+}
+TWO_ATOM_DIGESTS = {
+    "oracle": "15ed752f7dac683b368e3add53b750cee44a688cf8c686a6cec9a34120075945",
+    "scenario": "ca088d64180151f795c39a92fd9031d0a150bf56c650fc095dfdf4405cdb26ca",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_ATOM_DIGESTS))
+def test_two_atom_heavy_output_bytes(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path / "two_atom.json", TWO_ATOM_PROGRAM)
+    out = tmp_path / f"{command}.json"
+    assert cli_main([command, cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TWO_ATOM_DIGESTS[command]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

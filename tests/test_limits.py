@@ -356,6 +356,22 @@ def test_ht_unbounded_when_profitable_coordinate_carries_no_risk():
         solve_ht_limit(model, prob)
 
 
+@pytest.mark.parametrize("solve, tail", [
+    (solve_lt_limit, LightTailModel(n=2, beta=0.5, theta=1.0)),
+    (solve_ht_limit, HeavyTailModel.from_pairs(n=2, alpha=2.0,
+                                               pairs=[(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])])),
+])
+def test_riskless_coordinate_is_unbounded_only_when_profitable(solve, tail):
+    # y_2 enters no loss row: with c_2 > 0 both programs are unbounded and
+    # say why; with c_2 = 0 the coordinate's box is [0, 0] and the rest solves
+    A = [[[1.0, 0.5], [0.0, 0.0]]]
+    with pytest.raises(UnboundedError, match="^a profitable coordinate carries no tail risk$"):
+        solve(tail, ProblemInstance(c=[1.0, 1.0], h=10.0, A=A))
+    sol = solve(tail, ProblemInstance(c=[1.0, 0.0], h=10.0, A=A))
+    assert sol.y_star[1] == 0.0 and sol.value == pytest.approx(sol.y_star[0], rel=1e-12)
+    assert sol.value > 0.0 and sol.gap <= 1e-9
+
+
 def test_limits_clip_lp_iterate_below_zero():
     # In both LPs (n = 1, so g is a max of linear forms) a cut-loop iterate
     # carries an entry just below 0: the light solver raised InputError from

@@ -4,20 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rarecc.experiments
 import rarecc.limits
 import rarecc.methods
 import rarecc.sampler
 from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
-                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp)
-from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
+                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp, whole_sample_oracle)
+from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
                     ccp_oracle, cvar_solve, phi, phi_many, rate_J, sample_size_rule,
                     scenario_solve, solve_ht_limit, solve_lt_limit, violation_prob,
                     wilson_halfwidth)
 from rarecc.lpsolve import LinearProgram, solve_lp
-from rarecc.sampler import draws_range, sample_tail
-from test_sampler import STREAM_BUDGETS
+from rarecc.sampler import _CHUNK, draws_range, sample_tail, scenario_batch, tail_radius
+from test_sampler import STREAM_BUDGETS, random_heavy_model
 
 
 # ------------------------------------------------------- violation_prob
@@ -189,6 +190,81 @@ def test_oracle_quasirandom_directions_at_m_four(monkeypatch):
     assert res.x.shape == (4,) and (res.x >= 0.0).all() and (res.x <= problem.h).all()
     assert res.value == pytest.approx(float(problem.c @ res.x), rel=1e-12)
     assert abs(res.violation_estimate - delta) <= 4 * math.sqrt(delta / budget)
+
+
+def _random_program(rng, m, n, d, h):
+    A = rng.random((d, m, n)) * (rng.random((d, m, n)) < 0.7)
+    A[np.arange(d), rng.integers(0, m, d), rng.integers(0, n, d)] += 0.5
+    return ProblemInstance(c=rng.uniform(0.1, 2.0, m), h=h, A=A)
+
+
+def _reduced_and_whole(seed):
+    """A random heavy program (K = 1-4 atoms, m = 1-3, n = 1-3, d = 1-2; a
+    box of 0.05 clips most oracle answers) with a scenario count and an
+    oracle budget around block and chunk edges."""
+    rng = np.random.default_rng(seed)
+    K, m, n, d = (int(rng.integers(1, hi + 1)) for hi in (4, 3, 3, 2))
+    tail = random_heavy_model(rng, K, n)
+    problem = _random_program(rng, m, n, d, (0.05, 0.5, 50.0)[seed % 3])
+    count = (2, 700, 4097, _CHUNK + 5, 2 * _CHUNK + 999)[seed % 5]
+    delta = (0.01, 0.03, 0.1, 0.2)[seed % 4]
+    # m = 3 scores 1326 directions, so its whole-sample reference stays small
+    budget = math.ceil(100 / delta) + int(rng.integers(0, 4000 if m == 3 else 2 * _CHUNK))
+    return problem, tail, count, delta, budget
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_reduced_heavy_programs_match_the_whole_sample(seed):
+    problem, tail, count, delta, budget = _reduced_and_whole(seed)
+    radius = tail_radius(tail, 1.0 / count)
+    batch = scenario_batch(tail, seed, count)
+    assert batch.count == count and len(batch.samples) <= min(count, tail.weights.size * 2)
+    whole = scenario_solve(problem, sample_tail(tail, seed, count), radius)
+    reduced = scenario_solve(problem, batch, radius)
+    assert reduced.x.tobytes() == whole.x.tobytes()
+    assert reduced.value == whole.value and reduced.meta == whole.meta
+
+    res = ccp_oracle(problem, tail, delta, budget, seed)
+    x, value, violation, halfwidth = whole_sample_oracle(problem, tail, delta, budget, seed)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth) == \
+        (value, violation, halfwidth)
+    assert res.meta["quantile_rank"] == math.ceil(budget * (1.0 - delta))
+
+
+def test_oracle_counts_every_draw_at_a_clipped_answer(monkeypatch, two_atom_model):
+    # the box binds, so the violations at x are counted over all the draws
+    # (exceedances), not over the rows of the reduced sample
+    problem = ProblemInstance(c=[1.0, 1.0], h=0.02, A=[np.eye(2)])
+    counted = []
+    exceedances = rarecc.methods.exceedances
+    monkeypatch.setattr(rarecc.methods, "exceedances",
+                        lambda *args: counted.append(args[2]) or exceedances(*args))
+    res = ccp_oracle(problem, two_atom_model, 0.01, 50_000, 3)
+    assert counted == [50_000] and (res.x == 0.02).any()
+    x, value, violation, _ = whole_sample_oracle(problem, two_atom_model, 0.01, 50_000, 3)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate) == (value, violation)
+
+
+def test_heavy_oracle_and_scenario_task_hold_top_rows(two_atom_model, identity_problem2):
+    # 10^6 draws at n = 2 take 15.3 MiB; the oracle holds each atom's
+    # 1000 largest radii (about 31 KiB of rows) and the scenario task one
+    # row per atom, besides one chunk of uniforms and picks (0.5 MiB) and
+    # the chunk's temporaries, which peak near 1.1 MiB in all
+    cfg = ExperimentConfig(kind="scenario_convergence", problem=identity_problem2,
+                           tail=two_atom_model, k_grid=(10 ** 6,))
+    task, _ = rarecc.experiments._run_scenario_convergence(cfg)
+    for run in (lambda: ccp_oracle(identity_problem2, two_atom_model, 1e-3, 10 ** 6, 5),
+                lambda: task(10 ** 6, 5)):
+        run()       # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20, peak
 
 
 def test_oracle_pre_violation(scalar_problem, scalar_pareto2):

@@ -15,8 +15,8 @@ from rarecc import (HeavyTailModel, InputError, LightTailModel, ParameterError,
                     ProblemInstance, heavy_fbar_inv, joint_tail_light, light_qinv,
                     sample_tail)
 from rarecc.model import phi_many
-from rarecc.sampler import (_CHUNK, _atom_index, draws_range, exceedances, heavy_radii_range,
-                            heavy_radius_max, tail_radius)
+from rarecc.sampler import (_CHUNK, _atom_index, _heavy_uniforms, draws_range, exceedances,
+                            heavy_radii_range, heavy_radius_max, heavy_top, tail_radius)
 
 # budgets around the chunk boundaries of a streamed count
 STREAM_BUDGETS = (1000, 4097, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 123)
@@ -191,6 +191,68 @@ def test_radius_max_equals_max_of_all_radii(monkeypatch, wide, alpha):
         for seed in range(4):
             radii = heavy_radii_range(model, seed, 0, k)
             assert heavy_radius_max(model, seed, k) == radii.max(), (k, seed)
+
+
+def random_heavy_model(rng, K, n):
+    """A heavy model with K atoms in R^n, some atom coordinates zero."""
+    atoms = rng.random((K, n)) * (rng.random((K, n)) < 0.7)
+    atoms[np.arange(K), rng.integers(0, n, K)] += 0.5
+    return HeavyTailModel(n=n, alpha=float(rng.uniform(1.2, 4.0)),
+                          weights=rng.dirichlet(np.ones(K)),
+                          atoms=atoms / atoms.sum(axis=1, keepdims=True))
+
+
+# draw counts around block and chunk edges, and the k of each atom's top rows
+TOP_COUNTS = (1, 2, 4095, 4097, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 777)
+TOP_KS = (1, 2, 7, 150, None)       # None: k = count, at or above every atom's draws
+
+
+def _check_heavy_top(model, seed, count, k):
+    # the rule: per atom, every row whose uniform is at most a relative
+    # alpha 2^-40 above the atom's k-th smallest, or every row of an atom
+    # with at most k draws; the rows come in draw order
+    u, pick = _heavy_uniforms(model, seed, 0, count)
+    atom = np.zeros(count, dtype=int) if pick is None else _atom_index(model, pick)
+    radii = heavy_radii_range(model, seed, 0, count)
+    want = []
+    for a in range(model.weights.size):
+        mine = np.flatnonzero(atom == a)
+        if mine.size > k:
+            kth = np.sort(u[mine])[k - 1]
+            largest = mine[np.argsort(-radii[mine], kind="stable")[:k]]
+            mine = mine[u[mine] <= kth * (1.0 + rarecc.sampler._MARGIN * model.alpha)]
+            # the rule keeps each atom's k largest radii, whatever else it keeps
+            assert np.isin(largest, mine).all(), (seed, count, k, a)
+        want.append(mine)
+    want = np.sort(np.concatenate(want))
+    top = heavy_top(model, seed, count, k)
+    assert top.dtype == np.float64 and top.flags.c_contiguous
+    assert top.tobytes() == draws_range(model, seed, 0, count)[want].tobytes(), (seed, count, k)
+
+
+@pytest.mark.parametrize("seed", range(35))
+def test_heavy_top_rows_are_the_draws_of_each_atoms_largest_radii(seed):
+    rng = np.random.default_rng(seed)
+    model = random_heavy_model(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+    count = TOP_COUNTS[seed % len(TOP_COUNTS)]
+    k = TOP_KS[seed // len(TOP_COUNTS)] or count
+    _check_heavy_top(model, seed, count, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heavy_top_keeps_every_row_within_a_wide_margin(monkeypatch, seed):
+    # a margin that keeps every uniform below twice an atom's k-th smallest
+    # makes each chunk keep many rows that a later chunk's cutoff drops
+    rng = np.random.default_rng(100 + seed)
+    model = random_heavy_model(rng, int(rng.integers(1, 5)), 2)
+    monkeypatch.setattr(rarecc.sampler, "_MARGIN", 1.0 / model.alpha)
+    _check_heavy_top(model, seed, 3 * _CHUNK + 5, (1, 2, 40, 300)[seed])
+
+
+def test_heavy_top_rejects_bad_counts(two_atom_model):
+    for count, k in ((0, 1), (10, 0), (10, 1.5)):
+        with pytest.raises(ParameterError):
+            heavy_top(two_atom_model, 1, count, k)
 
 
 @pytest.mark.parametrize("t", [0.47, 1.2, 3.0, 10.0])
