@@ -44,9 +44,9 @@ def as_count(name: str, value, least: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs.  All three grids are converted and
-    checked, whatever the kind, and only the grid that ``_KINDS[kind]``
-    names is run.  Counts may be integral floats (:func:`as_count`), except
+    """Everything one experiment needs.  All three grids and ``eta`` are
+    converted and checked, whatever the kind, and only the grid that
+    ``_KINDS[kind]`` names is run.  Counts may be integral floats (:func:`as_count`), except
     ``workers``."""
 
     kind: str
@@ -71,6 +71,8 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", as_count("master_seed", self.master_seed,
                                                          least=0))
         object.__setattr__(self, "eta", float(self.eta))
+        if not 0.0 <= self.eta < 1.0:
+            raise ParameterError(f"eta must lie in [0, 1), got {self.eta!r}")
         for name in ("delta_grid", "k_grid", "r_grid"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "k_grid", tuple(as_count("k_grid value", k)

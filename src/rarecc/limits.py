@@ -9,7 +9,7 @@ c^T y over {y >= 0 : sum_k w_k phi(y, theta_k)^alpha <= 1}.  Both
 constraints read g(y) <= 1 for a monotone, convex, degree-1 homogeneous g:
 the dual norm above for light tails, (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
 for heavy ones.  Both programs are solved by the cutting-plane loop of
-:mod:`rarecc.methods` with gradient cuts, polished by Newton steps on the KKT
+:mod:`rarecc.lpsolve` with gradient cuts, polished by Newton steps on the KKT
 system, and report the relative gap to the loop's upper bound.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnboundedError, check_same_n, check_vector
-from .methods import _cut_loop
+from .lpsolve import cut_loop
 from .model import ProblemInstance, box_clip
 from .sampler import (HeavyTailModel, LightTailModel, TailModel,
                       copula_exponent, tail_radius)
@@ -142,7 +142,7 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
             y, value = np.maximum(z, 0.0) / g, float(c @ z) / g
         return g, s
 
-    _cut_loop(c, upper, 1.0, separate_and_keep_best)
+    cut_loop(c, upper, 1.0, separate_and_keep_best)
 
     S = np.flatnonzero(y > 0.0)
 

@@ -1,25 +1,30 @@
-"""Small dense linear-program solver (one-phase tableau simplex).
+"""Small dense linear-program solver (one-phase tableau simplex) and the
+cutting-plane loop that it serves.
 
 Solves  maximize f^T x  s.t.  A x <= b,  0 <= x <= hi  for dense data with
 at most a few thousand rows, under the contract b >= 0 and hi >= 0, so that
 x = 0 is feasible and no phase 1 is needed.  This is the form of every cut
-LP of :func:`rarecc.methods._cut_loop`.  Pivoting is deterministic:
-Dantzig's rule with lowest-index tie-breaking, falling back to Bland's
-anti-cycling rule after a degenerate stall, so identical inputs always
-produce identical output.
+LP of :func:`cut_loop`.  Pivoting is deterministic: Dantzig's rule with
+lowest-index tie-breaking, falling back to Bland's anti-cycling rule after a
+degenerate stall, so identical inputs always produce identical output.
 
-Every solve takes one path, :func:`_extend`: append rows to an optimal
-tableau, where they only break primal feasibility, restore it with dual
-simplex pivots (Lemke 1954) and finish with a primal pass.  A cold solve,
-:func:`_cold`, extends the empty tableau by every row, which is the simplex
-from the slack basis; :func:`_add_rows` extends an optimal tableau by more
-rows.  :func:`solve_lp` is :func:`_cold` over a :class:`LinearProgram`; the
-cut loop calls :func:`_cold` in its first round and :func:`_add_rows` with
-each new cut after it, keeping the tableau state itself.  The tableau is
-written in z = x / hi for every column with a finite hi > 0, and a cold
-solve lifts a cost row whose largest entry is below 1 into [1, 2) by a
-power of two, so the absolute tolerances depend on the units of neither x
-nor f; a tiny row is dropped only when no z in the unit box can violate it.
+A :class:`CutLP` owns one live tableau and takes every solve on one path:
+append rows to an optimal tableau, where they only break primal
+feasibility, restore it with dual simplex pivots (Lemke 1954) and finish
+with a primal pass.  Building it appends every row to the empty tableau,
+which is the simplex from the slack basis; :meth:`CutLP.add` appends more.
+:func:`solve_lp` builds one from a :class:`LinearProgram`.  The tableau is
+written in z = x / hi for every column with a finite hi > 0, and a build
+lifts a cost row whose largest entry is below 1 into [1, 2) by a power of
+two, so the absolute tolerances depend on the units of neither x nor f; a
+tiny row is dropped only when no z in the unit box can violate it.
+
+:func:`cut_loop` (Kelley 1960) solves  max c^T x  over a box subject to
+g(x) <= radius  for a convex, degree-1 homogeneous g known only through a
+separation oracle: the sampled CVaR and scenario programs of
+:mod:`rarecc.methods` (through :func:`exact_cut_loop`) and the limit
+programs of :mod:`rarecc.limits`.  It keeps one :class:`CutLP` and appends
+one cut per round.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ _PIVOT_TOL = 1e-10       # minimum magnitude of an acceptable pivot element
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-12        # a scaled row's right-hand side below -_FEAS_TOL needs a dual pivot
 _STALL_LIMIT = 64        # degenerate iterations before switching to Bland
+MAX_CUT_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -188,75 +194,73 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G / scale[:, None], g / scale
 
 
-def _extend(T0: np.ndarray, basis0: np.ndarray, ncols: int, G: np.ndarray,
-            g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Optimal tableau and basis after appending the rows G y <= g to the
-    optimal tableau T0 with basis basis0, and the pivot count.
+def _column_unit(hi: float) -> float:
+    """The unit of a tableau column, which holds z = x / unit: the column's
+    bound hi where that is finite and > 0, else 1."""
+    return hi if 0.0 < hi < math.inf else 1.0
 
-    Each row, scaled by :func:`_scaled_rows`, gets a slack column and is
-    written in the terms of basis0.  The reduced costs are unchanged, so
-    basis0 stays dual feasible, and dual pivots restore primal feasibility;
-    a final primal pass, which does not pivot when they end at an optimum,
-    guards the cost tolerance.  From the empty tableau [-f | 0] and g >= 0
-    the dual pass makes no pivot and the primal pass is the simplex from the
-    slack basis.
+
+class CutLP:
+    """The live, optimal tableau of  max f^T x  s.t.  A x <= b,  0 <= x <= hi
+    (b >= 0, hi >= 0), to which rows can be appended.
+
+    Building it is the cold solve: the rows A x <= b, then the finite
+    bounds, appended to the empty tableau [-f | 0], where the dual pass makes
+    no pivot and the primal pass is the simplex from the slack basis.
+    :meth:`add` appends more rows.  ``T`` holds z = x / ``col`` for the
+    units of :func:`_column_unit`, and a cost row whose largest entry is
+    below 1 is lifted into [1, 2) by a power of two, which keeps every cost's
+    bits.  ``x`` is the optimal vertex, ``pivots`` the pivot count so far.
     """
-    G, g = _scaled_rows(G, g)
-    rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
-    added = g.size
-    T = np.zeros((rows0 + added + 1, cols0 + added + 1))
-    T[:rows0, :cols0] = T0[:-1, :-1]
-    T[:rows0, -1] = T0[:-1, -1]
-    T[-1, :cols0] = T0[-1, :-1]
-    T[-1, -1] = T0[-1, -1]
-    new = T[rows0:-1]
-    new[:, :ncols] = G
-    idx = np.arange(added)
-    new[idx, cols0 + idx] = 1.0
-    new[:, -1] = g
-    if rows0:
-        # eliminate the basic columns; basic columns of T0 are exact unit vectors
-        new -= new[:, basis0] @ T[:rows0]
-    basis = np.concatenate([basis0, cols0 + idx])
-    total = cols0 + added
-    iters = _iterate(T, basis, total, _dual_step, -1.0)
-    return T, basis, iters + _iterate(T, basis, total, _primal_step, 1.0)
 
+    def __init__(self, f: np.ndarray, A: np.ndarray, b: np.ndarray, hi: np.ndarray):
+        self.col = col = np.array([_column_unit(h) for h in hi])
+        bounded = np.flatnonzero(np.isfinite(hi))
+        cost = np.append(-f * col, 0.0)
+        top = np.abs(cost).max()
+        if 0.0 < top < 1.0:
+            cost = np.ldexp(cost, 1 - math.frexp(top)[1])
+        self.T, self.basis, self.pivots = cost[None], np.empty(0, dtype=int), 0
+        self._append(np.vstack([A * col, np.eye(f.size)[bounded]]),
+                     np.concatenate([b, hi[bounded] / col[bounded]]))
 
-def _reoptimise(tab: tuple, G: np.ndarray, g: np.ndarray) -> tuple[tuple, int, np.ndarray]:
-    """The tableau state (T, basis, col) after appending the rows G z <= g,
-    written in z = x / col, to the optimal state ``tab``; the pivot count;
-    and the x = col * z of its optimal vertex."""
-    T0, basis0, col = tab
-    T, basis, iters = _extend(T0, basis0, col.size, G, g)
-    z = np.zeros(T.shape[1] - 1)
-    z[basis] = T[:-1, -1]
-    return (T, basis, col), iters, col * z[:col.size]
+    def add(self, A: np.ndarray, b: np.ndarray) -> None:
+        """Append the rows A x <= b, given in x, and reoptimise."""
+        self._append(A * self.col, b)
 
+    def _append(self, G: np.ndarray, g: np.ndarray) -> None:
+        """Append the rows G z <= g and reoptimise.
 
-def _cold(f: np.ndarray, A: np.ndarray, b: np.ndarray,
-          hi: np.ndarray) -> tuple[tuple, int, np.ndarray]:
-    """:func:`_reoptimise` from the empty tableau by the rows A x <= b and
-    the finite bounds: the simplex from the slack basis.  The tableau holds
-    z = x / col for col = hi where hi is finite and > 0, else 1, and a cost
-    row whose largest entry is below 1 is lifted into [1, 2) by a power of
-    two, which keeps every cost's bits."""
-    ncols = f.size
-    col = np.where(np.isfinite(hi) & (hi > 0), hi, 1.0)
-    ub_idx = np.flatnonzero(np.isfinite(hi))
-    T0 = np.zeros((1, ncols + 1))
-    T0[0, :ncols] = -f * col
-    top = np.abs(T0[0]).max()
-    if 0.0 < top < 1.0:
-        T0[0] = np.ldexp(T0[0], 1 - math.frexp(top)[1])
-    return _reoptimise((T0, np.empty(0, dtype=int), col),
-                       np.vstack([A * col, np.eye(ncols)[ub_idx]]),
-                       np.concatenate([b, hi[ub_idx] / col[ub_idx]]))
-
-
-def _add_rows(tab: tuple, A: np.ndarray, b: np.ndarray) -> tuple[tuple, int, np.ndarray]:
-    """:func:`_reoptimise` by the rows A x <= b, given in x."""
-    return _reoptimise(tab, A * tab[2], b)
+        Each row, scaled by :func:`_scaled_rows`, gets a slack column and is
+        written in the terms of the optimal basis.  The reduced costs are
+        unchanged, so the basis stays dual feasible, and dual pivots restore
+        primal feasibility; a final primal pass, which does not pivot when
+        they end at an optimum, guards the cost tolerance.
+        """
+        G, g = _scaled_rows(G, g)
+        T0 = self.T
+        rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
+        added = g.size
+        T = np.zeros((rows0 + added + 1, cols0 + added + 1))
+        T[:rows0, :cols0] = T0[:-1, :-1]
+        T[:rows0, -1] = T0[:-1, -1]
+        T[-1, :cols0] = T0[-1, :-1]
+        T[-1, -1] = T0[-1, -1]
+        new = T[rows0:-1]
+        new[:, :self.col.size] = G
+        idx = np.arange(added)
+        new[idx, cols0 + idx] = 1.0
+        new[:, -1] = g
+        if rows0:
+            # eliminate the basic columns; basic columns of T0 are exact unit vectors
+            new -= new[:, self.basis] @ T[:rows0]
+        basis = np.concatenate([self.basis, cols0 + idx])
+        total = cols0 + added
+        self.pivots += _iterate(T, basis, total, _dual_step, -1.0)
+        self.pivots += _iterate(T, basis, total, _primal_step, 1.0)
+        z = np.zeros(total)
+        z[basis] = T[:-1, -1]
+        self.T, self.basis, self.x = T, basis, self.col * z[:self.col.size]
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
@@ -267,9 +271,87 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     supposed to pass a bounded region.
     """
     f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
-    _, iters, x = _cold(f, A, b, hi)
+    tableau = CutLP(f, A, b, hi)
+    x = tableau.x
     slack_ok = A @ x - b
     # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
     residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
     active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
-    return SolveResult(x, float(f @ x), iters, residual, active)
+    return SolveResult(x, float(f @ x), tableau.pivots, residual, active)
+
+
+def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
+    """Kelley's cutting-plane method for  max c^T x  s.t.  0 <= x <= upper,
+    g(x) <= radius,  with g convex and positively homogeneous of degree 1.
+
+    ``separate(x)`` returns ``(g(x), s)`` with s a subgradient at x, so that
+    g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
+    therefore valid.  Every round solves the small LP over the box and the
+    cuts so far, whose optimum bounds the true one from above, and separates
+    there.  The loop keeps that LP live in one :class:`CutLP`: round 1
+    builds it from the first cut, every later round appends the new cut; a
+    non-finite cut raises :class:`InputError`.  When x has one coordinate,
+    round 1 takes the 1x1 LP's single pivot here, in the LP's own
+    arithmetic, and g is linear on [0, upper], so that cut ends the loop; a
+    second round, which rounding could ask for, builds the LP from both cuts.
+
+    The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
+    when the LP returns the iterate it was given (its tolerances cannot
+    resolve the newest cut), or after ``MAX_CUT_ROUNDS`` rounds.  It returns
+    (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
+    relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
+    against the radius themselves.
+    """
+    x = np.where(c > 0, upper, 0.0)
+    cuts: list[np.ndarray] = []
+    pivots, lp = 0, None
+    g, s = separate(x)
+    for _ in range(MAX_CUT_ROUNDS):
+        if g <= radius * (1.0 + 1e-12):
+            break
+        if not np.isfinite(s).all():
+            raise InputError(f"cut coefficients must be finite, got {s!r}")
+        cuts.append(s)
+        if c.size == 1 and len(cuts) == 1:
+            # the 1x1 cut LP's one pivot, in its arithmetic: the scaled cut
+            # reads z <= q, the bound row z <= 1, and the ratio test's tie
+            # goes to the cut row's lower basis index
+            col = _column_unit(upper[0])
+            q = radius / (s[0] * col)
+            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
+            pivots = 1
+        elif lp is None:
+            lp = CutLP(c, np.array(cuts), np.full(len(cuts), radius), upper)
+            new_x = lp.x
+        else:
+            lp.add(s[None], np.array([radius]))
+            new_x = lp.x
+        if np.array_equal(new_x, x):
+            break
+        x = new_x
+        g, s = separate(x)
+    return x, g, len(cuts), pivots + (lp.pivots if lp else 0)
+
+
+def exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
+    """:func:`cut_loop` for the sampled LPs, whose optimum it must reach.
+
+    The LP cannot see a cut's violation below ``_FEAS_TOL`` times the cut's
+    largest entry times ``upper`` (4e-10 relative in a loose box), and then
+    returns its own iterate x.  If g(x) - radius is within 10 times that,
+    the feasible x radius / g(x) is separated and returned instead; its
+    value lies below the optimum by at most a relative g(x) / radius - 1.
+    Returns :func:`cut_loop`'s tuple and that bound, the stall excess, which
+    is 0.0 when the loop's own iterate is returned.
+    """
+    x, g, cuts, pivots = cut_loop(c, upper, radius, separate)
+    excess = 0.0
+    if g > radius * (1.0 + 1e-12):
+        scaled = x * radius / g
+        g_scaled, s = separate(scaled)      # also a subgradient at x
+        if g - radius <= 10.0 * _FEAS_TOL * np.max(s * upper):
+            x, g, excess = scaled, g_scaled, g / radius - 1.0
+    if g > radius * (1.0 + 1e-12):
+        raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
+                          f"after {cuts} cuts")
+    return x, g, cuts, pivots, excess

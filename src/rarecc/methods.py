@@ -8,11 +8,12 @@
 Both linear programs have the form  max c^T x  over a box, subject to
 g(x) <= radius  for a polyhedral, convex, degree-1 homogeneous g: the sample
 CVaR of the loss, or the largest sampled row value.  Neither is assembled in
-full.  One cutting-plane loop (Kelley 1960) serves both, and the limit
-programs of :mod:`rarecc.limits` with gradient cuts: it solves a small LP
-in the m decision variables over the cuts found so far, evaluates g and a
-subgradient at its optimum with one pass over the sample, and adds that cut,
-until g(x) <= radius (1 + 1e-12).  The result is the optimum of the full LP.
+full: the cutting-plane loop (Kelley 1960) of :mod:`rarecc.lpsolve`, which
+the limit programs of :mod:`rarecc.limits` share, solves a small LP in the
+m decision variables over the cuts found so far, evaluates g and a
+subgradient at its optimum with one pass over the sample, and adds that
+cut, until g(x) <= radius (1 + 1e-12).  The result is the optimum of the
+full LP.
 """
 
 from __future__ import annotations
@@ -22,18 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, ParameterError, RareccError, check_count, check_delta,
-                     check_radius, check_same_n, check_tail_count, check_vector)
-from .lpsolve import _FEAS_TOL, _add_rows, _cold
-# unused here, but bench/spans.py wraps this name in this module
-from .lpsolve import solve_lp  # noqa: F401
+from .errors import (ParameterError, check_count, check_delta, check_radius, check_same_n,
+                     check_tail_count, check_vector)
+# solve_lp is unused here, but bench/spans.py wraps the name in this module
+from .lpsolve import exact_cut_loop, solve_lp  # noqa: F401
 from .model import ProblemInstance, phi_many
 from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
                       draws_range, exceedances, heavy_top, light_qinv)
 from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
-_MAX_CUT_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -146,85 +145,6 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     )
 
 
-def _cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
-    """Kelley's cutting-plane method for  max c^T x  s.t.  0 <= x <= upper,
-    g(x) <= radius,  with g convex and positively homogeneous of degree 1.
-
-    ``separate(x)`` returns ``(g(x), s)`` with s a subgradient at x, so that
-    g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
-    therefore valid.  Every round solves the small LP over the box and the
-    cuts so far, whose optimum bounds the true one from above, and separates
-    there.  The loop keeps that LP's tableau: round 1 solves it cold
-    (:func:`~rarecc.lpsolve._cold`), every later round appends the new cut
-    (:func:`~rarecc.lpsolve._add_rows`); a non-finite cut raises
-    :class:`InputError`.  When x has one coordinate, round 1 takes the 1x1
-    LP's single pivot here, in the LP's own arithmetic, and g is linear on
-    [0, upper], so that cut ends the loop; a second round, which rounding
-    could ask for, builds the tableau cold from both cuts.
-
-    The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
-    when the LP returns the iterate it was given (its tolerances cannot
-    resolve the newest cut), or after ``_MAX_CUT_ROUNDS`` rounds.  It returns
-    (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
-    relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
-    against the radius themselves.
-    """
-    x = np.where(c > 0, upper, 0.0)
-    cuts: list[np.ndarray] = []
-    pivots = 0
-    tab = None
-    g, s = separate(x)
-    for _ in range(_MAX_CUT_ROUNDS):
-        if g <= radius * (1.0 + 1e-12):
-            break
-        cuts.append(s)
-        if c.size == 1 and len(cuts) == 1:
-            # the 1x1 cut LP's one pivot, in its arithmetic: the tableau holds
-            # z = x / col, the scaled cut reads z <= q, the bound row z <= 1,
-            # and the ratio test's tie goes to the cut row's lower basis index
-            col = upper[0] if 0.0 < upper[0] < math.inf else 1.0
-            q = radius / (s[0] * col)
-            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
-            pivots += 1
-        else:
-            if not np.isfinite(s).all():
-                raise InputError(f"cut coefficients must be finite, got {s!r}")
-            if tab is None:
-                tab, iters, new_x = _cold(c, np.array(cuts), np.full(len(cuts), radius), upper)
-            else:
-                tab, iters, new_x = _add_rows(tab, s[None], np.array([radius]))
-            pivots += iters
-        if np.array_equal(new_x, x):
-            break
-        x = new_x
-        g, s = separate(x)
-    return x, g, len(cuts), pivots
-
-
-def _exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
-    """:func:`_cut_loop` for the sampled LPs, whose optimum it must reach.
-
-    The LP cannot see a cut's violation below ``_FEAS_TOL`` times the cut's
-    largest entry times ``upper`` (4e-10 relative in a loose box), and then
-    returns its own iterate x.  If g(x) - radius is within 10 times that,
-    the feasible x radius / g(x) is separated and returned instead; its
-    value lies below the optimum by at most a relative g(x) / radius - 1.
-    Returns :func:`_cut_loop`'s tuple and that bound, the stall excess, which
-    is 0.0 when the loop's own iterate is returned.
-    """
-    x, g, cuts, pivots = _cut_loop(c, upper, radius, separate)
-    excess = 0.0
-    if g > radius * (1.0 + 1e-12):
-        scaled = x * radius / g
-        g_scaled, s = separate(scaled)      # also a subgradient at x
-        if g - radius <= 10.0 * _FEAS_TOL * np.max(s * upper):
-            x, g, excess = scaled, g_scaled, g / radius - 1.0
-    if g > radius * (1.0 + 1e-12):
-        raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
-                          f"after {cuts} cuts")
-    return x, g, cuts, pivots, excess
-
-
 def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
                sample_count: int, seed: int) -> MethodResult:
     """Solve the sample-average CVaR relaxation  max c^T x  s.t.
@@ -237,7 +157,7 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     A_i L_j give the subgradient.  ``tau`` is the value-at-risk (the k-th
     largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit,
     and ``stall_excess`` bounds how far below the optimum a rescued answer of
-    :func:`_exact_cut_loop` may lie (0.0 for any other).
+    :func:`~rarecc.lpsolve.exact_cut_loop` may lie (0.0 for any other).
     """
     check_delta(delta)
     n_total = check_count("sample_count", sample_count)
@@ -262,8 +182,8 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         rows = np.einsum("jmn,jn->jm", mats, picked)
         return float(weights @ losses[top]), weights @ rows
 
-    x, g, cuts, pivots, excess = _exact_cut_loop(problem.c, np.full(problem.m, problem.h),
-                                                 1.0, separate)
+    x, g, cuts, pivots, excess = exact_cut_loop(problem.c, np.full(problem.m, problem.h),
+                                                1.0, separate)
     hits = int((losses > 1.0).sum())
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=delta,
@@ -302,7 +222,7 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         j = int(np.argmax(scores))
         return float(scores[j]), W[j]
 
-    x, g, cuts, pivots, excess = _exact_cut_loop(
+    x, g, cuts, pivots, excess = exact_cut_loop(
         problem.c, np.full(problem.m, problem.h * radius), radius, separate)
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=None,

@@ -12,49 +12,50 @@ import math
 
 import numpy as np
 
-from rarecc.lpsolve import LinearProgram, _add_rows, _cold, solve_lp
-from rarecc.methods import _MAX_CUT_ROUNDS, _oracle_directions, wilson_halfwidth
+from rarecc.lpsolve import MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit, solve_lp
+from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
 from rarecc.sampler import copula_exponent, draws_range
 
 
 def chained_cut_loop(c, upper, radius, separate):
     """Kelley's cut loop with the arguments and return tuple of
-    ``rarecc.methods._cut_loop``, each round a full, validated
-    ``LinearProgram`` over every cut so far: the first such LP is solved by
-    ``_cold``, and each later one by ``_add_rows`` with the rows beyond the
-    previous LP's.  The loop, which keeps its tableau itself and builds no
-    LP, must match it to the bit.  A scalar program's first cut LP is taken
-    by its one pivot in closed form, as in the package."""
+    ``rarecc.lpsolve.cut_loop``, each round a full, validated
+    ``LinearProgram`` over every cut so far: the first such LP builds a
+    ``CutLP``, and each later one is appended to it by ``CutLP.add`` with
+    the rows beyond the previous LP's.  The loop, which appends one cut per
+    round and builds no LP, must match it to the bit.  A scalar program's
+    first cut LP is taken by its one pivot in closed form, as in the
+    package."""
     x = np.where(c > 0, upper, 0.0)
     cuts = []
     pivots = 0
-    tab = prev = None
+    cut_lp = prev = None
     g, s = separate(x)
-    for _ in range(_MAX_CUT_ROUNDS):
+    for _ in range(MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
             break
         cuts.append(s)
         if c.size == 1 and len(cuts) == 1:
-            col = upper[0] if 0.0 < upper[0] < math.inf else 1.0
+            col = _column_unit(upper[0])
             q = radius / (s[0] * col)
             new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
             pivots += 1
         else:
             lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
                                hi=upper)
-            if tab is None:
-                tab, iters, new_x = _cold(lp.objective, lp.A, lp.b, lp.hi)
+            if cut_lp is None:
+                cut_lp = CutLP(lp.objective, lp.A, lp.b, lp.hi)
             else:
                 k = prev.b.size
-                tab, iters, new_x = _add_rows(tab, lp.A[k:], lp.b[k:])
+                cut_lp.add(lp.A[k:], lp.b[k:])
             prev = lp
-            pivots += iters
+            new_x = cut_lp.x
         if np.array_equal(new_x, x):
             break
         x = new_x
         g, s = separate(x)
-    return x, g, len(cuts), pivots
+    return x, g, len(cuts), pivots + (cut_lp.pivots if cut_lp else 0)
 
 
 def whole_sample_oracle(problem, tail, delta, budget, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import rarecc.methods
+import rarecc.lpsolve
 from rarecc import HeavyTailModel, LightTailModel, ProblemInstance
 
 
@@ -34,14 +34,12 @@ def identity_problem2():
 @pytest.fixture
 def stalled_lp(monkeypatch):
     """Make the first cut LP hand back the box corner the cut loop starts
-    from: its cold solve gets no cut, only the box.  The loop then stops, so
+    from: it is built with no cut, only the box.  The loop then stops, so
     no later round appends a cut."""
-    cold = rarecc.methods._cold
+    class Stalled(rarecc.lpsolve.CutLP):
+        def __init__(self, f, A, b, hi):
+            super().__init__(f, A[:0], b[:0], hi)
 
-    def stalled(f, A, b, hi):
-        return cold(f, A[:0], b[:0], hi)
-
-    def no_append(*args):
-        raise AssertionError("a stalled cut loop appends no cut")
-    monkeypatch.setattr(rarecc.methods, "_cold", stalled)
-    monkeypatch.setattr(rarecc.methods, "_add_rows", no_append)
+        def add(self, A, b):
+            raise AssertionError("a stalled cut loop appends no cut")
+    monkeypatch.setattr(rarecc.lpsolve, "CutLP", Stalled)

@@ -377,6 +377,28 @@ def test_nonsense_grid_exit_2(tmp_path, capsys, experiment, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, tail", [
+    ({"kind": "feasibility_factor", "delta_grid": [0.01], "eta": 1.5},
+     {"kind": "light", "beta": 0.5, "theta": 1.0}),
+    ({"kind": "frechet_check", "k_grid": [200], "eta": math.nan},
+     {"kind": "heavy", "alpha": 2.0}),
+])
+def test_bad_eta_exit_2(tmp_path, capsys, monkeypatch, experiment, tail):
+    # feasibility_factor exited 2 only after its limit solve; frechet_check,
+    # which reads no eta, exited 0
+    calls = []
+    monkeypatch.setattr(rarecc.experiments, "solve_lt_limit", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path / "eta.json", {
+        "problem": {"c": [1.0], "h": 10.0, "A": [[[1.0]]]},
+        "tail": tail,
+        "experiment": experiment,
+    })
+    out = tmp_path / "r.csv"
+    assert cli_main(["experiment", cfg, "--out", str(out)]) == 2
+    assert "eta must lie in [0, 1)" in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
 def test_successive_calls_share_parser(lt_cfg, ht_cfg, tmp_path, capsys):
     # the parser is built once; each call must still parse its own argv
     assert cli_main(["lt-limit", lt_cfg]) == 0

@@ -248,6 +248,16 @@ def test_config_rejects_bad_delta_grid(delta):
         heavy_cfg(kind="cvar_ratio", delta_grid=(0.02, delta))
 
 
+@pytest.mark.parametrize("eta", [1.5, 1.0, -0.1, math.nan])
+@pytest.mark.parametrize("kind", sorted(rarecc.experiments._KINDS))
+def test_config_rejects_bad_eta(kind, eta):
+    # feasibility_factor failed on eta = 1.5 only in its first task, after
+    # the limit solve; every other kind ran with it, or with nan
+    with pytest.raises(ParameterError, match="eta"):
+        heavy_cfg(kind=kind, eta=eta)
+    assert heavy_cfg(kind=kind, eta=0.5).eta == 0.5
+
+
 def test_config_holds_the_defaults_and_conversions():
     cfg = heavy_cfg(kind="cvar_ratio", r_grid=[10, 30.0], eta=0, k_grid=[100])
     assert cfg.delta_grid == (1e-2, 1e-3, 1e-4)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rarecc.limits
-import rarecc.methods
+import rarecc.lpsolve
 from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric
 from rarecc import (ContractError, HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
                     ProblemInstance, UnboundedError, angular_moment,
                     lambda_eval, limit_to_decision, rate_I, rate_J,
                     solve_ht_limit, solve_lp, solve_lt_limit)
-from rarecc.methods import _cut_loop as cut_loop
+from rarecc.lpsolve import cut_loop
 
 
 def diag_problem(a, c, h=1000.0):
@@ -226,12 +226,12 @@ def test_lt_past_cut_round_cap_m7(monkeypatch):
         out = cut_loop(*args)
         rounds.append(out[2])
         return out
-    monkeypatch.setattr(rarecc.limits, "_cut_loop", counted)
+    monkeypatch.setattr(rarecc.limits, "cut_loop", counted)
     rng = np.random.default_rng(1)
     a, c = rng.uniform(0.5, 3.0, size=7), rng.uniform(0.5, 3.0, size=7)
     sol = solve_lt_limit(LightTailModel(n=7, beta=1.5, theta=2.0),
                          diag_problem(a, c))
-    assert rounds == [rarecc.methods._MAX_CUT_ROUNDS]
+    assert rounds == [rarecc.lpsolve.MAX_CUT_ROUNDS]
     y_ref, v_ref = diag_lt_optimum(a, c, 3.0)
     assert sol.value == pytest.approx(v_ref, rel=1e-9)
     assert np.allclose(sol.y_star, y_ref, rtol=1e-7)

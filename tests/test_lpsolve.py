@@ -5,7 +5,7 @@ import rarecc.lpsolve
 from _oracles import brute_force_lp
 from rarecc import (ContractError, InputError, LinearProgram, UnboundedError,
                     solve_lp)
-from rarecc.lpsolve import _add_rows, _cold
+from rarecc.lpsolve import CutLP
 
 
 def test_single_constraint():
@@ -140,14 +140,16 @@ def test_warm_start_matches_cold_solve():
         f = rng.uniform(-0.5, 2.0, m)
         hi = rng.uniform(0.5, 4.0, m)
         b = rng.uniform(0.5, 2.0, A.shape[0])
-        tab = None
+        warm = None
         for k in range(1, A.shape[0] + 1):
             lp = LinearProgram(objective=f, A=A[:k], b=b[:k], hi=hi)
             cold = solve_lp(lp)
-            if tab is None:
-                tab, iters, x = _cold(lp.objective, lp.A, lp.b, lp.hi)
+            before = 0 if warm is None else warm.pivots
+            if warm is None:
+                warm = CutLP(lp.objective, lp.A, lp.b, lp.hi)
             else:
-                tab, iters, x = _add_rows(tab, lp.A[k - 1:], lp.b[k - 1:])
+                warm.add(lp.A[k - 1:], lp.b[k - 1:])
+            iters, x = warm.pivots - before, warm.x
             scale = 1.0 + abs(cold.objective)
             assert abs(f @ x - cold.objective) <= 1e-9 * scale, (trial, k)
             assert np.abs(x - cold.x).max() <= 1e-9 * (1.0 + np.abs(cold.x).max()), (trial, k)
@@ -162,23 +164,31 @@ def test_warm_start_adds_several_rows_at_once():
     rng = np.random.default_rng(3)
     A = _cut_sequence(rng, 4, 12)
     f, hi, b = rng.uniform(0.1, 2.0, 4), np.full(4, 3.0), np.ones(12)
-    first, _, _ = _cold(f, A[:2], b[:2], hi)
-    _, _, x = _add_rows(first, A[2:], b[2:])
+    warm = CutLP(f, A[:2], b[:2], hi)
+    warm.add(A[2:], b[2:])
     cold = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=hi))
-    assert f @ x == pytest.approx(cold.objective, rel=1e-12)
-    assert np.allclose(x, cold.x, rtol=1e-10, atol=1e-12)
+    assert f @ warm.x == pytest.approx(cold.objective, rel=1e-12)
+    assert np.allclose(warm.x, cold.x, rtol=1e-10, atol=1e-12)
 
 
 def test_warm_start_leaves_start_intact():
+    # add changes the CutLP it is called on; two LPs built alike take two extensions
     f, hi = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-    start, _, x1 = _cold(f, np.array([[1.0, 0.0]]), np.array([1.5]), hi)
-    kept = [a.copy() for a in (*start, x1)]
-    _, iters, x = _add_rows(start, np.array([[0.0, 1.0]]), np.array([0.5]))
-    assert x.tolist() == [1.5, 0.5] and iters == 1
-    assert all(np.array_equal(a, b) for a, b in zip((*start, x1), kept))
-    # the same start serves a second, different extension
-    _, _, x = _add_rows(start, np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert f @ x == pytest.approx(1.0)
+    first, second = (CutLP(f, np.array([[1.0, 0.0]]), np.array([1.5]), hi) for _ in range(2))
+    before = first.pivots
+    first.add(np.array([[0.0, 1.0]]), np.array([0.5]))
+    assert first.x.tolist() == [1.5, 0.5] and first.pivots - before == 1
+    second.add(np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert f @ second.x == pytest.approx(1.0)
+
+
+def test_appending_a_dropped_row_changes_nothing():
+    # rows that no point of the unit box can violate are dropped before any pivot
+    f, hi = np.array([1.0, 2.0]), np.array([2.0, 3.0])
+    lp = CutLP(f, np.array([[1.0, 1.0]]), np.array([2.5]), hi)
+    x, pivots, shape = lp.x.tobytes(), lp.pivots, lp.T.shape
+    lp.add(np.array([[1e-12, -1e-12], [0.0, 0.0]]), np.array([1.0, 0.0]))
+    assert (lp.x.tobytes(), lp.pivots, lp.T.shape) == (x, pivots, shape)
 
 
 def _degenerate_lp(rng):
@@ -196,9 +206,9 @@ def _degenerate_lp(rng):
 def _cold_and_warm(lp, k):
     """(objective, largest violation) of the LP solved cold, and solved
     cold over its first k rows with the rest then appended."""
-    first, _, _ = _cold(lp.objective, lp.A[:k], lp.b[:k], lp.hi)
-    _, _, warm = _add_rows(first, lp.A[k:], lp.b[k:])
-    return [(float(lp.objective @ x), _violation(lp, x)) for x in (solve_lp(lp).x, warm)]
+    warm = CutLP(lp.objective, lp.A[:k], lp.b[:k], lp.hi)
+    warm.add(lp.A[k:], lp.b[k:])
+    return [(float(lp.objective @ x), _violation(lp, x)) for x in (solve_lp(lp).x, warm.x)]
 
 
 def test_blands_rule_reaches_the_default_optimum(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 import rarecc.experiments
 import rarecc.limits
+import rarecc.lpsolve
 import rarecc.methods
 import rarecc.sampler
 from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
@@ -16,7 +17,7 @@ from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError,
                     ccp_oracle, cvar_solve, phi, phi_many, rate_J, sample_size_rule,
                     scenario_solve, solve_ht_limit, solve_lt_limit, violation_prob,
                     wilson_halfwidth)
-from rarecc.lpsolve import LinearProgram, solve_lp
+from rarecc.lpsolve import CutLP, LinearProgram, solve_lp
 from rarecc.sampler import _CHUNK, draws_range, sample_tail, scenario_batch, tail_radius
 from test_sampler import STREAM_BUDGETS, random_heavy_model
 
@@ -341,7 +342,7 @@ def test_cvar_equals_full_ru_lp():
 
 def test_cut_loop_round_cap(monkeypatch):
     prob, tail = _heavy_two_matrix()
-    monkeypatch.setattr(rarecc.methods, "_MAX_CUT_ROUNDS", 1)
+    monkeypatch.setattr(rarecc.lpsolve, "MAX_CUT_ROUNDS", 1)
     with pytest.raises(RareccError):
         cvar_solve(prob, tail, 0.25, 500, 9)
 
@@ -373,47 +374,49 @@ def test_cvar_returns_the_scaled_iterate_when_a_loose_box_hides_the_violation():
 
 
 def test_cut_loop_warm_starts_after_round_one(monkeypatch):
-    # round 1 solves the first cut's LP cold; every later round appends the
-    # one new cut to the previous round's tableau state
+    # round 1 builds the first cut's LP; every later round appends the one
+    # new cut to that same live LP
     calls = []
-    cold, add_rows = rarecc.methods._cold, rarecc.methods._add_rows
 
-    def spy_cold(f, A, b, hi):
-        out = cold(f, A, b, hi)
-        calls.append((None, A, out))
-        return out
+    class Spy(CutLP):
+        def __init__(self, f, A, b, hi):
+            super().__init__(f, A, b, hi)
+            calls.append(("build", self, A, self.pivots))
 
-    def spy_add_rows(tab, A, b):
-        out = add_rows(tab, A, b)
-        calls.append((tab, A, out))
-        return out
-    monkeypatch.setattr(rarecc.methods, "_cold", spy_cold)
-    monkeypatch.setattr(rarecc.methods, "_add_rows", spy_add_rows)
+        def add(self, A, b):
+            before = self.pivots
+            super().add(A, b)
+            calls.append(("add", self, A, self.pivots - before))
+    monkeypatch.setattr(rarecc.lpsolve, "CutLP", Spy)
     prob, tail = _heavy_two_matrix()
     res = cvar_solve(prob, tail, 0.25, 500, 9)
     assert len(calls) == res.meta["outer_iterations"] - 1 > 2
-    assert calls[0][0] is None and calls[0][1].shape == (1, prob.m)
-    for (*_, (tab, _, _)), (tab0, A, _) in zip(calls, calls[1:]):
-        assert tab0 is tab and A.shape == (1, prob.m)
-    assert res.meta["lp_iterations"] == sum(iters for *_, (_, iters, _) in calls)
+    assert calls[0][0] == "build" and calls[0][2].shape == (1, prob.m)
+    for step, lp, A, _ in calls[1:]:
+        assert step == "add" and lp is calls[0][1] and A.shape == (1, prob.m)
+    assert res.meta["lp_iterations"] == sum(iters for *_, iters in calls) == calls[0][1].pivots
 
 
 @pytest.mark.parametrize("bad_round", [1, 2])
-def test_cut_loop_rejects_a_non_finite_cut(bad_round):
-    # round 1 builds the tableau cold and round 2 appends to it; a cut with
-    # an inf or nan entry is bad input either way
-    cuts = iter([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    rounds = []
+@pytest.mark.parametrize("m", [1, 2])
+def test_cut_loop_rejects_a_non_finite_cut(m, bad_round):
+    # at m = 2 round 1 builds the cut LP and round 2 appends to it; at m = 1
+    # round 1 takes the closed-form pivot, which read an inf cut as x = 0 and
+    # a nan cut as the start corner; a cut with an inf or nan entry is bad
+    # input either way
+    for bad in (np.inf, np.nan):
+        cuts = iter(np.eye(m)[[0, -1]])
+        rounds = []
 
-    def separate(x):
-        rounds.append(x)
-        s = next(cuts)
-        if len(rounds) == bad_round:
-            s = np.array([s[0], np.inf]) if bad_round == 1 else np.array([np.nan, s[1]])
-        return 2.0, s
-    with pytest.raises(InputError, match="finite"):
-        rarecc.methods._cut_loop(np.ones(2), np.full(2, 10.0), 1.0, separate)
-    assert len(rounds) == bad_round
+        def separate(x):
+            rounds.append(x)
+            s = next(cuts).copy()
+            if len(rounds) == bad_round:
+                s[-1 if bad_round == 1 else 0] = bad
+            return 2.0, s
+        with pytest.raises(InputError, match="finite"):
+            rarecc.lpsolve.cut_loop(np.ones(m), np.full(m, 10.0), 1.0, separate)
+        assert len(rounds) == bad_round
 
 
 def _cut_programs(seed):
@@ -459,15 +462,15 @@ def test_live_tableau_matches_chained_solve_lp(monkeypatch, seed):
             lambda: solve_lt_limit(light, prob),
             lambda: solve_ht_limit(heavy, prob)]
     results = {}
-    for name, loop in (("live", rarecc.methods._cut_loop), ("chained", chained_cut_loop)):
+    for name, loop in (("live", rarecc.lpsolve.cut_loop), ("chained", chained_cut_loop)):
         loops = []
 
         def recorded(c, upper, radius, separate, _loop=loop, _loops=loops):
             x, g, cuts, pivots = _loop(c, upper, radius, separate)
             _loops.append((x.tobytes(), g, cuts, pivots))
             return x, g, cuts, pivots
-        monkeypatch.setattr(rarecc.methods, "_cut_loop", recorded)
-        monkeypatch.setattr(rarecc.limits, "_cut_loop", recorded)
+        monkeypatch.setattr(rarecc.lpsolve, "cut_loop", recorded)
+        monkeypatch.setattr(rarecc.limits, "cut_loop", recorded)
         results[name] = [_outcome(run) for run in runs], loops
     assert results["live"] == results["chained"]
     assert len(results["live"][1]) == len(runs)
@@ -477,12 +480,12 @@ def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pare
     # a scalar program's one cut is the separation at upper; its answer must
     # be the cold solve of that 1x1 LP, bit for bit
     loops = []
-    exact = rarecc.methods._exact_cut_loop
+    exact = rarecc.methods.exact_cut_loop
 
     def capture(c, upper, radius, separate):
         loops.append((c, upper, radius, separate))
         return exact(c, upper, radius, separate)
-    monkeypatch.setattr(rarecc.methods, "_exact_cut_loop", capture)
+    monkeypatch.setattr(rarecc.methods, "exact_cut_loop", capture)
     runs = [cvar_solve(scalar_problem, scalar_pareto2, 0.05, 4000, 2),
             cvar_solve(scalar_problem, scalar_exp, 0.05, 4000, 3),
             scenario_solve(scalar_problem, sample_tail(scalar_pareto2, 4, 500), 1.0)]
@@ -515,7 +518,7 @@ def test_one_pivot_matches_cold_solve_bit_for_bit():
             if lifted and x[0] == upper[0]:
                 return 2.0 * radius, s
             return float(s @ x), s
-        x, g, cuts, pivots = rarecc.methods._cut_loop(c, upper, radius, separate)
+        x, g, cuts, pivots = rarecc.lpsolve.cut_loop(c, upper, radius, separate)
         if not lifted and s[0] * upper[0] <= radius * (1.0 + 1e-12):
             seen["no cut"] += 1
             assert (x.tobytes(), cuts, pivots) == (upper.tobytes(), 0, 0)
@@ -583,7 +586,7 @@ def test_scenario_matches_matmul_separation(m, n, d):
         return float(scores[j]), W[j]
     for radius in (0.3, 1.0, 40.0):
         res = scenario_solve(prob, batch, radius)
-        x, g, cuts, pivots, excess = rarecc.methods._exact_cut_loop(
+        x, g, cuts, pivots, excess = rarecc.lpsolve.exact_cut_loop(
             prob.c, np.full(m, prob.h * radius), radius, separate)
         assert res.x.tobytes() == x.tobytes() and res.meta["gap"] == g / radius - 1.0
         assert (res.meta["binding_candidates"], res.meta["lp_iterations"]) == (cuts, pivots)
