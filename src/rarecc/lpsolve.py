@@ -159,11 +159,13 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -
     bland = False
     last_obj = T[-1, -1]
     max_iters = 200 * (T.shape[0] + ncols)
-    scratch = np.empty_like(T)
+    scratch = None
     while True:
         choice = step(T, basis, ncols, bland)
         if choice is None:
             return iters
+        if scratch is None:
+            scratch = np.empty_like(T)
         _pivot(T, basis, *choice, scratch)
         iters += 1
         if sense * T[-1, -1] > sense * last_obj + 1e-12 * (1.0 + abs(last_obj)):
@@ -185,7 +187,13 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column without a finite bound is then solved as if the dropped rows were
     absent: if no other row bounds it, a positive cost there raises
     :class:`UnboundedError`, and when every row is dropped the LP is solved
-    over the bounds alone."""
+    over the bounds alone.  One row, as a Kelley round appends, takes a
+    scalar scale: the same divisions at a fraction of the calls."""
+    if g.size == 1:
+        scale = max(map(abs, G[0].tolist()))
+        if scale > _PIVOT_TOL or np.maximum(G, 0.0).sum() > g[0]:
+            return G / scale, g / scale
+        return G[:0], g[:0]
     scale = np.abs(G).max(axis=1)
     keep = scale > _PIVOT_TOL
     if not keep.all():
@@ -238,7 +246,7 @@ class CutLP:
         they end at an optimum, guards the cost tolerance.
         """
         G, g = _scaled_rows(G, g)
-        T0 = self.T
+        T0, n = self.T, self.col.size
         rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
         added = g.size
         T = np.zeros((rows0 + added + 1, cols0 + added + 1))
@@ -247,20 +255,21 @@ class CutLP:
         T[-1, :cols0] = T0[-1, :-1]
         T[-1, -1] = T0[-1, -1]
         new = T[rows0:-1]
-        new[:, :self.col.size] = G
-        idx = np.arange(added)
-        new[idx, cols0 + idx] = 1.0
+        new[:, :n] = G
+        np.fill_diagonal(new[:, cols0:-1], 1.0)         # the new slack columns
         new[:, -1] = g
         if rows0:
             # eliminate the basic columns; basic columns of T0 are exact unit vectors
             new -= new[:, self.basis] @ T[:rows0]
-        basis = np.concatenate([self.basis, cols0 + idx])
+        basis = np.concatenate((self.basis, np.arange(cols0, cols0 + added)))
         total = cols0 + added
         self.pivots += _iterate(T, basis, total, _dual_step, -1.0)
         self.pivots += _iterate(T, basis, total, _primal_step, 1.0)
-        z = np.zeros(total)
-        z[basis] = T[:-1, -1]
-        self.T, self.basis, self.x = T, basis, self.col * z[:self.col.size]
+        # x is read from the rows whose basic column is structural
+        rows = (basis < n).nonzero()[0]
+        x = np.zeros(n)
+        x[basis[rows]] = T[rows, -1]
+        self.T, self.basis, self.x = T, basis, self.col * x
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:

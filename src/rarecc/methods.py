@@ -18,6 +18,7 @@ full LP.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,8 +86,12 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
     return hits / budget, wilson_halfwidth(hits, budget)
 
 
+@functools.cache
 def _oracle_directions(m: int) -> np.ndarray:
-    return simplex_grid(m, 50) if m <= 3 else quasirandom_simplex(m, 1000)
+    """The oracle's direction grid in R^m, built once per m and read-only."""
+    grid = simplex_grid(m, 50) if m <= 3 else quasirandom_simplex(m, 1000)
+    grid.flags.writeable = False
+    return grid
 
 
 def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
@@ -152,30 +157,45 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
 
     This is the Rockafellar-Uryasev linear program, solved by the cut loop in
     the m decision variables: with k = ceil(delta N), the sample CVaR at x
-    weights the k largest losses by 1/(delta N) each, the smallest of them by
-    the fractional remainder, and the same weights on the loss-attaining rows
-    A_i L_j give the subgradient.  ``tau`` is the value-at-risk (the k-th
-    largest loss) minus 1, clipped to at most 0; ``gap`` is CVaR - 1 at exit,
-    and ``stall_excess`` bounds how far below the optimum a rescued answer of
+    weights the k largest losses by 1/(delta N) each, the smallest of them,
+    the value-at-risk (VaR), by the fractional remainder, and the same
+    weights on the loss-attaining rows A_i L_j give the subgradient.  Both
+    sums run over the k rows in draw order, so they depend on which rows
+    are largest and not on where they lie in the sample.  A heavy sample
+    therefore holds only each atom's k largest radii
+    (:func:`~rarecc.sampler.heavy_top`), which hold the k largest losses at
+    every x >= 0, and gives the whole sample's results bit for bit.
+
+    The violations are counted on the rows held.  That is exact when the VaR
+    is at most 1, as a row left out has a loss at most its atom's k-th
+    largest, which is at most the VaR; above it a heavy sample counts all N
+    draws (:func:`~rarecc.sampler.exceedances`).  ``tau`` is the VaR minus 1,
+    clipped to at most 0; ``gap`` is CVaR - 1 at exit, and ``stall_excess``
+    bounds how far below the optimum a rescued answer of
     :func:`~rarecc.lpsolve.exact_cut_loop` may lie (0.0 for any other).
     """
     check_delta(delta)
     n_total = check_count("sample_count", sample_count)
     check_same_n(problem, tail.n)
     check_tail_count(delta, n_total, "sample_count")
-    draws = draws_range(tail, seed, 0, n_total)
     dn = delta * n_total
     k = math.ceil(dn)
-    weights = np.full(k, 1.0 / dn)
-    weights[0] = (dn - (k - 1)) / dn          # top[0] is the k-th largest loss
+    heavy = isinstance(tail, HeavyTailModel)
+    draws = heavy_top(tail, seed, n_total, k) if heavy else draws_range(tail, seed, 0, n_total)
+    at = len(draws) - k
+    even = np.full(k, 1.0 / dn)
     # with one matrix, A_0 attains every loss and needs no argmax
     A0 = problem.A[np.zeros(k, dtype=np.intp)] if problem.d == 1 else None
-    losses = top = None
+    losses = var = None
 
     def separate(x):
-        nonlocal losses, top
+        nonlocal losses, var
         losses = phi_many(problem, x, draws)
-        top = np.argpartition(losses, n_total - k)[n_total - k:]
+        top = np.argpartition(losses, at)[at:]
+        var = top[0]                            # the k-th largest loss
+        top.sort()
+        weights = even.copy()
+        weights[top.searchsorted(var)] = (dn - (k - 1)) / dn
         picked = draws[top]
         mats = A0 if A0 is not None else \
             problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]    # loss-attaining A_i
@@ -184,13 +204,18 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
 
     x, g, cuts, pivots, excess = exact_cut_loop(problem.c, np.full(problem.m, problem.h),
                                                 1.0, separate)
-    hits = int((losses > 1.0).sum())
+    value_at_risk = float(losses[var])
+    if heavy and value_at_risk > 1.0:
+        hits = int(exceedances(tail, seed, n_total, lambda d: (phi_many(problem, x, d),),
+                               (1.0,))[0])
+    else:
+        hits = int((losses > 1.0).sum())
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=delta,
         violation_estimate=hits / n_total,
         violation_halfwidth=wilson_halfwidth(hits, n_total),
         meta={"method": "cvar", "seed": seed, "samples": n_total,
-              "tau": min(float(losses[top[0]]) - 1.0, 0.0), "kept_scenarios": k,
+              "tau": min(value_at_risk - 1.0, 0.0), "kept_scenarios": k,
               "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0,
               "stall_excess": excess},
     )

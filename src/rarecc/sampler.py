@@ -37,7 +37,11 @@ time instead of holding it.  A Monte Carlo count (:func:`exceedances`) adds
 the integer counts of its chunks, split between up to one thread per CPU
 (:func:`_shard_sum`), so it is the same for any split.  :func:`heavy_top`
 keeps only the rows of each atom's k largest radii, about K k rows, and
-:func:`heavy_radius_max` only the smallest uniforms (:func:`_least`).
+:func:`heavy_radius_max` only the smallest uniforms (:func:`_least`); both
+first gather only the uniforms below a few times each atom's expected
+cutoff, and read the stream again in the rare case those miss a kept row.
+The heavy oracle, CVaR and scenario programs of :mod:`rarecc.methods` run
+on :func:`heavy_top`'s rows.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ _SHARDS_MAX = 4
 # uniforms a relative alpha _MARGIN apart give radii and losses about _MARGIN
 # apart, beyond rounding: _least keeps and exceedances draws what lies closer
 _MARGIN = 2.0 ** -40
+# _least first gathers the uniforms up to about _SPREAD times an atom's
+# expected k-th smallest, and reads them all when that misses a kept row
+_SPREAD = 4.0
 
 
 @dataclass(frozen=True)
@@ -152,8 +159,9 @@ class _BlockStreams(threading.local):
     Setting the state (counter 0, key ``[seed, block]``, empty buffer) gives
     the stream of ``Philox(key=[seed, block])`` at a fifth of the cost: that
     constructor first seeds a throwaway SeedSequence from os.urandom.  The
-    generator is built on a thread's first block, so that importing the
-    package does not import numpy.random.
+    state holds Python ints, which the setter reads about three times faster
+    than the items of uint64 arrays.  The generator is built on a thread's
+    first block, so that importing the package does not import numpy.random.
     """
 
     gen = None
@@ -163,12 +171,12 @@ class _BlockStreams(threading.local):
         if self.gen is None:
             self.philox = np.random.Philox(0)
             self.gen = np.random.Generator(self.philox)
-            self.key = np.zeros(2, dtype=np.uint64)
+            self.key = [0, 0]
             self.state = {"bit_generator": "Philox",
-                          "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self.key},
-                          "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                          "state": {"counter": [0, 0, 0, 0], "key": self.key},
+                          "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                           "has_uint32": 0, "uinteger": 0}
-        self.key[:] = (seed & _MASK64, block & _MASK64)
+        self.key[0], self.key[1] = seed & _MASK64, block & _MASK64
         self.philox.state = self.state
         return self.gen
 
@@ -390,19 +398,46 @@ def _least(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool = T
     an atom with at most k draws keeps them all.
 
     The k largest radii u ** (-1/alpha) have the k smallest uniforms, and
-    past the margin a radius is smaller beyond pow's rounding.  After each
-    chunk adds its rows below the cutoffs, the kept rows set them again, so
-    about K k rows are held besides the chunk.
+    past the margin a radius is smaller beyond pow's rounding.  The k-th
+    smallest of an atom's n_a uniforms lies near k / n_a, so a first pass
+    (:func:`_below`) gathers only the uniforms at most
+    tau = ``_SPREAD`` (k + 4) / (count w_min), about ``_SPREAD`` times that
+    for the atom of least weight w_min; the 4 keeps an atom with fewer than
+    k of them rare (e^-20) at k = 1.  When every atom has k of them and
+    its cutoff lies at or below tau, they hold every row below the cutoffs,
+    and they are the answer; otherwise a full pass with no tau reads the
+    rows again.  Both give the same rows.
+    """
+    tau = _SPREAD * (k + 4) / (count * (float(model.weights.min()) if picks else 1.0))
+    if tau < 1.0:
+        u, atom, cut = _below(model, seed, count, k, picks, tau)
+        if max(cut) <= tau:
+            return u, atom
+    return _below(model, seed, count, k, picks, math.inf)[:2]
+
+
+def _below(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool,
+           tau: float) -> tuple:
+    """(uniforms, atoms or None, cutoffs) of the draws [0, count) whose
+    uniform is at most tau and at most its atom's cutoff: the atom's k-th
+    smallest such uniform times 1 + alpha ``_MARGIN``, or inf while the atom
+    has fewer than k.  After each chunk adds its rows below the limits, the
+    kept rows set the cutoffs again, so about K k rows are held besides the
+    chunk, and only the rows below the loosest limit get an atom index.
     """
     widen = 1.0 + _MARGIN * model.alpha
     cut = [math.inf] * (model.weights.size if picks else 1)
+    lim = [tau] * len(cut)
 
     def below(u, atom):
-        return (u <= (cut[0] if atom is None else np.array(cut)[atom])).nonzero()[0]
+        return (u <= (lim[0] if atom is None else np.array(lim)[atom])).nonzero()[0]
 
     kept = None
     for lo in range(0, count, _CHUNK):
         u, pick = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), picks)
+        if max(lim) < math.inf:
+            near = (u <= max(lim)).nonzero()[0]
+            u, pick = u.take(near), None if pick is None else pick.take(near)
         atom = None if pick is None else _atom_index(model, pick)
         if kept:                # the kept rows and the new ones set the cutoffs again
             near = below(u, atom)
@@ -416,16 +451,19 @@ def _least(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool = T
                 cut[a] = math.inf
             else:
                 cut[a] = float(ua.min() if k == 1 else np.partition(ua, k - 1)[k - 1]) * widen
+        lim = [min(c, tau) for c in cut]
         near = below(u, atom)
         kept = (u.take(near), None if atom is None else atom.take(near))
-    return kept
+    return kept + (cut,)
 
 
 def heavy_top(model: HeavyTailModel, seed: int, count: int, k: int) -> np.ndarray:
     """The rows of the draws [0, count) that hold each atom's k largest
     radii (:func:`_least`), in draw order, equal bit for bit to those rows
     of :func:`draws_range`.  For x >= 0, phi(x, R theta) = R phi(x, theta),
-    so each atom's k largest losses at any x lie in them."""
+    so each atom's k largest losses at any x lie in them, and so do the k
+    largest losses of the whole sample: the oracle's quantile and the CVaR
+    program's k = ceil(delta count) weighted losses."""
     u, atom = _least(model, seed, check_count("count", count), check_count("k", k))
     u **= -1.0 / model.alpha
     return (model.atoms[0] if atom is None else model.atoms[atom]) * u[:, None]

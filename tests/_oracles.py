@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from rarecc.lpsolve import MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit, solve_lp
+from rarecc.lpsolve import (MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit,
+                            exact_cut_loop, solve_lp)
 from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
 from rarecc.sampler import copula_exponent, draws_range
@@ -78,6 +79,38 @@ def whole_sample_oracle(problem, tail, delta, budget, seed):
     else:
         hits = int((phi_many(problem, x, draws) > 1.0).sum())
     return x, best_val, hits / budget, wilson_halfwidth(hits, budget)
+
+
+def whole_sample_cvar(problem, tail, delta, count, seed):
+    """``rarecc.methods.cvar_solve``'s (x, value, violation, half-width,
+    tau, outer iterations, LP iterations) on the whole sample: each round
+    sorts all ``count`` losses, weights the k = ceil(delta count) largest,
+    in draw order, by 1/(delta count) and the k-th largest by the
+    fractional remainder, and cuts with the same weights on the
+    loss-attaining rows A_i L_j; the violations are counted on all the
+    draws."""
+    draws = draws_range(tail, seed, 0, count)
+    dn = delta * count
+    k = math.ceil(dn)
+    state = {}
+
+    def separate(x):
+        losses = phi_many(problem, x, draws)
+        largest = np.argsort(losses, kind="stable")[count - k:]
+        top = np.sort(largest)
+        weights = np.full(k, 1.0 / dn)
+        weights[top == largest[0]] = (dn - (k - 1)) / dn
+        picked = draws[top]
+        mats = problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]
+        rows = np.einsum("jmn,jn->jm", mats, picked)
+        state.update(losses=losses, var=float(losses[largest[0]]))
+        return float(weights @ losses[top]), weights @ rows
+
+    x, g, cuts, pivots, _ = exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0,
+                                           separate)
+    hits = int((state["losses"] > 1.0).sum())
+    return (x, float(problem.c @ x), hits / count, wilson_halfwidth(hits, count),
+            min(state["var"] - 1.0, 0.0), cuts + 1, pivots)
 
 
 def empirical_cvar(losses: np.ndarray, delta: float) -> float:

@@ -10,7 +10,8 @@ import rarecc.lpsolve
 import rarecc.methods
 import rarecc.sampler
 from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
-                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp, whole_sample_oracle)
+                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp, whole_sample_cvar,
+                      whole_sample_oracle)
 from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
@@ -18,7 +19,8 @@ from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError,
                     scenario_solve, solve_ht_limit, solve_lt_limit, violation_prob,
                     wilson_halfwidth)
 from rarecc.lpsolve import CutLP, LinearProgram, solve_lp
-from rarecc.sampler import _CHUNK, draws_range, sample_tail, scenario_batch, tail_radius
+from rarecc.sampler import (_CHUNK, draws_range, heavy_top, sample_tail, scenario_batch,
+                            tail_radius)
 from test_sampler import STREAM_BUDGETS, random_heavy_model
 
 
@@ -180,11 +182,15 @@ def test_oracle_quasirandom_directions_at_m_four(monkeypatch):
         return quasirandom(m, count)
 
     monkeypatch.setattr(rarecc.methods, "quasirandom_simplex", counted)
+    # the grid is built once per m: an earlier oracle at m = 4 has cached it
+    rarecc.methods._oracle_directions.cache_clear()
     problem = ProblemInstance(c=np.ones(4), h=10.0, A=[np.eye(4)])
     tail = HeavyTailModel.from_pairs(n=4, alpha=2.0, pairs=[(1.0, [0.25] * 4)])
     delta, budget = 1e-2, 100_000
     res = ccp_oracle(problem, tail, delta, budget, 3)
+    ccp_oracle(problem, tail, delta, 10_000, 4)
     assert calls == [(4, 1000)]
+    assert not rarecc.methods._oracle_directions(4).flags.writeable
     # the quantile's relative standard error is 1 / (alpha sqrt(budget delta))
     se = 1.0 / (2.0 * math.sqrt(budget * delta))
     assert res.value == pytest.approx(4.0 * math.sqrt(delta), rel=4 * se)
@@ -232,6 +238,15 @@ def test_reduced_heavy_programs_match_the_whole_sample(seed):
         (value, violation, halfwidth)
     assert res.meta["quantile_rank"] == math.ceil(budget * (1.0 - delta))
 
+    res = cvar_solve(problem, tail, delta, budget, seed)
+    x, value, violation, halfwidth, tau, outer, pivots = \
+        whole_sample_cvar(problem, tail, delta, budget, seed)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth) == \
+        (value, violation, halfwidth)
+    assert (res.meta["tau"], res.meta["outer_iterations"], res.meta["lp_iterations"]) == \
+        (tau, outer, pivots)
+
 
 def test_oracle_counts_every_draw_at_a_clipped_answer(monkeypatch, two_atom_model):
     # the box binds, so the violations at x are counted over all the draws
@@ -248,16 +263,43 @@ def test_oracle_counts_every_draw_at_a_clipped_answer(monkeypatch, two_atom_mode
     assert (res.value, res.violation_estimate) == (value, violation)
 
 
+def test_cvar_counts_every_draw_when_the_value_at_risk_exceeds_one(
+        monkeypatch, two_atom_model, identity_problem2):
+    # the loop returns 4 x*, where the VaR is about 2: rows that the reduced
+    # sample left out violate too, so the count runs over all the draws
+    loop = rarecc.methods.exact_cut_loop
+
+    def beyond(c, upper, radius, separate):
+        x, g, cuts, pivots, excess = loop(c, upper, radius, separate)
+        g, _ = separate(4.0 * x)
+        return 4.0 * x, g, cuts, pivots, excess
+
+    monkeypatch.setattr(rarecc.methods, "exact_cut_loop", beyond)
+    counted = []
+    exceedances = rarecc.methods.exceedances
+    monkeypatch.setattr(rarecc.methods, "exceedances",
+                        lambda *args: counted.append(args[2]) or exceedances(*args))
+    delta, count, seed = 0.01, 50_000, 3
+    res = cvar_solve(identity_problem2, two_atom_model, delta, count, seed)
+    assert counted == [count] and res.meta["tau"] == 0.0
+    whole = phi_many(identity_problem2, res.x, draws_range(two_atom_model, seed, 0, count)) > 1.0
+    kept = phi_many(identity_problem2, res.x, heavy_top(two_atom_model, seed, count, 500)) > 1.0
+    assert res.violation_estimate == whole.sum() / count
+    assert kept.sum() < whole.sum()
+
+
 def test_heavy_oracle_and_scenario_task_hold_top_rows(two_atom_model, identity_problem2):
-    # 10^6 draws at n = 2 take 15.3 MiB; the oracle holds each atom's
-    # 1000 largest radii (about 31 KiB of rows) and the scenario task one
-    # row per atom, besides one chunk of uniforms and picks (0.5 MiB) and
-    # the chunk's temporaries, which peak near 1.1 MiB in all
+    # 10^6 draws at n = 2 take 15.3 MiB; the oracle and the CVaR program
+    # hold each atom's 1000 largest radii (about 31 KiB of rows) and the
+    # scenario task one row per atom, besides one chunk of uniforms and
+    # picks (0.5 MiB) and the chunk's temporaries, which peak near 0.6 MiB
+    # in all
     cfg = ExperimentConfig(kind="scenario_convergence", problem=identity_problem2,
                            tail=two_atom_model, k_grid=(10 ** 6,))
     task, _ = rarecc.experiments._run_scenario_convergence(cfg)
     for run in (lambda: ccp_oracle(identity_problem2, two_atom_model, 1e-3, 10 ** 6, 5),
-                lambda: task(10 ** 6, 5)):
+                lambda: task(10 ** 6, 5),
+                lambda: cvar_solve(identity_problem2, two_atom_model, 1e-3, 10 ** 6, 5)):
         run()       # lazy set-up outside the trace
         tracemalloc.start()
         try:
@@ -311,6 +353,24 @@ def test_cvar_matches_sort_reduction_scalar(scalar_problem, scalar_pareto2,
         losses = draws_range(tail, 13, 0, n).ravel()
         ref = 1.0 / empirical_cvar(losses, delta)
         assert res.value == pytest.approx(ref, rel=1e-9), (delta, n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_light_cvar_sums_its_top_rows_in_draw_order(seed):
+    # a light sample is held whole; its rounds sum in draw order too, so the
+    # bits do not depend on the order argpartition leaves the top rows in
+    rng = np.random.default_rng(seed)
+    m, n, d = (int(rng.integers(1, hi + 1)) for hi in (3, 3, 2))
+    tail = LightTailModel(n=n, beta=float(rng.uniform(0.5, 2.0)), theta=(1.0, 2.0)[seed % 2])
+    problem = _random_program(rng, m, n, d, (0.5, 50.0)[seed % 2])
+    delta, count = (0.01, 0.05)[seed % 2], 20_000 + 777 * seed
+    res = cvar_solve(problem, tail, delta, count, seed)
+    x, value, violation, halfwidth, tau, outer, pivots = \
+        whole_sample_cvar(problem, tail, delta, count, seed)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth, res.meta["tau"],
+            res.meta["outer_iterations"], res.meta["lp_iterations"]) == \
+        (value, violation, halfwidth, tau, outer, pivots)
 
 
 def test_cvar_scalar_analytic_sanity(scalar_problem, scalar_pareto2, scalar_exp):

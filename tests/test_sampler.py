@@ -249,6 +249,21 @@ def test_heavy_top_keeps_every_row_within_a_wide_margin(monkeypatch, seed):
     _check_heavy_top(model, seed, 3 * _CHUNK + 5, (1, 2, 40, 300)[seed])
 
 
+@pytest.mark.parametrize("spread, taus", [(0.05, [True, False]), (4.0, [True]), (1e6, [False])])
+def test_heavy_top_rows_do_not_depend_on_the_first_pass(monkeypatch, two_atom_model, spread,
+                                                        taus):
+    # a small spread leaves the atoms fewer than k uniforms below tau, so the
+    # full pass reads the rows again; a large one puts tau above 1, where only
+    # the full pass runs; the default gathers below tau alone
+    passes = []
+    below = rarecc.sampler._below
+    monkeypatch.setattr(rarecc.sampler, "_SPREAD", spread)
+    monkeypatch.setattr(rarecc.sampler, "_below",
+                        lambda *args: passes.append(args[-1] < math.inf) or below(*args))
+    _check_heavy_top(two_atom_model, 11, 3 * _CHUNK + 5, 50)
+    assert passes == taus
+
+
 def test_heavy_top_rejects_bad_counts(two_atom_model):
     for count, k in ((0, 1), (10, 0), (10, 1.5)):
         with pytest.raises(ParameterError):
