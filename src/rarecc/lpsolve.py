@@ -19,6 +19,15 @@ lifts a cost row whose largest entry is below 1 into [1, 2) by a power of
 two, so the absolute tolerances depend on the units of neither x nor f; a
 tiny row is dropped only when no z in the unit box can violate it.
 
+A cut LP has a few to a few dozen rows, so a numpy call costs more than
+its arithmetic, and the bookkeeping runs on Python scalars: the basis is a
+list, the ratio tests read their row or column once with ``tolist``, x is
+read from one ``tolist`` of the right-hand sides, and a row's slack entry
+is written in place.  Every operation that makes a tableau bit is numpy's:
+the row scaling, the block copies into the grown tableau, the elimination
+of the basic columns as one matrix product, and each pivot's divide, outer
+product and subtraction.
+
 :func:`cut_loop` (Kelley 1960) solves  max c^T x  over a box subject to
 g(x) <= radius  for a convex, degree-1 homogeneous g known only through a
 separation oracle: the sampled CVaR and scenario programs of
@@ -90,7 +99,7 @@ class SolveResult:
     active_rows: list = field(default_factory=list)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
+def _pivot(T: np.ndarray, basis: list, row: int, col: int,
            scratch: np.ndarray) -> None:
     prow = T[row] / T[row, col]
     coef = T[:, col].copy()
@@ -101,55 +110,56 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _primal_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
+def _primal_step(T: np.ndarray, basis: list, ncols: int, bland: bool):
     """Entering column by reduced cost, leaving row by the ratio test; None
     once every reduced cost is >= -_COST_TOL."""
-    costs = T[-1, :ncols]
+    costs = T[-1, :ncols].tolist()
     if bland:
-        elig = (costs < -_COST_TOL).nonzero()[0]
-        if elig.size == 0:
+        col = next((j for j, cost in enumerate(costs) if cost < -_COST_TOL), None)
+        if col is None:
             return None
-        col = int(elig[0])
     else:
-        col = int(costs.argmin())
-        if costs[col] >= -_COST_TOL:
+        low = min(costs)
+        if low >= -_COST_TOL:
             return None
-    colvals = T[:-1, col]
-    rhs = np.maximum(T[:-1, -1], 0.0)
-    ok = colvals > _PIVOT_TOL
-    if not ok.any():
+        col = costs.index(low)
+    colvals = T[:-1, col].tolist()
+    if not any(v > _PIVOT_TOL for v in colvals):
         raise UnboundedError("LP is unbounded; call sites must supply box bounds")
-    ratios = np.where(ok, rhs / np.where(ok, colvals, 1.0), np.inf)
-    tied = (ratios <= ratios.min() + 1e-12).nonzero()[0]
-    return int(tied[basis[tied].argmin()]), col
+    ratios = [max(r, 0.0) / v if v > _PIVOT_TOL else math.inf
+              for r, v in zip(T[:-1, -1].tolist(), colvals)]
+    cap = min(ratios) + 1e-12
+    return min((basis[i], i) for i, r in enumerate(ratios) if r <= cap)[1], col
 
 
-def _dual_step(T: np.ndarray, basis: np.ndarray, ncols: int, bland: bool):
+def _dual_step(T: np.ndarray, basis: list, ncols: int, bland: bool):
     """Leaving row by its negative right-hand side, entering column by the
     dual ratio test, which keeps every reduced cost >= 0; None once every
     right-hand side is >= -_FEAS_TOL, or when there is no row."""
-    rhs = T[:-1, -1]
-    if rhs.size == 0:
+    rhs = T[:-1, -1].tolist()
+    if not rhs:
         return None
     if bland:
-        elig = (rhs < -_FEAS_TOL).nonzero()[0]
-        if elig.size == 0:
+        elig = [i for i, r in enumerate(rhs) if r < -_FEAS_TOL]
+        if not elig:
             return None
-        row = int(elig[basis[elig].argmin()])
+        row = min(elig, key=basis.__getitem__)
     else:
-        row = int(rhs.argmin())
-        if rhs[row] >= -_FEAS_TOL:
+        low = min(rhs)
+        if low >= -_FEAS_TOL:
             return None
-    rowvals = T[row, :ncols]
-    cand = (rowvals < -_PIVOT_TOL).nonzero()[0]
-    if cand.size == 0:
+        row = rhs.index(low)
+    costs = T[-1, :ncols].tolist()
+    cand = [(max(costs[j], 0.0) / -v, j) for j, v in enumerate(T[row, :ncols].tolist())
+            if v < -_PIVOT_TOL]
+    if not cand:
         # x = 0 satisfies every row, so this is rounding, not infeasibility
         raise RareccError("dual simplex found no pivot in a violated row")
-    ratios = np.maximum(T[-1, cand], 0.0) / -rowvals[cand]
-    return row, int(cand[(ratios <= ratios.min() + 1e-12).argmax()])
+    cap = min(cand)[0] + 1e-12
+    return row, next(j for ratio, j in cand if ratio <= cap)
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -> int:
+def _iterate(T: np.ndarray, basis: list, ncols: int, step, sense: float) -> int:
     """Pivot at ``step``'s choices until it returns None; returns the pivot
     count.  The objective T[-1, -1] moves in direction ``sense`` (+1 for
     primal, -1 for dual pivots); after _STALL_LIMIT pivots that do not move
@@ -157,7 +167,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -
     iters = 0
     stall = 0
     bland = False
-    last_obj = T[-1, -1]
+    last_obj = float(T[-1, -1])
     max_iters = 200 * (T.shape[0] + ncols)
     scratch = None
     while True:
@@ -168,8 +178,9 @@ def _iterate(T: np.ndarray, basis: np.ndarray, ncols: int, step, sense: float) -
             scratch = np.empty_like(T)
         _pivot(T, basis, *choice, scratch)
         iters += 1
-        if sense * T[-1, -1] > sense * last_obj + 1e-12 * (1.0 + abs(last_obj)):
-            last_obj = T[-1, -1]
+        obj = float(T[-1, -1])
+        if sense * obj > sense * last_obj + 1e-12 * (1.0 + abs(last_obj)):
+            last_obj = obj
             stall = 0
         else:
             stall += 1
@@ -222,13 +233,13 @@ class CutLP:
     """
 
     def __init__(self, f: np.ndarray, A: np.ndarray, b: np.ndarray, hi: np.ndarray):
-        self.col = col = np.array([_column_unit(h) for h in hi])
+        self.col = col = np.array([_column_unit(h) for h in hi.tolist()])
         bounded = np.flatnonzero(np.isfinite(hi))
         cost = np.append(-f * col, 0.0)
         top = np.abs(cost).max()
         if 0.0 < top < 1.0:
             cost = np.ldexp(cost, 1 - math.frexp(top)[1])
-        self.T, self.basis, self.pivots = cost[None], np.empty(0, dtype=int), 0
+        self.T, self.basis, self.pivots = cost[None], [], 0
         self._append(np.vstack([A * col, np.eye(f.size)[bounded]]),
                      np.concatenate([b, hi[bounded] / col[bounded]]))
 
@@ -256,20 +267,19 @@ class CutLP:
         T[-1, -1] = T0[-1, -1]
         new = T[rows0:-1]
         new[:, :n] = G
-        np.fill_diagonal(new[:, cols0:-1], 1.0)         # the new slack columns
+        # the new slack columns; new is C-contiguous, so ravel() is a view
+        new.ravel()[cols0::new.shape[1] + 1] = 1.0
         new[:, -1] = g
         if rows0:
             # eliminate the basic columns; basic columns of T0 are exact unit vectors
-            new -= new[:, self.basis] @ T[:rows0]
-        basis = np.concatenate((self.basis, np.arange(cols0, cols0 + added)))
+            new -= new.take(self.basis, axis=1) @ T[:rows0]
+        basis = self.basis + list(range(cols0, cols0 + added))
         total = cols0 + added
         self.pivots += _iterate(T, basis, total, _dual_step, -1.0)
         self.pivots += _iterate(T, basis, total, _primal_step, 1.0)
         # x is read from the rows whose basic column is structural
-        rows = (basis < n).nonzero()[0]
-        x = np.zeros(n)
-        x[basis[rows]] = T[rows, -1]
-        self.T, self.basis, self.x = T, basis, self.col * x
+        value = dict(zip(basis, T[:-1, -1].tolist()))
+        self.T, self.basis, self.x = T, basis, self.col * [value.get(j, 0.0) for j in range(n)]
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
@@ -312,13 +322,15 @@ def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     against the radius themselves.
     """
     x = np.where(c > 0, upper, 0.0)
+    last = x.tolist()
+    rhs = np.array([radius])
     cuts: list[np.ndarray] = []
     pivots, lp = 0, None
     g, s = separate(x)
     for _ in range(MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
             break
-        if not np.isfinite(s).all():
+        if not all(map(math.isfinite, s.tolist())):
             raise InputError(f"cut coefficients must be finite, got {s!r}")
         cuts.append(s)
         if c.size == 1 and len(cuts) == 1:
@@ -333,11 +345,11 @@ def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
             lp = CutLP(c, np.array(cuts), np.full(len(cuts), radius), upper)
             new_x = lp.x
         else:
-            lp.add(s[None], np.array([radius]))
+            lp.add(s[None], rhs)
             new_x = lp.x
-        if np.array_equal(new_x, x):
+        if (new := new_x.tolist()) == last:
             break
-        x = new_x
+        x, last = new_x, new
         g, s = separate(x)
     return x, g, len(cuts), pivots + (lp.pivots if lp else 0)
 

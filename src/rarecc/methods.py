@@ -164,7 +164,10 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     are largest and not on where they lie in the sample.  A heavy sample
     therefore holds only each atom's k largest radii
     (:func:`~rarecc.sampler.heavy_top`), which hold the k largest losses at
-    every x >= 0, and gives the whole sample's results bit for bit.
+    every x >= 0, and gives the whole sample's results bit for bit.  With
+    one matrix, A_0 attains every loss, and a heavy sample's rows A_0 L_j
+    are made once by the einsum that a round would apply to its k rows; each
+    row of it is the same bits either way, and each round takes its k.
 
     The violations are counted on the rows held.  That is exact when the VaR
     is at most 1, as a row left out has a loss at most its atom's k-th
@@ -184,22 +187,29 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     draws = heavy_top(tail, seed, n_total, k) if heavy else draws_range(tail, seed, 0, n_total)
     at = len(draws) - k
     even = np.full(k, 1.0 / dn)
-    # with one matrix, A_0 attains every loss and needs no argmax
-    A0 = problem.A[np.zeros(k, dtype=np.intp)] if problem.d == 1 else None
+    var_weight = (dn - (k - 1)) / dn
+    # with one matrix, A_0 attains every loss and needs no argmax; a heavy
+    # sample's K k rows A_0 L_j are made once, while a light sample's N rows
+    # are many more than the k a round reads, so it makes those per round
+    A0 = problem.A[np.zeros(len(draws) if heavy else k, dtype=np.intp)] if problem.d == 1 else None
+    rows_all = np.einsum("jmn,jn->jm", A0, draws) if heavy and A0 is not None else None
     losses = var = None
 
     def separate(x):
         nonlocal losses, var
         losses = phi_many(problem, x, draws)
-        top = np.argpartition(losses, at)[at:]
+        top = losses.argpartition(at)[at:]
         var = top[0]                            # the k-th largest loss
         top.sort()
         weights = even.copy()
-        weights[top.searchsorted(var)] = (dn - (k - 1)) / dn
-        picked = draws[top]
-        mats = A0 if A0 is not None else \
-            problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]    # loss-attaining A_i
-        rows = np.einsum("jmn,jn->jm", mats, picked)
+        weights[top.searchsorted(var)] = var_weight
+        if rows_all is not None:
+            rows = rows_all.take(top, axis=0)
+        else:
+            picked = draws.take(top, axis=0)
+            mats = A0 if A0 is not None else \
+                problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]    # loss-attaining A_i
+            rows = np.einsum("jmn,jn->jm", mats, picked)
         return float(weights @ losses[top]), weights @ rows
 
     x, g, cuts, pivots, excess = exact_cut_loop(problem.c, np.full(problem.m, problem.h),

@@ -29,8 +29,12 @@ it.  A block may therefore leave out its trailing numbers when nothing uses
 them, and every value stays the same: where row ``j`` of a block reads only
 the stream's first numbers (theta = 1 and theta = inf), a partial first or
 last block draws only its rows ``[0, hi)``.  Theta in (1, inf) reads V and
-W after all B rows, so its partial blocks still draw the whole block.  Every
-reader reads a range from the row 0 of its first block (:func:`_own`).
+W after all B rows, and its exponentials take a varying number of words
+each, so its partial blocks still draw the whole block.  A heavy block
+takes one word per number, so its picks start at word B, and Philox is
+counter-based: a partial heavy block reads its rows' uniforms, sets the
+counter to word B and reads only its rows' picks (:class:`_BlockStreams`).
+Every reader reads a range from the row 0 of its first block (:func:`_own`).
 
 Two kinds of reader stream a heavy budget one ``_CHUNK`` = 8 B rows at a
 time instead of holding it.  A Monte Carlo count (:func:`exceedances`) adds
@@ -160,23 +164,28 @@ class _BlockStreams(threading.local):
     the stream of ``Philox(key=[seed, block])`` at a fifth of the cost: that
     constructor first seeds a throwaway SeedSequence from os.urandom.  The
     state holds Python ints, which the setter reads about three times faster
-    than the items of uint64 arrays.  The generator is built on a thread's
-    first block, so that importing the package does not import numpy.random.
+    than the items of uint64 arrays.  Philox is counter-based: each counter
+    step makes four 64-bit words, and the generator steps the counter before
+    it fills its empty buffer, so counter c with an empty buffer continues
+    the stream at word 4c.  The generator is built on a thread's first
+    block, so that importing the package does not import numpy.random.
     """
 
     gen = None
 
-    def at(self, seed: int, block: int) -> np.random.Generator:
-        """The generator, positioned at the start of the block's stream."""
+    def at(self, seed: int, block: int, word: int = 0) -> np.random.Generator:
+        """The generator, positioned at word ``word`` (a multiple of 4) of
+        the block's stream."""
         if self.gen is None:
             self.philox = np.random.Philox(0)
             self.gen = np.random.Generator(self.philox)
-            self.key = [0, 0]
+            self.key, self.counter = [0, 0], [0, 0, 0, 0]
             self.state = {"bit_generator": "Philox",
-                          "state": {"counter": [0, 0, 0, 0], "key": self.key},
+                          "state": {"counter": self.counter, "key": self.key},
                           "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                           "has_uint32": 0, "uinteger": 0}
         self.key[0], self.key[1] = seed & _MASK64, block & _MASK64
+        self.counter[0] = word >> 2
         self.philox.state = self.state
         return self.gen
 
@@ -219,23 +228,27 @@ def _heavy_uniforms(model: HeavyTailModel, seed: int, start: int, stop: int,
     """The radius uniforms of the heavy draws [start, stop) and their
     angular picks (None without ``picks`` or for one atom), in new arrays.
 
-    The one reader of the heavy stream: a block reads its B uniforms u, then
-    its B picks, and its draw i is u_i^(-1/alpha) times the atom
-    :func:`_atom_index` gives pick i.  With picks a block reads all B rows
-    of both, without them its rows up to ``stop``.  An empty range reads no
-    block.
+    The one reader of the heavy stream: a block's words 0 to B - 1 are its
+    B uniforms u and words B to 2B - 1 its B picks, and its draw i is
+    u_i^(-1/alpha) times the atom :func:`_atom_index` gives pick i.  Each
+    block reads its rows up to ``stop``: the uniforms, then the picks.  A
+    block read whole reads its words in order; one that stops early reads
+    its rows' uniforms and then sets the counter to word B
+    (:meth:`_BlockStreams.at`), so it skips the rest of both.  An empty
+    range reads no block.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
     first = start // _BLOCK * _BLOCK
     picks = picks and model.weights.size > 1
-    span = 0 if stop == start else (-(-stop // _BLOCK) * _BLOCK if picks else stop) - first
-    u = np.empty(span)
-    pick = np.empty(span) if picks else None
-    for lo in range(0, span, _BLOCK):
+    u = np.empty(stop - first if stop > start else 0)
+    pick = np.empty(u.size) if picks else None
+    for lo in range(0, u.size, _BLOCK):
         rng = _STREAMS.at(seed, (first + lo) // _BLOCK)
         rng.random(out=u[lo:lo + _BLOCK])
         if picks:
+            if lo + _BLOCK > u.size:            # a partial block: skip to word B
+                rng = _STREAMS.at(seed, (first + lo) // _BLOCK, _BLOCK)
             rng.random(out=pick[lo:lo + _BLOCK])
     rows = slice(start - first, stop - first)
     return _own(u[rows], start), (_own(pick[rows], start) if picks else None)
@@ -430,7 +443,7 @@ def _below(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool,
     lim = [tau] * len(cut)
 
     def below(u, atom):
-        return (u <= (lim[0] if atom is None else np.array(lim)[atom])).nonzero()[0]
+        return (u <= (lim[0] if atom is None else np.array(lim).take(atom))).nonzero()[0]
 
     kept = None
     for lo in range(0, count, _CHUNK):
@@ -466,7 +479,7 @@ def heavy_top(model: HeavyTailModel, seed: int, count: int, k: int) -> np.ndarra
     program's k = ceil(delta count) weighted losses."""
     u, atom = _least(model, seed, check_count("count", count), check_count("k", k))
     u **= -1.0 / model.alpha
-    return (model.atoms[0] if atom is None else model.atoms[atom]) * u[:, None]
+    return (model.atoms[0] if atom is None else model.atoms.take(atom, axis=0)) * u[:, None]
 
 
 def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:

@@ -12,11 +12,117 @@ import math
 
 import numpy as np
 
+import rarecc.lpsolve as lpsolve
+from rarecc.errors import RareccError, UnboundedError
 from rarecc.lpsolve import (MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit,
                             exact_cut_loop, solve_lp)
 from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
 from rarecc.sampler import copula_exponent, draws_range
+
+
+class NumpyCutLP(CutLP):
+    """``rarecc.lpsolve.CutLP`` with every append written in whole-array
+    numpy: the basis is an integer array, every row is scaled, tested and
+    written by array operations, each pivot's ratio test runs on arrays,
+    and x is gathered by the basis.  It reads the tolerances and the stall
+    limit from ``rarecc.lpsolve`` when it runs, so a patched ``_STALL_LIMIT``
+    switches both to Bland's rule.  The package's append must give the same
+    tableau, basis, pivots and x bit for bit."""
+
+    def _append(self, G, g):
+        scale = np.abs(G).max(axis=1)
+        keep = (scale > lpsolve._PIVOT_TOL) | (np.maximum(G, 0.0).sum(axis=1) > g)
+        G, g = G[keep] / scale[keep][:, None], g[keep] / scale[keep]
+        T0, n = self.T, self.col.size
+        rows0, cols0 = T0.shape[0] - 1, T0.shape[1] - 1
+        added = g.size
+        T = np.zeros((rows0 + added + 1, cols0 + added + 1))
+        T[:rows0, :cols0] = T0[:-1, :-1]
+        T[:rows0, -1] = T0[:-1, -1]
+        T[-1, :cols0] = T0[-1, :-1]
+        T[-1, -1] = T0[-1, -1]
+        new = T[rows0:-1]
+        new[:, :n] = G
+        np.fill_diagonal(new[:, cols0:-1], 1.0)
+        new[:, -1] = g
+        basis0 = np.asarray(self.basis, dtype=int)
+        if rows0:
+            new -= new[:, basis0] @ T[:rows0]
+        basis = np.concatenate((basis0, np.arange(cols0, cols0 + added)))
+        total = cols0 + added
+        self.pivots += _numpy_iterate(T, basis, total, _numpy_dual_step, -1.0)
+        self.pivots += _numpy_iterate(T, basis, total, _numpy_primal_step, 1.0)
+        rows = (basis < n).nonzero()[0]
+        x = np.zeros(n)
+        x[basis[rows]] = T[rows, -1]
+        self.T, self.basis, self.x = T, basis, self.col * x
+
+
+def _numpy_primal_step(T, basis, ncols, bland):
+    costs = T[-1, :ncols]
+    if bland:
+        elig = (costs < -lpsolve._COST_TOL).nonzero()[0]
+        if elig.size == 0:
+            return None
+        col = int(elig[0])
+    else:
+        col = int(costs.argmin())
+        if costs[col] >= -lpsolve._COST_TOL:
+            return None
+    colvals = T[:-1, col]
+    ok = colvals > lpsolve._PIVOT_TOL
+    if not ok.any():
+        raise UnboundedError("unbounded")
+    ratios = np.where(ok, np.maximum(T[:-1, -1], 0.0) / np.where(ok, colvals, 1.0), np.inf)
+    tied = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+    return int(tied[basis[tied].argmin()]), col
+
+
+def _numpy_dual_step(T, basis, ncols, bland):
+    rhs = T[:-1, -1]
+    if rhs.size == 0:
+        return None
+    if bland:
+        elig = (rhs < -lpsolve._FEAS_TOL).nonzero()[0]
+        if elig.size == 0:
+            return None
+        row = int(elig[basis[elig].argmin()])
+    else:
+        row = int(rhs.argmin())
+        if rhs[row] >= -lpsolve._FEAS_TOL:
+            return None
+    rowvals = T[row, :ncols]
+    cand = (rowvals < -lpsolve._PIVOT_TOL).nonzero()[0]
+    if cand.size == 0:
+        raise RareccError("no dual pivot")
+    ratios = np.maximum(T[-1, cand], 0.0) / -rowvals[cand]
+    return row, int(cand[(ratios <= ratios.min() + 1e-12).argmax()])
+
+
+def _numpy_iterate(T, basis, ncols, step, sense):
+    iters = stall = 0
+    bland = False
+    last_obj = T[-1, -1]
+    while True:
+        choice = step(T, basis, ncols, bland)
+        if choice is None:
+            return iters
+        row, col = choice
+        prow = T[row] / T[row, col]
+        coef = T[:, col].copy()
+        coef[row] = 0.0
+        T -= coef[:, None] * prow[None, :]
+        T[row] = prow
+        basis[row] = col
+        iters += 1
+        if sense * T[-1, -1] > sense * last_obj + 1e-12 * (1.0 + abs(last_obj)):
+            last_obj, stall = T[-1, -1], 0
+        else:
+            stall += 1
+            bland = bland or stall >= lpsolve._STALL_LIMIT
+        if iters > 200 * (T.shape[0] + ncols):
+            raise RareccError("iteration limit")
 
 
 def chained_cut_loop(c, upper, radius, separate):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import rarecc.lpsolve
-from _oracles import brute_force_lp
-from rarecc import (ContractError, InputError, LinearProgram, UnboundedError,
+from _oracles import NumpyCutLP, brute_force_lp
+from rarecc import (ContractError, InputError, LinearProgram, RareccError, UnboundedError,
                     solve_lp)
 from rarecc.lpsolve import CutLP
 
@@ -229,3 +229,64 @@ def test_blands_rule_reaches_the_default_optimum(monkeypatch):
             assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), trial
             assert violation <= 1e-9, trial
     assert bland_steps["_primal_step"] > 0 and bland_steps["_dual_step"] > 0, bland_steps
+
+
+def _state(lp):
+    return lp.x.tobytes(), lp.pivots, list(lp.basis), lp.T.tobytes()
+
+
+def _build_or_add(make):
+    """The CutLP that ``make`` builds or changes, or the type of the error it raises."""
+    try:
+        return make()
+    except (UnboundedError, RareccError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("stall_limit", [64, 1])
+def test_list_bookkeeping_matches_the_numpy_tableau(monkeypatch, stall_limit):
+    # the package's tableau keeps its basis in a list and reads its ratio
+    # tests, its basis and x through tolist; the numpy reference does each on
+    # arrays, and every bit must agree after every append, on any BLAS
+    # kernel; a stall limit of 1 switches both to Bland's rule
+    monkeypatch.setattr(rarecc.lpsolve, "_STALL_LIMIT", stall_limit)
+    bland_steps = {"_primal_step": 0, "_dual_step": 0}
+    for name in bland_steps:
+        def step(T, basis, ncols, bland, _name=name, _step=getattr(rarecc.lpsolve, name)):
+            bland_steps[_name] += bland
+            return _step(T, basis, ncols, bland)
+        monkeypatch.setattr(rarecc.lpsolve, name, step)
+    rng = np.random.default_rng(300 + stall_limit)
+    appends = 0
+    for trial in range(150):
+        m = int(rng.integers(1, 6))
+        A = _cut_sequence(rng, m, int(rng.integers(1, 16)))
+        odd = rng.random(len(A))
+        A[odd < 0.1] *= 1e-11                       # tiny rows, kept only when b is tinier
+        A[(odd >= 0.1) & (odd < 0.15)] = 0.0        # vacuous rows
+        b = rng.uniform(0.5, 2.0, len(A)) if trial % 2 else np.ones(len(A))
+        b[rng.random(len(A)) < 0.1] = 1e-13
+        b[rng.random(len(A)) < 0.2] = 0.0           # degenerate vertices
+        box = trial % 3
+        hi = (rng.uniform(0.05, 50.0, m) if box == 0 else np.full(m, np.inf) if box == 1
+              else np.where(rng.random(m) < 0.5, np.inf, rng.uniform(0.05, 50.0, m)))
+        f = rng.uniform(-0.5, 2.0, m) * 10.0 ** rng.uniform(-3.0, 1.0) * (rng.random(m) >= 0.3)
+        k = int(rng.integers(1, len(A) + 1))
+        got = _build_or_add(lambda: CutLP(f, A[:k], b[:k], hi))
+        want = _build_or_add(lambda: NumpyCutLP(f, A[:k], b[:k], hi))
+        while True:
+            if isinstance(got, type) or isinstance(want, type):
+                assert got is want, trial
+                break
+            assert _state(got) == _state(want), (trial, k)
+            if k == len(A):
+                break
+            step = int(rng.integers(1, 4)) if rng.random() < 0.3 else 1
+            rows = slice(k, min(k + step, len(A)))
+            got = _build_or_add(lambda: got.add(A[rows], b[rows]) or got)
+            want = _build_or_add(lambda: want.add(A[rows], b[rows]) or want)
+            k = rows.stop
+            appends += 1
+    assert appends > 300
+    if stall_limit == 1:
+        assert bland_steps["_primal_step"] > 0 and bland_steps["_dual_step"] > 0, bland_steps

@@ -138,6 +138,53 @@ def test_unaligned_range_owns_only_its_rows(two_atom_model):
         assert part.base is None or part.base.nbytes <= part.nbytes, i
 
 
+def _philox_block(seed, block):
+    """A block's uniforms and picks, read whole from a Philox constructed
+    with the block's key."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+    return gen.random(4096), gen.random(4096)
+
+
+@pytest.mark.parametrize("atoms", [2, 3, 4])
+def test_partial_blocks_jump_to_their_picks(atoms):
+    # a block that stops early reads its rows' uniforms and then sets the
+    # counter to its picks' first word, B; the rows must be those of whole
+    # blocks, from their first row or from any start
+    rng = np.random.default_rng(30 + atoms)
+    weights = rng.uniform(0.2, 1.0, atoms)
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    model = HeavyTailModel(n=2, alpha=1.5, weights=weights, atoms=np.eye(2)[np.arange(atoms) % 2])
+    for _ in range(25):
+        seed, block = int(rng.integers(2**63)), int(rng.integers(0, 5))
+        rows, skip = int(rng.integers(1, 4096)), int(rng.integers(0, 4096))
+        whole = [_philox_block(seed, b) for b in (block, block + 1)]
+        u_all, pick_all = (np.concatenate([w[i] for w in whole]) for i in (0, 1))
+        for lo in (0, skip):
+            start = block * 4096 + lo
+            u, pick = _heavy_uniforms(model, seed, start, start + rows)
+            assert u.tobytes() == u_all[lo:lo + rows].tobytes(), (seed, block, lo, rows)
+            assert pick.tobytes() == pick_all[lo:lo + rows].tobytes(), (seed, block, lo, rows)
+
+
+def test_philox_counter_c_continues_the_stream_at_word_4c():
+    # the jump rests on numpy's Philox stepping its counter before it fills
+    # an empty buffer: counter c makes the next word the stream's word 4c
+    rng = np.random.default_rng(4)
+    for c in (0, 1, 2, 1023, 1024, 1025, int(rng.integers(3, 5000))):
+        key = [int(rng.integers(2**63)), int(rng.integers(2**63))]
+        words = np.random.Philox(key=key).random_raw(4 * c + 9)
+        bits = np.random.Philox(key=key)
+        state = bits.state
+        state["state"]["counter"] = [c, 0, 0, 0]
+        state["buffer_pos"] = 4
+        bits.state = state
+        assert bits.random_raw(9).tolist() == words[4 * c:].tolist(), c
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(4 * c + 9)
+        jumped = rarecc.sampler._STREAMS.at(key[0], key[1], 4 * c).random(9)
+        assert jumped.tobytes() == doubles[4 * c:].tobytes(), c
+
+
 def test_draws_range_threads_match_serial():
     # each thread re-keys its own generator; ranges interleaved over more
     # threads than cores, with frequent switches, must equal the serial draws
