@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ContractError, InputError, ParameterError, check_count, check_delta,
                      check_tail_count, check_vector)
-from .limits import (angular_moment, limit_to_decision, solve_ht_limit,
-                     solve_lt_limit)
+from .limits import (angular_moment, cvar_ratio_limit, limit_to_decision, scenario_cv_limit,
+                     solve_ht_limit, solve_limit, solve_lt_limit)
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
                       cvar_solve, scenario_solve, violation_prob, wilson_halfwidth)
 from .model import ProblemInstance, phi_many
@@ -111,10 +111,6 @@ class ReportRow:
     seed: int
 
 
-def _is_scalar(problem: ProblemInstance) -> bool:
-    return problem.m == 1 and problem.n == 1 and problem.d == 1
-
-
 def _run_grid(cfg: ExperimentConfig, grid, task, agg) -> list[ReportRow]:
     """Every report row of one experiment, in grid order.
 
@@ -157,11 +153,10 @@ def _run_cvar_ratio(cfg: ExperimentConfig):
     The reference optimum comes from the exact scalar formula when the
     instance is scalar, otherwise from the Monte Carlo oracle.  The target
     column records the limiting ratio: 1 under light tails, 1 - 1/alpha
-    under heavy tails.
+    under heavy tails (:func:`~rarecc.limits.cvar_ratio_limit`).
     """
-    light = isinstance(cfg.tail, LightTailModel)
-    target = 1.0 if light else 1.0 - 1.0 / cfg.tail.alpha
-    scalar = _is_scalar(cfg.problem)
+    target = cvar_ratio_limit(cfg.tail)
+    scalar = cfg.problem.scalar
     # the first method each task runs checks this rule too; every delta is
     # checked here, before any task runs
     name, why = ("sample_count", "") if scalar else ("budget", " for a stable quantile")
@@ -190,12 +185,6 @@ def _run_cvar_ratio(cfg: ExperimentConfig):
     return task, agg
 
 
-def _weibull_cv(alpha: float) -> float:
-    m1 = math.gamma(1.0 + 1.0 / alpha)
-    m2 = math.gamma(1.0 + 2.0 / alpha)
-    return math.sqrt(m2 - m1 * m1) / m1
-
-
 def _run_scenario_convergence(cfg: ExperimentConfig):
     """Value of the radius-scaled scenario program versus the limit value.
 
@@ -203,20 +192,15 @@ def _run_scenario_convergence(cfg: ExperimentConfig):
     the per-k coefficient of variation shrinks.  Heavy tails: the value
     stays random; for the scalar single-atom case its limit law is a
     Weibull(alpha) multiple of the limit value, whose CV is recorded in the
-    aggregate row.  A heavy task solves over each atom's largest radius
+    aggregate row (:func:`~rarecc.limits.scenario_cv_limit`).  A heavy task
+    solves over each atom's largest radius
     (:func:`~rarecc.sampler.scenario_batch`).
     """
     if min(cfg.k_grid) < 2:
         # the radius at risk level 1/k needs 1/k < 1
         raise ParameterError("scenario scaling needs k >= 2")
-    light = isinstance(cfg.tail, LightTailModel)
-    v_lim = (solve_lt_limit if light else solve_ht_limit)(cfg.tail, cfg.problem).value
-    if light:
-        cv_ref = 0.0
-    elif _is_scalar(cfg.problem):
-        cv_ref = _weibull_cv(cfg.tail.alpha)
-    else:
-        cv_ref = math.nan
+    v_lim = solve_limit(cfg.tail, cfg.problem).value
+    cv_ref = scenario_cv_limit(cfg.tail, cfg.problem)
 
     def task(k, seed):
         batch = scenario_batch(cfg.tail, seed, k)
@@ -354,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
     rows = _run_grid(cfg, getattr(cfg, grid_name), *runner(cfg))
     comments = []
     if cfg.kind == "cvar_ratio":
-        comments.append(f"# oracle={'analytic' if _is_scalar(cfg.problem) else 'mc'}")
+        comments.append(f"# oracle={'analytic' if cfg.problem.scalar else 'mc'}")
     return rows, comments
 
 

@@ -11,6 +11,12 @@ the dual norm above for light tails, (sum_k w_k phi(y, theta_k)^alpha)^(1/alpha)
 for heavy ones.  Both programs are solved by the cutting-plane loop of
 :mod:`rarecc.lpsolve` with gradient cuts, polished by Newton steps on the KKT
 system, and report the relative gap to the loop's upper bound.
+
+The family decisions of the experiments sit here as well:
+:func:`solve_limit` solves the tail's limit program, :func:`cvar_ratio_limit`
+gives the limit of the CVaR optimum over the chance-constrained one (1, or
+1 - 1/alpha under heavy tails) and :func:`scenario_cv_limit` the limiting
+coefficient of variation of the scaled scenario value.
 """
 
 from __future__ import annotations
@@ -227,6 +233,31 @@ def solve_ht_limit(model: HeavyTailModel, problem: ProblemInstance) -> LimitSolu
     y, gap = _solve_limit(problem.c, separate)
     residual = abs(angular_moment(model, problem, y) - 1.0)
     return LimitSolution(y_star=y, value=float(problem.c @ y), residual=residual, gap=gap)
+
+
+def solve_limit(tail: TailModel, problem: ProblemInstance) -> LimitSolution:
+    """The regime's limit program: :func:`solve_lt_limit` for a light tail,
+    :func:`solve_ht_limit` for a heavy one."""
+    return (solve_lt_limit if isinstance(tail, LightTailModel) else solve_ht_limit)(tail, problem)
+
+
+def cvar_ratio_limit(tail: TailModel) -> float:
+    """The limit, as delta -> 0, of the CVaR optimum over the chance-constrained
+    one: 1 under light tails, 1 - 1/alpha under heavy ones."""
+    return 1.0 if isinstance(tail, LightTailModel) else 1.0 - 1.0 / tail.alpha
+
+
+def scenario_cv_limit(tail: TailModel, problem: ProblemInstance) -> float:
+    """The limiting coefficient of variation of the radius-scaled scenario
+    value: 0 under light tails, where it concentrates; for a scalar heavy
+    instance the CV of its Weibull(alpha) limit law; nan for any other."""
+    if isinstance(tail, LightTailModel):
+        return 0.0
+    if not problem.scalar:
+        return math.nan
+    m1 = math.gamma(1.0 + 1.0 / tail.alpha)
+    m2 = math.gamma(1.0 + 2.0 / tail.alpha)
+    return math.sqrt(m2 - m1 * m1) / m1
 
 
 def limit_to_decision(sol: LimitSolution, tail: TailModel, delta: float,

@@ -14,6 +14,16 @@ m decision variables over the cuts found so far, evaluates g and a
 subgradient at its optimum with one pass over the sample, and adds that
 cut, until g(x) <= radius (1 + 1e-12).  The result is the optimum of the
 full LP.
+
+No method knows the tail family.  The oracle and the CVaR program read
+:func:`~rarecc.sampler.top_rows`, and a sample of fewer rows than draws,
+which holds only each atom's top radii, counts its violations over every
+draw where the rows held cannot decide them.  A CVaR round whose VaR is
+tied ranks the rows by loss, then radius, both descending, then draw
+index, so a reduced sample picks the rows the whole one does.  The scalar
+closed forms are c_0 min(1/(a r), h), with r the marginal's VaR
+(:func:`~rarecc.sampler.tail_radius`) for the chance constraint and its
+CVaR (:func:`~rarecc.sampler.tail_cvar`) for the CVaR one.
 """
 
 from __future__ import annotations
@@ -29,8 +39,9 @@ from .errors import (ParameterError, check_count, check_delta, check_radius, che
 # solve_lp is unused here, but bench/spans.py wraps the name in this module
 from .lpsolve import exact_cut_loop, solve_lp  # noqa: F401
 from .model import ProblemInstance, phi_many
-from .sampler import (HeavyTailModel, LightTailModel, SampleBatch, TailModel,
-                      draws_range, exceedances, heavy_top, light_qinv)
+# draws_range is unused here, but bench/spans.py wraps the name in this module
+from .sampler import (SampleBatch, TailModel, draws_range, exceedances,  # noqa: F401
+                      tail_cvar, tail_radius, top_rows)
 from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
@@ -81,9 +92,13 @@ def violation_prob(problem: ProblemInstance, x, tail: TailModel,
     budget = check_count("budget", budget, least=1000)
     check_same_n(problem, tail.n)
     x = check_vector(x, problem.m, "x", lo=-1e-12, hi=problem.h + 1e-12)
-    hits = int(exceedances(tail, seed, budget, lambda draws: (phi_many(problem, x, draws),),
-                           (1.0,))[0])
+    hits = _violations(problem, x, tail, seed, budget)
     return hits / budget, wilson_halfwidth(hits, budget)
+
+
+def _violations(problem: ProblemInstance, x, tail: TailModel, seed: int, count: int) -> int:
+    """The number of the draws [0, count) whose loss at x exceeds 1."""
+    return int(exceedances(tail, seed, count, lambda d: (phi_many(problem, x, d),), (1.0,))[0])
 
 
 @functools.cache
@@ -102,11 +117,12 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     grid; the maximal feasible scale along u is the reciprocal of the
     empirical (1-delta)-quantile of loss(u, L), the order statistic of rank
     ceil(budget (1-delta)), the t-th largest for t = budget - rank + 1.
-    Exact up to Monte Carlo quantile error and grid resolution.  A heavy
-    sample holds only each atom's t largest radii
-    (:func:`~rarecc.sampler.heavy_top`), which hold every score at or above
-    the t-th largest, as a loss grows with the radius: every result is the
-    whole sample's, bit for bit.
+    Exact up to Monte Carlo quantile error and grid resolution.  The sample
+    is :func:`~rarecc.sampler.top_rows` with k = t, which hold every score
+    at or above the t-th largest, as a loss grows with the radius: every
+    result is the whole sample's, bit for bit.  When those rows are fewer
+    than the budget and the box clips the answer, no score bounds the
+    rounded losses, and the violations are counted over every draw.
     """
     check_delta(delta)
     budget = check_count("budget", budget)
@@ -114,10 +130,7 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
     check_tail_count(delta, budget, "budget", " for a stable quantile")
     rank = math.ceil(budget * (1.0 - delta))
     top = budget - rank + 1
-    if isinstance(tail, HeavyTailModel):
-        draws = heavy_top(tail, seed, budget, top)
-    else:
-        draws = draws_range(tail, seed, 0, budget)
+    draws = top_rows(tail, seed, budget, top)
     at = len(draws) - top          # the t-th largest score's index in sorted order
     best_val, best = -math.inf, None
     for u in _oracle_directions(problem.m):
@@ -135,10 +148,8 @@ def ccp_oracle(problem: ProblemInstance, tail: TailModel, delta: float,
         # loss(u/q, L) = score/q, but evaluating it at x can round the
         # boundary draw's loss up to 1 + ulp; compare the scores with q
         hits = int((scores > q).sum())
-    elif isinstance(tail, HeavyTailModel):
-        # at a clipped x no score bounds the rounded losses: count every draw
-        hits = int(exceedances(tail, seed, budget, lambda d: (phi_many(problem, best_x, d),),
-                               (1.0,))[0])
+    elif len(draws) < budget:
+        hits = _violations(problem, best_x, tail, seed, budget)
     else:
         hits = int((phi_many(problem, best_x, draws) > 1.0).sum())
     return MethodResult(
@@ -161,19 +172,22 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     the value-at-risk (VaR), by the fractional remainder, and the same
     weights on the loss-attaining rows A_i L_j give the subgradient.  Both
     sums run over the k rows in draw order, so they depend on which rows
-    are largest and not on where they lie in the sample.  A heavy sample
-    therefore holds only each atom's k largest radii
-    (:func:`~rarecc.sampler.heavy_top`), which hold the k largest losses at
-    every x >= 0, and gives the whole sample's results bit for bit.  With
-    one matrix, A_0 attains every loss, and a heavy sample's rows A_0 L_j
-    are made once by the einsum that a round would apply to its k rows; each
-    row of it is the same bits either way, and each round takes its k.
+    are largest and not on where they lie in the sample.  When the VaR's
+    loss is tied, the k rows are the first k by loss, then row sum (the
+    radius), both descending, then draw index, and the fractional weight
+    goes on the k-th; the tied rows picked are each atom's largest radii.
+    The sample is therefore :func:`~rarecc.sampler.top_rows`, which hold
+    the k largest losses at every x >= 0, and it gives the whole sample's
+    results bit for bit.  With one matrix, A_0 attains every loss, and the
+    rows A_0 L_j of a sample reduced to fewer than N rows are made once by
+    the einsum that a round would apply to its k rows; each row of it is the
+    same bits either way, and each round takes its k.
 
     The violations are counted on the rows held.  That is exact when the VaR
     is at most 1, as a row left out has a loss at most its atom's k-th
-    largest, which is at most the VaR; above it a heavy sample counts all N
-    draws (:func:`~rarecc.sampler.exceedances`).  ``tau`` is the VaR minus 1,
-    clipped to at most 0; ``gap`` is CVaR - 1 at exit, and ``stall_excess``
+    largest, which is at most the VaR; above it a reduced sample counts all
+    N draws (:func:`~rarecc.sampler.exceedances`).  ``tau`` is the VaR minus
+    1, clipped to at most 0; ``gap`` is CVaR - 1 at exit, and ``stall_excess``
     bounds how far below the optimum a rescued answer of
     :func:`~rarecc.lpsolve.exact_cut_loop` may lie (0.0 for any other).
     """
@@ -183,16 +197,16 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     check_tail_count(delta, n_total, "sample_count")
     dn = delta * n_total
     k = math.ceil(dn)
-    heavy = isinstance(tail, HeavyTailModel)
-    draws = heavy_top(tail, seed, n_total, k) if heavy else draws_range(tail, seed, 0, n_total)
+    draws = top_rows(tail, seed, n_total, k)
+    reduced = len(draws) < n_total
     at = len(draws) - k
     even = np.full(k, 1.0 / dn)
     var_weight = (dn - (k - 1)) / dn
-    # with one matrix, A_0 attains every loss and needs no argmax; a heavy
-    # sample's K k rows A_0 L_j are made once, while a light sample's N rows
+    # with one matrix, A_0 attains every loss and needs no argmax; a reduced
+    # sample's K k rows A_0 L_j are made once, while a whole sample's N rows
     # are many more than the k a round reads, so it makes those per round
-    A0 = problem.A[np.zeros(len(draws) if heavy else k, dtype=np.intp)] if problem.d == 1 else None
-    rows_all = np.einsum("jmn,jn->jm", A0, draws) if heavy and A0 is not None else None
+    A0 = problem.A[np.zeros(len(draws) if reduced else k, np.intp)] if problem.d == 1 else None
+    rows_all = np.einsum("jmn,jn->jm", A0, draws) if reduced and A0 is not None else None
     losses = var = None
 
     def separate(x):
@@ -200,6 +214,11 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         losses = phi_many(problem, x, draws)
         top = losses.argpartition(at)[at:]
         var = top[0]                            # the k-th largest loss
+        if np.count_nonzero(losses == losses[var]) > 1:
+            # which tied rows argpartition picks depends on the whole array;
+            # each atom's largest radii are picked in every sample that holds them
+            top = np.lexsort((-draws.sum(axis=1), -losses))[:k]
+            var = top[-1]
         top.sort()
         weights = even.copy()
         weights[top.searchsorted(var)] = var_weight
@@ -215,9 +234,8 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     x, g, cuts, pivots, excess = exact_cut_loop(problem.c, np.full(problem.m, problem.h),
                                                 1.0, separate)
     value_at_risk = float(losses[var])
-    if heavy and value_at_risk > 1.0:
-        hits = int(exceedances(tail, seed, n_total, lambda d: (phi_many(problem, x, d),),
-                               (1.0,))[0])
+    if reduced and value_at_risk > 1.0:
+        hits = _violations(problem, x, tail, seed, n_total)
     else:
         hits = int((losses > 1.0).sum())
     return MethodResult(
@@ -282,35 +300,27 @@ def sample_size_rule(delta: float, beta_conf: float, dim: int) -> int:
     return int(math.ceil(val))
 
 
-def _scalar_data(problem: ProblemInstance) -> tuple[float, float]:
-    if not (problem.m == 1 and problem.n == 1 and problem.d == 1):
+def _scalar_optimum(problem: ProblemInstance, level: float) -> float:
+    """max c_0 x over [0, h] s.t. a x level <= 1, for the scalar instance
+    (m = n = d = 1) with c = (c_0) and A = ((a))."""
+    if not problem.scalar:
         raise ParameterError("analytic oracle needs a scalar instance (m = n = d = 1)")
-    return float(problem.c[0]), float(problem.A[0, 0, 0])
+    return float(problem.c[0]) * min(1.0 / (float(problem.A[0, 0, 0]) * level), problem.h)
 
 
 def analytic_ccp_value(problem: ProblemInstance, tail: TailModel, delta: float) -> float:
-    """Exact optimal value of the scalar chance-constrained problem."""
-    check_delta(delta)
-    c0, a = _scalar_data(problem)
-    if isinstance(tail, LightTailModel):
-        x = 1.0 / (a * light_qinv(tail, math.log(1.0 / delta)))
-    else:
-        x = delta ** (1.0 / tail.alpha) / a
-    return c0 * min(x, problem.h)
+    """Exact optimal value of the scalar chance-constrained problem,
+    c_0 min(1/(a r), h) for the regime's radius r
+    (:func:`~rarecc.sampler.tail_radius`): x L <= 1/a with probability
+    1 - delta exactly when x r <= 1/a."""
+    return _scalar_optimum(problem, tail_radius(tail, delta))
 
 
 def analytic_cvar_value(problem: ProblemInstance, tail: TailModel, delta: float) -> float:
-    """Exact optimal value of the scalar CVaR-constrained problem.
-
-    Closed forms exist for the Pareto radius (any alpha) and for the
-    exponential marginal (beta = 1); other light tails raise.
+    """Exact optimal value of the scalar CVaR-constrained problem,
+    c_0 min(1/(a CVaR_delta(L)), h) for the marginal's CVaR
+    (:func:`~rarecc.sampler.tail_cvar`), which has closed forms for the
+    Pareto radius (any alpha) and the exponential marginal (beta = 1); other
+    light tails raise.
     """
-    check_delta(delta)
-    c0, a = _scalar_data(problem)
-    if isinstance(tail, HeavyTailModel):
-        x = (1.0 - 1.0 / tail.alpha) * delta ** (1.0 / tail.alpha) / a
-    else:
-        if abs(tail.beta - 1.0) > 1e-12:
-            raise ParameterError("analytic CVaR optimum implemented for beta = 1 only")
-        x = 1.0 / (a * (math.log(1.0 / delta) + 1.0))
-    return c0 * min(x, problem.h)
+    return _scalar_optimum(problem, tail_cvar(tail, delta))

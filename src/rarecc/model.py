@@ -53,6 +53,11 @@ class ProblemInstance:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
 
+    @property
+    def scalar(self) -> bool:
+        """Whether m = n = d = 1, where the closed forms of the paper hold."""
+        return self.m == self.n == self.d == 1
+
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemInstance":
         """Build from a config mapping with keys ``c``, ``h``, ``A``."""

@@ -44,8 +44,14 @@ keeps only the rows of each atom's k largest radii, about K k rows, and
 :func:`heavy_radius_max` only the smallest uniforms (:func:`_least`); both
 first gather only the uniforms below a few times each atom's expected
 cutoff, and read the stream again in the rare case those miss a kept row.
-The heavy oracle, CVaR and scenario programs of :mod:`rarecc.methods` run
-on :func:`heavy_top`'s rows.
+
+A caller needs to know neither family.  :func:`top_rows` gives the rows a
+program that reads the k largest losses needs: a light model's whole
+sample, a heavy model's :func:`heavy_top`.  The oracle, CVaR and scenario
+programs of :mod:`rarecc.methods` run on them, and hold the whole sample
+exactly when they get every row.  :func:`tail_radius` and :func:`tail_cvar`
+give the scalar marginal's VaR and CVaR at risk level delta, from which the
+scalar closed forms c_0 min(1/(a r), h) follow.
 """
 
 from __future__ import annotations
@@ -88,8 +94,8 @@ class LightTailModel:
 
     def __post_init__(self):
         check_count("dimension n", self.n)
-        if not self.beta > 0:
-            raise ParameterError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ParameterError("beta must be finite and positive")
         if not self.theta >= 1:
             raise ParameterError("theta must be >= 1")
 
@@ -105,8 +111,8 @@ class HeavyTailModel:
 
     def __post_init__(self):
         check_count("dimension n", self.n)
-        if not self.alpha > 1:
-            raise ParameterError("alpha must exceed 1")
+        if not 1 < self.alpha < math.inf:
+            raise ParameterError("alpha must be finite and exceed 1")
         w = np.asarray(self.weights, dtype=float)
         pts = np.asarray(self.atoms, dtype=float)
         if w.ndim != 1 or w.size == 0:
@@ -490,14 +496,23 @@ def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:
     return float(low.max())
 
 
-def scenario_batch(model: TailModel, seed: int, count: int) -> SampleBatch:
-    """The draws [0, count) that can bind a scenario program over them: all
-    of a light model's; a heavy model's largest radius per atom
-    (:func:`heavy_top` with k = 1), since y^T A_i R theta = R y^T A_i theta
-    for y >= 0."""
+def top_rows(model: TailModel, seed: int, count: int, k: int) -> np.ndarray:
+    """Rows of the draws [0, count), in draw order, that hold the k largest
+    losses at every x >= 0 of any loss that grows with the radius: all of a
+    light model's draws (:func:`draws_range`); each atom's k largest radii
+    of a heavy model's (:func:`heavy_top`).  A caller holds the whole sample
+    exactly when it gets ``count`` rows."""
+    count = check_count("count", count)
     if isinstance(model, LightTailModel):
-        return sample_tail(model, seed, count)
-    return SampleBatch(samples=heavy_top(model, seed, count, 1), seed=seed, count=count)
+        return draws_range(model, seed, 0, count)
+    return heavy_top(model, seed, count, k)
+
+
+def scenario_batch(model: TailModel, seed: int, count: int) -> SampleBatch:
+    """The draws [0, count) that can bind a scenario program over them:
+    :func:`top_rows` with k = 1, since y^T A_i R theta = R y^T A_i theta
+    for y >= 0."""
+    return SampleBatch(samples=top_rows(model, seed, count, 1), seed=seed, count=count)
 
 
 def sample_tail(model: TailModel, seed: int, count: int) -> SampleBatch:
@@ -547,3 +562,15 @@ def tail_radius(model: TailModel, delta: float) -> float:
     if isinstance(model, LightTailModel):
         return light_qinv(model, math.log(1.0 / delta))
     return heavy_fbar_inv(model, delta)
+
+
+def tail_cvar(model: TailModel, delta: float) -> float:
+    """CVaR at risk level delta in (0, 1) of the scalar marginal: the Pareto
+    radius delta^(-1/alpha) over 1 - 1/alpha, or log(1/delta) + 1 for the
+    unit exponential (beta = 1); no other light tail has one here."""
+    check_delta(delta)
+    if isinstance(model, HeavyTailModel):
+        return heavy_fbar_inv(model, delta) / (1.0 - 1.0 / model.alpha)
+    if abs(model.beta - 1.0) > 1e-12:
+        raise ParameterError("CVaR closed form implemented for beta = 1 only")
+    return math.log(1.0 / delta) + 1.0

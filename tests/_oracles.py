@@ -18,7 +18,7 @@ from rarecc.lpsolve import (MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit,
                             exact_cut_loop, solve_lp)
 from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
-from rarecc.sampler import copula_exponent, draws_range
+from rarecc.sampler import LightTailModel, copula_exponent, draws_range
 
 
 class NumpyCutLP(CutLP):
@@ -190,11 +190,12 @@ def whole_sample_oracle(problem, tail, delta, budget, seed):
 def whole_sample_cvar(problem, tail, delta, count, seed):
     """``rarecc.methods.cvar_solve``'s (x, value, violation, half-width,
     tau, outer iterations, LP iterations) on the whole sample: each round
-    sorts all ``count`` losses, weights the k = ceil(delta count) largest,
-    in draw order, by 1/(delta count) and the k-th largest by the
-    fractional remainder, and cuts with the same weights on the
-    loss-attaining rows A_i L_j; the violations are counted on all the
-    draws."""
+    sorts all ``count`` rows by loss, then row sum (the radius), both
+    descending, then draw index, weights the first k = ceil(delta count),
+    in draw order, by 1/(delta count) and the k-th by the fractional
+    remainder, and cuts with the same weights on the loss-attaining rows
+    A_i L_j; tau is the k-th row's loss minus 1, clipped at 0, and the
+    violations are counted on all the draws."""
     draws = draws_range(tail, seed, 0, count)
     dn = delta * count
     k = math.ceil(dn)
@@ -202,14 +203,14 @@ def whole_sample_cvar(problem, tail, delta, count, seed):
 
     def separate(x):
         losses = phi_many(problem, x, draws)
-        largest = np.argsort(losses, kind="stable")[count - k:]
+        largest = np.lexsort((np.arange(count), -draws.sum(axis=1), -losses))[:k]
         top = np.sort(largest)
         weights = np.full(k, 1.0 / dn)
-        weights[top == largest[0]] = (dn - (k - 1)) / dn
+        weights[top == largest[-1]] = (dn - (k - 1)) / dn
         picked = draws[top]
         mats = problem.A[(picked @ (x @ problem.A).T).argmax(axis=1)]
         rows = np.einsum("jmn,jn->jm", mats, picked)
-        state.update(losses=losses, var=float(losses[largest[0]]))
+        state.update(losses=losses, var=float(losses[largest[-1]]))
         return float(weights @ losses[top]), weights @ rows
 
     x, g, cuts, pivots, _ = exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0,
@@ -408,6 +409,30 @@ def pareto_cvar_value(alpha: float, delta: float, a: float = 1.0, c: float = 1.0
     """Exact scalar CVaR-constrained optimum: CVaR_delta of Pareto(alpha) is
     (alpha/(alpha-1)) delta^(-1/alpha)."""
     return c * (1.0 - 1.0 / alpha) * delta ** (1.0 / alpha) / a
+
+
+def family_ccp_value(problem, tail, delta: float) -> float:
+    """The scalar chance-constrained optimum written out per family:
+    c_0 min(1/(a log(1/delta)^(1/beta)), h) for a light tail and
+    c_0 min(delta^(1/alpha)/a, h) for a heavy one."""
+    c0, a = float(problem.c[0]), float(problem.A[0, 0, 0])
+    if isinstance(tail, LightTailModel):
+        x = 1.0 / (a * math.log(1.0 / delta) ** (1.0 / tail.beta))
+    else:
+        x = delta ** (1.0 / tail.alpha) / a
+    return c0 * min(x, problem.h)
+
+
+def family_cvar_value(problem, tail, delta: float) -> float:
+    """The scalar CVaR-constrained optimum written out per family:
+    c_0 min(1/(a (log(1/delta) + 1)), h) for the unit exponential and
+    c_0 min((1 - 1/alpha) delta^(1/alpha)/a, h) for a Pareto radius."""
+    c0, a = float(problem.c[0]), float(problem.A[0, 0, 0])
+    if isinstance(tail, LightTailModel):
+        x = 1.0 / (a * (math.log(1.0 / delta) + 1.0))
+    else:
+        x = (1.0 - 1.0 / tail.alpha) * delta ** (1.0 / tail.alpha) / a
+    return c0 * min(x, problem.h)
 
 
 def exp_cc_value(delta: float, a: float = 1.0, c: float = 1.0) -> float:

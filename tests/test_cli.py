@@ -435,6 +435,26 @@ def test_non_finite_atom_exit_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, tail", [
+    ("ht-limit", {"kind": "heavy", "alpha": "inf",
+                  "atoms": [[0.5, [1.0, 0.0]], [0.5, [0.0, 1.0]]]}),
+    ("lt-limit", {"kind": "light", "beta": "inf"}),
+    ("cvar", {"kind": "light", "beta": "Infinity"}),
+])
+def test_infinite_tail_index_exit_2(tmp_path, capsys, command, tail):
+    # float() reads "inf", and every draw was then 1: ht-limit and cvar
+    # exited 0, ht-limit after an invalid value in its gradient
+    cfg = write_cfg(tmp_path / "inf.json", {
+        "problem": {"c": [1.0, 1.0], "h": 10.0, "A": [[[1.0, 0.0], [0.0, 1.0]]]},
+        "tail": tail,
+        "experiment": {"delta_grid": [0.01], "budget": 20_000},
+    })
+    out = tmp_path / "r.json"
+    assert cli_main([command, cfg, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theta", ["inf", "Infinity"])
 def test_theta_string_infinity(tmp_path, theta):
     cfg = write_cfg(tmp_path / "inf.json", {

@@ -278,7 +278,8 @@ def test_scenario_k_rule_fails_before_any_work(monkeypatch):
     def ran(*args, **kwargs):
         raise AssertionError("work started before the k rule was checked")
 
-    for name in ("sample_tail", "scenario_batch", "solve_ht_limit", "solve_lt_limit"):
+    for name in ("sample_tail", "scenario_batch", "solve_limit", "solve_ht_limit",
+                 "solve_lt_limit"):
         monkeypatch.setattr(rarecc.experiments, name, ran)
     for cfg in (heavy_cfg, light_cfg):
         with pytest.raises(ParameterError, match="k >= 2"):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import rarecc.limits
 import rarecc.lpsolve
-from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric
+from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric, weibull_cv
 from rarecc import (ContractError, HeavyTailModel, InputError,
                     LightTailModel, LinearProgram, ParameterError,
                     ProblemInstance, UnboundedError, angular_moment,
                     lambda_eval, limit_to_decision, rate_I, rate_J,
                     solve_ht_limit, solve_lp, solve_lt_limit)
+from rarecc.limits import cvar_ratio_limit, scenario_cv_limit, solve_limit
 from rarecc.lpsolve import cut_loop
 
 
@@ -263,6 +264,21 @@ def test_lt_unbounded_when_profitable_coordinate_carries_no_risk():
 
 
 # ------------------------------------------------------------ HT program
+
+def test_family_limits(scalar_problem, scalar_pareto2, scalar_exp, two_atom_model,
+                       identity_problem2):
+    # each family's limit program and the paper's predictions for it
+    light = LightTailModel(n=2, beta=0.5, theta=2.0)
+    for tail, solve in ((light, solve_lt_limit), (two_atom_model, solve_ht_limit)):
+        assert solve_limit(tail, identity_problem2).to_json_dict() == \
+            solve(tail, identity_problem2).to_json_dict()
+    assert cvar_ratio_limit(scalar_exp) == cvar_ratio_limit(light) == 1.0
+    assert cvar_ratio_limit(two_atom_model) == 0.5
+    assert scenario_cv_limit(scalar_exp, scalar_problem) == 0.0
+    assert scenario_cv_limit(light, identity_problem2) == 0.0
+    assert scenario_cv_limit(scalar_pareto2, scalar_problem) == weibull_cv(2.0)
+    assert math.isnan(scenario_cv_limit(two_atom_model, identity_problem2))
+
 
 def test_ht_scalar_boundary(scalar_problem, scalar_pareto2):
     sol = solve_ht_limit(scalar_pareto2, scalar_problem)

@@ -10,8 +10,8 @@ import rarecc.lpsolve
 import rarecc.methods
 import rarecc.sampler
 from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
-                      pareto_cc_value, pareto_cvar_value, ru_cvar_lp, whole_sample_cvar,
-                      whole_sample_oracle)
+                      family_ccp_value, family_cvar_value, pareto_cc_value, pareto_cvar_value,
+                      ru_cvar_lp, whole_sample_cvar, whole_sample_oracle)
 from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
@@ -20,7 +20,7 @@ from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError,
                     wilson_halfwidth)
 from rarecc.lpsolve import CutLP, LinearProgram, solve_lp
 from rarecc.sampler import (_CHUNK, draws_range, heavy_top, sample_tail, scenario_batch,
-                            tail_radius)
+                            tail_radius, top_rows)
 from test_sampler import STREAM_BUDGETS, random_heavy_model
 
 
@@ -286,6 +286,76 @@ def test_cvar_counts_every_draw_when_the_value_at_risk_exceeds_one(
     kept = phi_many(identity_problem2, res.x, heavy_top(two_atom_model, seed, count, 500)) > 1.0
     assert res.violation_estimate == whole.sum() / count
     assert kept.sum() < whole.sum()
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_cvar_breaks_a_tied_value_at_risk_by_radius(monkeypatch, seed):
+    # an early round's x = (x_1, 0) zeroes atom 2's losses, so the VaR is a
+    # loss of 0 that thousands of rows share; the rows picked among them are
+    # each atom's largest radii, which the reduced sample holds as well
+    problem = ProblemInstance(c=[1.0, 0.3], h=100.0, A=[np.eye(2)])
+    tail = HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=[(0.05, [1, 0]), (0.95, [0, 1])])
+    delta, count = 0.1, 4000
+    tied = []
+    phi_rows = rarecc.methods.phi_many
+
+    def recorded(problem, x, draws):
+        losses = phi_rows(problem, x, draws)
+        tied.append(np.count_nonzero(losses == np.sort(losses)[-400]) > 1)
+        return losses
+
+    monkeypatch.setattr(rarecc.methods, "phi_many", recorded)
+    res = cvar_solve(problem, tail, delta, count, seed)
+    assert any(tied) and len(top_rows(tail, seed, count, 400)) < count
+    x, value, violation, halfwidth, tau, outer, pivots = \
+        whole_sample_cvar(problem, tail, delta, count, seed)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth, res.meta["tau"],
+            res.meta["outer_iterations"], res.meta["lp_iterations"]) == \
+        (value, violation, halfwidth, tau, outer, pivots)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_heavy_programs_that_keep_every_draw_count_on_them(monkeypatch, seed):
+    # four atoms share 200 draws, each fewer than k = 100, so top_rows keeps
+    # them all: the programs are the whole sample's and count their
+    # violations on those rows, at a clipped oracle answer and at a VaR
+    # above 1 too, without exceedances
+    tail = HeavyTailModel.from_pairs(n=4, alpha=2.0, pairs=[(0.25, e) for e in np.eye(4)])
+    problem = ProblemInstance(c=[1.0, 0.8, 0.6, 0.4], h=100.0, A=[np.eye(4)])
+    delta, count = 0.5, 200
+    assert len(top_rows(tail, seed, count, 100)) == count
+    monkeypatch.setattr(rarecc.methods, "exceedances", None)
+    res = cvar_solve(problem, tail, delta, count, seed)
+    x, value, violation, halfwidth, tau, outer, pivots = \
+        whole_sample_cvar(problem, tail, delta, count, seed)
+    assert res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth, res.meta["tau"],
+            res.meta["outer_iterations"], res.meta["lp_iterations"]) == \
+        (value, violation, halfwidth, tau, outer, pivots)
+
+    clipped = ProblemInstance(c=problem.c, h=0.05, A=problem.A)
+    res = ccp_oracle(clipped, tail, delta, count, seed)
+    x, value, violation, halfwidth = whole_sample_oracle(clipped, tail, delta, count, seed)
+    assert (res.x == 0.05).any() and res.x.tobytes() == x.tobytes()
+    assert (res.value, res.violation_estimate, res.violation_halfwidth) == \
+        (value, violation, halfwidth)
+
+    # the loop returns x = s (1, 1, 1, 1), where each loss is s times the
+    # draw's radius and the VaR is 1.2
+    loop = rarecc.methods.exact_cut_loop
+    draws = draws_range(tail, seed, 0, count)
+    x_high = np.full(4, 1.2 / np.sort(draws.sum(axis=1))[-100])
+
+    def beyond(c, upper, radius, separate):
+        _, _, cuts, pivots, excess = loop(c, upper, radius, separate)
+        return x_high, separate(x_high)[0], cuts, pivots, excess
+
+    monkeypatch.setattr(rarecc.methods, "exact_cut_loop", beyond)
+    res = cvar_solve(problem, tail, delta, count, seed)
+    whole = phi_many(problem, x_high, draws) > 1.0
+    assert res.meta["tau"] == 0.0 and 0 < whole.sum() < count
+    assert res.violation_estimate == whole.sum() / count
 
 
 def test_heavy_oracle_and_scenario_task_hold_top_rows(two_atom_model, identity_problem2):
@@ -780,6 +850,33 @@ def test_analytic_values_match_reference(scalar_problem, scalar_pareto2, scalar_
         exp_cvar_value(1e-3))
     with pytest.raises(ParameterError):
         analytic_cvar_value(scalar_problem, LightTailModel(n=1, beta=0.5), 1e-3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_forms_match_the_per_family_expressions(seed, scalar_problem, scalar_pareto2):
+    # the closed forms read the radius and the CVaR from the sampler: light
+    # values keep their bits, heavy ones move by at most a rounding
+    rng = np.random.default_rng(seed)
+    exp = LightTailModel(n=1, beta=1.0)
+    for _ in range(500):
+        delta = float(10.0 ** rng.uniform(-12.0, -0.01))
+        problem = ProblemInstance(c=[rng.uniform(0.1, 10.0)], h=10.0 ** rng.uniform(-2.0, 3.0),
+                                  A=[[[10.0 ** rng.uniform(-3.0, 3.0)]]])
+        light = LightTailModel(n=1, beta=float(rng.uniform(0.2, 3.0)))
+        heavy = HeavyTailModel.from_pairs(n=1, alpha=float(rng.uniform(1.01, 10.0)),
+                                          pairs=[(1.0, [1.0])])
+        assert analytic_ccp_value(problem, light, delta) == family_ccp_value(problem, light, delta)
+        assert analytic_cvar_value(problem, exp, delta) == family_cvar_value(problem, exp, delta)
+        for value, ref in ((analytic_ccp_value, family_ccp_value),
+                           (analytic_cvar_value, family_cvar_value)):
+            assert value(problem, heavy, delta) == \
+                pytest.approx(ref(problem, heavy, delta), rel=1e-15, abs=0.0)
+    # the bundled scalar heavy configs' inputs keep their bits
+    for delta in (1e-3, 1e-4):
+        for value, ref in ((analytic_ccp_value, family_ccp_value),
+                           (analytic_cvar_value, family_cvar_value)):
+            assert value(scalar_problem, scalar_pareto2, delta) == \
+                ref(scalar_problem, scalar_pareto2, delta)
 
 
 def test_method_result_json_keys(scalar_problem, scalar_pareto2):

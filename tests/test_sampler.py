@@ -16,7 +16,8 @@ from rarecc import (HeavyTailModel, InputError, LightTailModel, ParameterError,
                     sample_tail)
 from rarecc.model import phi_many
 from rarecc.sampler import (_CHUNK, _atom_index, _heavy_uniforms, draws_range, exceedances,
-                            heavy_radii_range, heavy_radius_max, heavy_top, tail_radius)
+                            heavy_radii_range, heavy_radius_max, heavy_top, tail_radius,
+                            top_rows)
 
 # budgets around the chunk boundaries of a streamed count
 STREAM_BUDGETS = (1000, 4097, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 123)
@@ -311,6 +312,18 @@ def test_heavy_top_rows_do_not_depend_on_the_first_pass(monkeypatch, two_atom_mo
     assert passes == taus
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_top_rows_are_every_light_draw_and_each_atoms_top_heavy_rows(seed):
+    rng = np.random.default_rng(200 + seed)
+    count, k = (500, 4097, _CHUNK + 3, 3 * _CHUNK)[seed], (1, 7, 150, 40)[seed]
+    light = LightTailModel(n=2, beta=float(rng.uniform(0.5, 2.0)), theta=(1.0, 2.0)[seed % 2])
+    assert top_rows(light, seed, count, k).tobytes() == \
+        draws_range(light, seed, 0, count).tobytes()
+    heavy = random_heavy_model(rng, int(rng.integers(1, 5)), 2)
+    assert top_rows(heavy, seed, count, k).tobytes() == \
+        heavy_top(heavy, seed, count, k).tobytes()
+
+
 def test_heavy_top_rejects_bad_counts(two_atom_model):
     for count, k in ((0, 1), (10, 0), (10, 1.5)):
         with pytest.raises(ParameterError):
@@ -486,6 +499,12 @@ def test_parameter_errors():
                                   pairs=[(0.5, [1, 0]), (0.4, [0, 1])])
     with pytest.raises(ParameterError):
         HeavyTailModel.from_pairs(n=1, alpha=1.0, pairs=[(1.0, [1.0])])
+    # an infinite index makes every draw 1; theta = inf is the comonotone case
+    with pytest.raises(ParameterError, match="finite"):
+        LightTailModel(n=1, beta=math.inf)
+    with pytest.raises(ParameterError, match="finite"):
+        HeavyTailModel.from_pairs(n=1, alpha=math.inf, pairs=[(1.0, [1.0])])
+    assert LightTailModel(n=2, beta=1.0, theta=math.inf).theta == math.inf
 
 
 @pytest.mark.parametrize("pairs", [
