@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractError, InputError, ParameterError, check_count, check_delta,
-                     check_tail_count, check_vector)
+                     check_same_n, check_tail_count, check_vector)
 from .limits import (angular_moment, cvar_ratio_limit, limit_to_decision, scenario_cv_limit,
                      solve_ht_limit, solve_limit, solve_lt_limit)
 from .methods import (analytic_ccp_value, analytic_cvar_value, ccp_oracle,
@@ -65,6 +65,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}")
+        check_same_n(self.problem, self.tail.n)
         object.__setattr__(self, "workers", check_count("workers", self.workers))
         for name in ("replications", "budget"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))

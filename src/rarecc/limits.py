@@ -144,8 +144,7 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
         g, s = separate(z)
         bound = min(bound, float(c @ z))
         if c @ z > value * g:
-            # an LP iterate can sit just below its zero bound (-2.4e-12 seen)
-            y, value = np.maximum(z, 0.0) / g, float(c @ z) / g
+            y, value = z / g, float(c @ z) / g
         return g, s
 
     cut_loop(c, upper, 1.0, separate_and_keep_best)

@@ -26,7 +26,10 @@ read from one ``tolist`` of the right-hand sides, and a row's slack entry
 is written in place.  Every operation that makes a tableau bit is numpy's:
 the row scaling, the block copies into the grown tableau, the elimination
 of the basic columns as one matrix product, and each pivot's divide, outer
-product and subtraction.
+product and subtraction.  The box has one owner, the read of x: each
+coordinate is col min(max(0, z), hi / col), hi / col being the bound in z
+(1 for a finite hi > 0, else hi itself), so an answer that rounding puts an
+ulp outside its box is read at the box's face.
 
 :func:`cut_loop` (Kelley 1960) solves  max c^T x  over a box subject to
 g(x) <= radius  for a convex, degree-1 homogeneous g known only through a
@@ -229,11 +232,13 @@ class CutLP:
     :meth:`add` appends more rows.  ``T`` holds z = x / ``col`` for the
     units of :func:`_column_unit`, and a cost row whose largest entry is
     below 1 is lifted into [1, 2) by a power of two, which keeps every cost's
-    bits.  ``x`` is the optimal vertex, ``pivots`` the pivot count so far.
+    bits.  ``x`` is the optimal vertex, read into the box 0 <= x <= hi,
+    ``pivots`` the pivot count so far.
     """
 
     def __init__(self, f: np.ndarray, A: np.ndarray, b: np.ndarray, hi: np.ndarray):
         self.col = col = np.array([_column_unit(h) for h in hi.tolist()])
+        self._zhi = (hi / col).tolist()         # the bounds in z: 1, 0 or inf
         bounded = np.flatnonzero(np.isfinite(hi))
         cost = np.append(-f * col, 0.0)
         top = np.abs(cost).max()
@@ -277,9 +282,11 @@ class CutLP:
         total = cols0 + added
         self.pivots += _iterate(T, basis, total, _dual_step, -1.0)
         self.pivots += _iterate(T, basis, total, _primal_step, 1.0)
-        # x is read from the rows whose basic column is structural
+        # x is read from the rows whose basic column is structural, into the
+        # box: a right-hand side can round just below 0 or above the bound
         value = dict(zip(basis, T[:-1, -1].tolist()))
-        self.T, self.basis, self.x = T, basis, self.col * [value.get(j, 0.0) for j in range(n)]
+        z = [min(max(0.0, value.get(j, 0.0)), zhi) for j, zhi in enumerate(self._zhi)]
+        self.T, self.basis, self.x = T, basis, self.col * z
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
@@ -293,8 +300,8 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     tableau = CutLP(f, A, b, hi)
     x = tableau.x
     slack_ok = A @ x - b
-    # largest violation of A x <= b, x >= 0 and x <= hi (-inf where hi is)
-    residual = max(0.0, float(np.concatenate([slack_ok, -x, x - hi]).max()))
+    # largest violation of A x <= b; x is read into its box
+    residual = max(0.0, float(slack_ok.max()))
     active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
     return SolveResult(x, float(f @ x), tableau.pivots, residual, active)
 
@@ -311,8 +318,10 @@ def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     builds it from the first cut, every later round appends the new cut; a
     non-finite cut raises :class:`InputError`.  When x has one coordinate,
     round 1 takes the 1x1 LP's single pivot here, in the LP's own
-    arithmetic, and g is linear on [0, upper], so that cut ends the loop; a
-    second round, which rounding could ask for, builds the LP from both cuts.
+    arithmetic, x = col min(q, 1) for the scaled cut z <= q, and g is linear
+    on [0, upper], so that cut ends the loop; a second round, which rounding
+    could ask for, builds the LP from both cuts.  Every LP answer, this one
+    included, is read into its box.
 
     The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
     when the LP returns the iterate it was given (its tolerances cannot
@@ -335,11 +344,11 @@ def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
         cuts.append(s)
         if c.size == 1 and len(cuts) == 1:
             # the 1x1 cut LP's one pivot, in its arithmetic: the scaled cut
-            # reads z <= q, the bound row z <= 1, and the ratio test's tie
-            # goes to the cut row's lower basis index
+            # reads z <= q = radius / (s col) and the bound row z <= 1; the
+            # ratio test's tie (q within 1e-12 above 1) takes the cut row,
+            # whose z = q the LP reads into the box as 1
             col = _column_unit(upper[0])
-            q = radius / (s[0] * col)
-            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
+            new_x = np.array([col * min(radius / (s[0] * col), 1.0)])
             pivots = 1
         elif lp is None:
             lp = CutLP(c, np.array(cuts), np.full(len(cuts), radius), upper)

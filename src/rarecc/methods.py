@@ -300,12 +300,15 @@ def sample_size_rule(delta: float, beta_conf: float, dim: int) -> int:
     return int(math.ceil(val))
 
 
-def _scalar_optimum(problem: ProblemInstance, level: float) -> float:
-    """max c_0 x over [0, h] s.t. a x level <= 1, for the scalar instance
-    (m = n = d = 1) with c = (c_0) and A = ((a))."""
+def _scalar_optimum(problem: ProblemInstance, tail: TailModel, level, delta: float) -> float:
+    """max c_0 x over [0, h] s.t. a x r <= 1 for r = level(tail, delta), for
+    the scalar instance (m = n = d = 1) with c = (c_0) and A = ((a)); a
+    tail of another n raises ContractError."""
     if not problem.scalar:
         raise ParameterError("analytic oracle needs a scalar instance (m = n = d = 1)")
-    return float(problem.c[0]) * min(1.0 / (float(problem.A[0, 0, 0]) * level), problem.h)
+    check_same_n(problem, tail.n)
+    return float(problem.c[0]) * min(1.0 / (float(problem.A[0, 0, 0]) * level(tail, delta)),
+                                     problem.h)
 
 
 def analytic_ccp_value(problem: ProblemInstance, tail: TailModel, delta: float) -> float:
@@ -313,7 +316,7 @@ def analytic_ccp_value(problem: ProblemInstance, tail: TailModel, delta: float) 
     c_0 min(1/(a r), h) for the regime's radius r
     (:func:`~rarecc.sampler.tail_radius`): x L <= 1/a with probability
     1 - delta exactly when x r <= 1/a."""
-    return _scalar_optimum(problem, tail_radius(tail, delta))
+    return _scalar_optimum(problem, tail, tail_radius, delta)
 
 
 def analytic_cvar_value(problem: ProblemInstance, tail: TailModel, delta: float) -> float:
@@ -323,4 +326,4 @@ def analytic_cvar_value(problem: ProblemInstance, tail: TailModel, delta: float)
     Pareto radius (any alpha) and the exponential marginal (beta = 1); other
     light tails raise.
     """
-    return _scalar_optimum(problem, tail_cvar(tail, delta))
+    return _scalar_optimum(problem, tail, tail_cvar, delta)

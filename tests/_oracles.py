@@ -25,10 +25,15 @@ class NumpyCutLP(CutLP):
     """``rarecc.lpsolve.CutLP`` with every append written in whole-array
     numpy: the basis is an integer array, every row is scaled, tested and
     written by array operations, each pivot's ratio test runs on arrays,
-    and x is gathered by the basis.  It reads the tolerances and the stall
-    limit from ``rarecc.lpsolve`` when it runs, so a patched ``_STALL_LIMIT``
-    switches both to Bland's rule.  The package's append must give the same
-    tableau, basis, pivots and x bit for bit."""
+    and x is gathered by the basis and clipped into the box [0, hi / col].
+    It reads the tolerances and the stall limit from ``rarecc.lpsolve`` when
+    it runs, so a patched ``_STALL_LIMIT`` switches both to Bland's rule.
+    The package's append must give the same tableau, basis, pivots and x bit
+    for bit."""
+
+    def __init__(self, f, A, b, hi):
+        self.zhi = hi / np.where((hi > 0.0) & np.isfinite(hi), hi, 1.0)
+        super().__init__(f, A, b, hi)
 
     def _append(self, G, g):
         scale = np.abs(G).max(axis=1)
@@ -56,6 +61,7 @@ class NumpyCutLP(CutLP):
         rows = (basis < n).nonzero()[0]
         x = np.zeros(n)
         x[basis[rows]] = T[rows, -1]
+        x = np.minimum(np.maximum(x, 0.0), self.zhi)
         self.T, self.basis, self.x = T, basis, self.col * x
 
 
@@ -146,7 +152,7 @@ def chained_cut_loop(c, upper, radius, separate):
         if c.size == 1 and len(cuts) == 1:
             col = _column_unit(upper[0])
             q = radius / (s[0] * col)
-            new_x = np.array([col * (q if q <= 1.0 + 1e-12 else 1.0)])
+            new_x = np.array([col * min(q, 1.0)])
             pivots += 1
         else:
             lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),

@@ -5,7 +5,7 @@ import pytest
 
 import rarecc.experiments
 from _oracles import exp_cc_value, exp_cvar_value
-from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
+from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, LightTailModel,
                     ParameterError, ProblemInstance, ks_distance, phi_many,
                     run_experiment, wilson_halfwidth, write_report)
 from rarecc.experiments import frechet_cdf
@@ -99,6 +99,13 @@ def test_frechet_check_k1_anti_test():
     assert aggs[1].stat > 0.1          # no max effect at k = 1
     assert aggs[5000].stat < 0.08
     assert aggs[5000].target == pytest.approx(math.log(2.0) ** -0.5, rel=1e-9)
+
+
+def test_config_rejects_a_tail_of_another_dimension(two_atom_model):
+    # a scalar problem with an n = 2 tail ran, and frechet_check wrote 4 rows
+    prob = ProblemInstance(c=[1.0], h=10.0, A=[[[1.0]]])
+    with pytest.raises(ContractError, match="n=2"):
+        ExperimentConfig(kind="frechet_check", problem=prob, tail=two_atom_model)
 
 
 def test_tail_ratio_two_atom(two_atom_model, identity_problem2):

@@ -425,6 +425,19 @@ def test_cvar_matches_sort_reduction_scalar(scalar_problem, scalar_pareto2,
         assert res.value == pytest.approx(ref, rel=1e-9), (delta, n)
 
 
+@pytest.mark.parametrize("c", [[1.0, 0.8, 0.6, 0.4], [1.0, 1.0, 1.0, 1.0]])
+def test_cvar_answer_stays_in_its_box(c):
+    # the cut LP's x was read from the tableau unclipped: at 7 (and 2) of
+    # these seeds a coordinate came back below 0, down to -9e-15, and a
+    # VaR below 0 gave tau < -1
+    problem = ProblemInstance(c=c, h=100.0, A=[np.eye(4)])
+    tail = HeavyTailModel.from_pairs(n=4, alpha=2.0, pairs=[(0.25, e) for e in np.eye(4)])
+    for seed in range(40):
+        res = cvar_solve(problem, tail, 0.5, 200, seed)
+        assert ((res.x >= 0.0) & (res.x <= problem.h)).all(), (seed, res.x)
+        assert res.meta["tau"] >= -1.0, (seed, res.meta["tau"])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_light_cvar_sums_its_top_rows_in_draw_order(seed):
     # a light sample is held whole; its rounds sum in draw order too, so the
@@ -657,6 +670,9 @@ def test_one_pivot_matches_cold_solve_bit_for_bit():
         assert x.tobytes() == ref.x.tobytes(), (c, upper, radius, s)
         assert (cuts, pivots) == (1, ref.iterations) == (1, 1)
         q = radius / (s[0] * upper[0])
+        if 1.0 < q <= 1.0 + 1e-12:
+            # the tie's z = q is read into the box, not up to 1e-12 above it
+            assert (x <= upper).all(), (c, upper, radius, s)
         seen["cut" if q <= 1.0 else "tie" if q <= 1.0 + 1e-12 else "bound"] += 1
     assert min(seen.values()) >= 15, seen
 
@@ -850,6 +866,13 @@ def test_analytic_values_match_reference(scalar_problem, scalar_pareto2, scalar_
         exp_cvar_value(1e-3))
     with pytest.raises(ParameterError):
         analytic_cvar_value(scalar_problem, LightTailModel(n=1, beta=0.5), 1e-3)
+
+
+@pytest.mark.parametrize("value", [analytic_ccp_value, analytic_cvar_value])
+def test_closed_forms_reject_a_tail_of_another_dimension(scalar_problem, two_atom_model, value):
+    # the closed forms read the n = 2 tail's marginal and returned 0.1 and 0.05
+    with pytest.raises(ContractError, match="n=2"):
+        value(scalar_problem, two_atom_model, 0.01)
 
 
 @pytest.mark.parametrize("seed", range(4))

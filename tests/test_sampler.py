@@ -139,10 +139,16 @@ def test_unaligned_range_owns_only_its_rows(two_atom_model):
         assert part.base is None or part.base.nbytes <= part.nbytes, i
 
 
+# task seeds are uniform over [0, 2^64): the top bit set, as in a bundled
+# CSV's seed 16645154179110945188, and the largest
+EDGE_SEEDS = (2**63 - 1, 2**63 + 1, 16645154179110945188, 2**64 - 1)
+
+
 def _philox_block(seed, block):
     """A block's uniforms and picks, read whole from a Philox constructed
-    with the block's key."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+    with the block's key.  The key is a uint64 array: numpy reads a list of
+    Python ints at or above 2^63 as another key, or warns at 2^64 - 1."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     return gen.random(4096), gen.random(4096)
 
 
@@ -156,8 +162,9 @@ def test_partial_blocks_jump_to_their_picks(atoms):
     weights /= weights.sum()
     weights[-1] = 1.0 - weights[:-1].sum()
     model = HeavyTailModel(n=2, alpha=1.5, weights=weights, atoms=np.eye(2)[np.arange(atoms) % 2])
-    for _ in range(25):
-        seed, block = int(rng.integers(2**63)), int(rng.integers(0, 5))
+    seeds = [int(v) for v in rng.integers(2**64, size=25, dtype=np.uint64)]
+    for seed in (*EDGE_SEEDS, *seeds):
+        block = int(rng.integers(0, 5))
         rows, skip = int(rng.integers(1, 4096)), int(rng.integers(0, 4096))
         whole = [_philox_block(seed, b) for b in (block, block + 1)]
         u_all, pick_all = (np.concatenate([w[i] for w in whole]) for i in (0, 1))
@@ -173,17 +180,18 @@ def test_philox_counter_c_continues_the_stream_at_word_4c():
     # an empty buffer: counter c makes the next word the stream's word 4c
     rng = np.random.default_rng(4)
     for c in (0, 1, 2, 1023, 1024, 1025, int(rng.integers(3, 5000))):
-        key = [int(rng.integers(2**63)), int(rng.integers(2**63))]
-        words = np.random.Philox(key=key).random_raw(4 * c + 9)
-        bits = np.random.Philox(key=key)
-        state = bits.state
-        state["state"]["counter"] = [c, 0, 0, 0]
-        state["buffer_pos"] = 4
-        bits.state = state
-        assert bits.random_raw(9).tolist() == words[4 * c:].tolist(), c
-        doubles = np.random.Generator(np.random.Philox(key=key)).random(4 * c + 9)
-        jumped = rarecc.sampler._STREAMS.at(key[0], key[1], 4 * c).random(9)
-        assert jumped.tobytes() == doubles[4 * c:].tobytes(), c
+        for seed in (*EDGE_SEEDS, int(rng.integers(2**64, dtype=np.uint64))):
+            key = np.array([seed, rng.integers(2**64, dtype=np.uint64)], dtype=np.uint64)
+            words = np.random.Philox(key=key).random_raw(4 * c + 9)
+            bits = np.random.Philox(key=key)
+            state = bits.state
+            state["state"]["counter"] = [c, 0, 0, 0]
+            state["buffer_pos"] = 4
+            bits.state = state
+            assert bits.random_raw(9).tolist() == words[4 * c:].tolist(), (c, seed)
+            doubles = np.random.Generator(np.random.Philox(key=key)).random(4 * c + 9)
+            jumped = rarecc.sampler._STREAMS.at(seed, int(key[1]), 4 * c).random(9)
+            assert jumped.tobytes() == doubles[4 * c:].tobytes(), (c, seed)
 
 
 def test_draws_range_threads_match_serial():
