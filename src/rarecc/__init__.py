@@ -7,7 +7,6 @@ from .experiments import (ExperimentConfig, ReportRow, ks_distance,
 from .limits import (LimitSolution, angular_moment, lambda_eval,
                      limit_to_decision, rate_I, rate_J, solve_ht_limit,
                      solve_lt_limit)
-from .lpsolve import LinearProgram, SolveResult, solve_lp
 from .methods import (MethodResult, analytic_ccp_value, analytic_cvar_value,
                       ccp_oracle, cvar_solve, sample_size_rule,
                       scenario_solve, violation_prob, wilson_halfwidth)

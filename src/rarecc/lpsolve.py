@@ -13,11 +13,10 @@ append rows to an optimal tableau, where they only break primal
 feasibility, restore it with dual simplex pivots (Lemke 1954) and finish
 with a primal pass.  Building it appends every row to the empty tableau,
 which is the simplex from the slack basis; :meth:`CutLP.add` appends more.
-:func:`solve_lp` builds one from a :class:`LinearProgram`.  The tableau is
-written in z = x / hi for every column with a finite hi > 0, and a build
-lifts a cost row whose largest entry is below 1 into [1, 2) by a power of
-two, so the absolute tolerances depend on the units of neither x nor f; a
-tiny row is dropped only when no z in the unit box can violate it.
+The tableau is written in z = x / hi for every column with a finite hi > 0,
+and a build lifts a cost row whose largest entry is below 1 into [1, 2) by
+a power of two, so the absolute tolerances depend on the units of neither x
+nor f; a tiny row is dropped only when no z in the unit box can violate it.
 
 A cut LP has a few to a few dozen rows, so a numpy call costs more than
 its arithmetic, and the bookkeeping runs on Python scalars: the basis is a
@@ -42,64 +41,16 @@ one cut per round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError, RareccError, UnboundedError
+from .errors import InputError, RareccError, UnboundedError
 
 _PIVOT_TOL = 1e-10       # minimum magnitude of an acceptable pivot element
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-12        # a scaled row's right-hand side below -_FEAS_TOL needs a dual pivot
 _STALL_LIMIT = 64        # degenerate iterations before switching to Bland
 MAX_CUT_ROUNDS = 200
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective @ x subject to A x <= b and 0 <= x <= hi, where
-    b >= 0 and hi >= 0; ``hi`` defaults to +inf in every coordinate."""
-
-    objective: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    hi: np.ndarray | None = None
-
-    def __post_init__(self):
-        f = np.asarray(self.objective, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or f.ndim != 1 or b.ndim != 1:
-            raise ContractError("A must be a matrix, objective and b vectors")
-        mrows, ncols = A.shape
-        if mrows < 1 or ncols < 1:
-            raise ContractError("need at least one row and one column")
-        if f.shape != (ncols,) or b.shape != (mrows,):
-            raise ContractError("objective/b shapes inconsistent with A")
-        hi = np.full(ncols, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
-        if hi.shape != (ncols,):
-            raise ContractError("bound shapes inconsistent with A")
-        if not (np.isfinite(f).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-            raise InputError("objective, A and b must be finite")
-        if (b < 0).any():
-            raise InputError("b must be nonnegative, so that x = 0 is feasible")
-        if not (hi >= 0).all():
-            raise InputError("upper bounds must be nonnegative and not NaN")
-        object.__setattr__(self, "objective", f)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "hi", hi)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Optimal vertex of one LP solve."""
-
-    x: np.ndarray
-    objective: float
-    iterations: int
-    residual: float
-    active_rows: list = field(default_factory=list)
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int,
@@ -287,23 +238,6 @@ class CutLP:
         value = dict(zip(basis, T[:-1, -1].tolist()))
         z = [min(max(0.0, value.get(j, 0.0)), zhi) for j, zhi in enumerate(self._zhi)]
         self.T, self.basis, self.x = T, basis, self.col * z
-
-
-def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve the LP from the slack basis and return an optimal vertex.
-
-    The region always holds x = 0, so there is no infeasible outcome;
-    unboundedness raises :class:`UnboundedError` because every call site is
-    supposed to pass a bounded region.
-    """
-    f, A, b, hi = lp.objective, lp.A, lp.b, lp.hi
-    tableau = CutLP(f, A, b, hi)
-    x = tableau.x
-    slack_ok = A @ x - b
-    # largest violation of A x <= b; x is read into its box
-    residual = max(0.0, float(slack_ok.max()))
-    active = (np.abs(slack_ok) <= 1e-7 * (1.0 + np.abs(b))).nonzero()[0].tolist()
-    return SolveResult(x, float(f @ x), tableau.pivots, residual, active)
 
 
 def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):

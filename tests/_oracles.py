@@ -14,8 +14,7 @@ import numpy as np
 
 import rarecc.lpsolve as lpsolve
 from rarecc.errors import RareccError, UnboundedError
-from rarecc.lpsolve import (MAX_CUT_ROUNDS, CutLP, LinearProgram, _column_unit,
-                            exact_cut_loop, solve_lp)
+from rarecc.lpsolve import MAX_CUT_ROUNDS, CutLP, _column_unit, exact_cut_loop
 from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
 from rarecc.sampler import LightTailModel, copula_exponent, draws_range
@@ -133,17 +132,17 @@ def _numpy_iterate(T, basis, ncols, step, sense):
 
 def chained_cut_loop(c, upper, radius, separate):
     """Kelley's cut loop with the arguments and return tuple of
-    ``rarecc.lpsolve.cut_loop``, each round a full, validated
-    ``LinearProgram`` over every cut so far: the first such LP builds a
-    ``CutLP``, and each later one is appended to it by ``CutLP.add`` with
-    the rows beyond the previous LP's.  The loop, which appends one cut per
-    round and builds no LP, must match it to the bit.  A scalar program's
-    first cut LP is taken by its one pivot in closed form, as in the
-    package."""
+    ``rarecc.lpsolve.cut_loop``, which stacks every cut so far into one
+    matrix each round: the first LP round builds a ``CutLP`` from it, and
+    each later round appends the matrix's rows beyond those the ``CutLP``
+    holds.  The package's loop, which appends only the newest cut, must
+    match it to the bit.  A scalar program's first cut LP is taken by its
+    one pivot in closed form, as in the package."""
     x = np.where(c > 0, upper, 0.0)
     cuts = []
     pivots = 0
-    cut_lp = prev = None
+    cut_lp = None
+    held = 0
     g, s = separate(x)
     for _ in range(MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
@@ -155,14 +154,12 @@ def chained_cut_loop(c, upper, radius, separate):
             new_x = np.array([col * min(q, 1.0)])
             pivots += 1
         else:
-            lp = LinearProgram(objective=c, A=np.array(cuts), b=np.full(len(cuts), radius),
-                               hi=upper)
+            A, b = np.array(cuts), np.full(len(cuts), radius)
             if cut_lp is None:
-                cut_lp = CutLP(lp.objective, lp.A, lp.b, lp.hi)
+                cut_lp = CutLP(c, A, b, upper)
             else:
-                k = prev.b.size
-                cut_lp.add(lp.A[k:], lp.b[k:])
-            prev = lp
+                cut_lp.add(A[held:], b[held:])
+            held = len(cuts)
             new_x = cut_lp.x
         if np.array_equal(new_x, x):
             break
@@ -171,13 +168,22 @@ def chained_cut_loop(c, upper, radius, separate):
     return x, g, len(cuts), pivots + (cut_lp.pivots if cut_lp else 0)
 
 
+def tail_size(delta, count):
+    """delta count, read as the integer it lies within 4 ulps of, if any: a
+    decimal delta times a count that it divides can round an ulp off."""
+    dn = delta * count
+    return float(round(dn)) if abs(dn - round(dn)) <= 4.0 * math.ulp(dn) else dn
+
+
 def whole_sample_oracle(problem, tail, delta, budget, seed):
     """``rarecc.methods.ccp_oracle``'s (x, value, violation, half-width) on
     the whole sample: every direction scores all ``budget`` draws, takes the
-    order statistic of rank ceil(budget (1 - delta)) and clips u / q to the
-    box; the violations are counted on all the draws."""
+    order statistic of rank budget - floor(delta budget), the
+    (floor(delta budget) + 1)-th largest, with delta budget read by
+    :func:`tail_size`, and clips u / q to the box; the violations are
+    counted on all the draws."""
     draws = draws_range(tail, seed, 0, budget)
-    rank = math.ceil(budget * (1.0 - delta))
+    rank = budget - math.floor(tail_size(delta, budget))
     best_val, best = -math.inf, None
     for u in _oracle_directions(problem.m):
         scores = phi_many(problem, u, draws)
@@ -199,11 +205,12 @@ def whole_sample_cvar(problem, tail, delta, count, seed):
     sorts all ``count`` rows by loss, then row sum (the radius), both
     descending, then draw index, weights the first k = ceil(delta count),
     in draw order, by 1/(delta count) and the k-th by the fractional
-    remainder, and cuts with the same weights on the loss-attaining rows
-    A_i L_j; tau is the k-th row's loss minus 1, clipped at 0, and the
-    violations are counted on all the draws."""
+    remainder, with delta count read by :func:`tail_size`, and cuts with the
+    same weights on the loss-attaining rows A_i L_j; tau is the k-th row's
+    loss minus 1, clipped at 0, and the violations are counted on all the
+    draws."""
     draws = draws_range(tail, seed, 0, count)
-    dn = delta * count
+    dn = tail_size(delta, count)
     k = math.ceil(dn)
     state = {}
 
@@ -270,8 +277,8 @@ def ru_cvar_lp(c, h, A, draws, delta):
     f[:m] = c
     hi = np.full(m + 1 + N, np.inf)
     hi[:m] = h
-    res = solve_lp(LinearProgram(objective=f, A=rows, b=b, hi=hi))
-    return res.objective, res.x[:m]
+    x = CutLP(f, rows, b, hi).x
+    return float(f @ x), x[:m]
 
 
 def ks_distance(samples, cdf) -> float:

@@ -15,10 +15,10 @@ import pytest
 
 from _oracles import diag_lt_optimum
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
-                    LinearProgram, ProblemInstance, ccp_oracle,
-                    cvar_solve, run_experiment, sample_tail,
-                    solve_lp, solve_ht_limit, solve_lt_limit)
+                    ProblemInstance, ccp_oracle, cvar_solve, run_experiment,
+                    sample_tail, solve_ht_limit, solve_lt_limit)
 from rarecc.limits import rate_I
+from rarecc.lpsolve import CutLP
 from rarecc.model import phi
 from rarecc.search import mix_seed
 
@@ -105,9 +105,8 @@ def test_acceptance_03_ht_limit_vs_lp_oracle():
             prob = ProblemInstance(c=c, h=1000.0, A=A)
             sol = solve_ht_limit(model, prob)
             rows = np.array([A[i] @ atom for i in range(d)])
-            ref = solve_lp(LinearProgram(objective=c, A=rows, b=np.ones(d),
-                                         hi=np.full(m, 1000.0)))
-            rel = abs(sol.value - ref.objective) / abs(ref.objective)
+            ref = c @ CutLP(c, rows, np.ones(d), np.full(m, 1000.0)).x
+            rel = abs(sol.value - ref) / abs(ref)
             worst = max(worst, rel)
             assert rel <= 1e-6
         elapsed = time.time() - t0
@@ -330,8 +329,8 @@ def test_acceptance_11_property_suites():
         bb = rng.uniform(0.5, 2.0, 4)
         f = rng.uniform(0.0, 1.0, 3)
         hi = np.full(3, 2.0)
-        res = solve_lp(LinearProgram(objective=f, A=A, b=bb, hi=hi))
-        assert res.objective == pytest.approx(brute_force_lp(f, A, bb, hi), abs=1e-8)
+        x = CutLP(f, A, bb, hi).x
+        assert f @ x == pytest.approx(brute_force_lp(f, A, bb, hi), abs=1e-8)
         # scenario monotonicity and CVaR-vs-oracle ordering
         from rarecc import scenario_solve
         tail = _pareto(2.0)

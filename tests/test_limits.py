@@ -9,12 +9,12 @@ import rarecc.limits
 import rarecc.lpsolve
 from _oracles import diag_lt_optimum, holder_ht_optimum, rate_numeric, weibull_cv
 from rarecc import (ContractError, HeavyTailModel, InputError,
-                    LightTailModel, LinearProgram, ParameterError,
-                    ProblemInstance, UnboundedError, angular_moment,
-                    lambda_eval, limit_to_decision, rate_I, rate_J,
-                    solve_ht_limit, solve_lp, solve_lt_limit)
+                    LightTailModel, ParameterError, ProblemInstance,
+                    UnboundedError, angular_moment, lambda_eval,
+                    limit_to_decision, rate_I, rate_J, solve_ht_limit,
+                    solve_lt_limit)
 from rarecc.limits import cvar_ratio_limit, scenario_cv_limit, solve_limit
-from rarecc.lpsolve import cut_loop
+from rarecc.lpsolve import CutLP, cut_loop
 
 
 def diag_problem(a, c, h=1000.0):
@@ -341,9 +341,8 @@ def test_ht_matches_lp_on_single_atom_instances():
         sol = solve_ht_limit(model, prob)
         # single atom: the moment constraint is phi(y, atom) <= 1, an LP
         rows = np.array([A[i] @ atom for i in range(d)])
-        ref = solve_lp(LinearProgram(objective=c, A=rows, b=np.ones(d),
-                                     hi=np.full(m, 1000.0)))
-        assert sol.value == pytest.approx(ref.objective, rel=1e-6), trial
+        ref = c @ CutLP(c, rows, np.ones(d), np.full(m, 1000.0)).x
+        assert sol.value == pytest.approx(ref, rel=1e-6), trial
 
 
 def test_ht_matches_holder_oracle_axis_atoms():

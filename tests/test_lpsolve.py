@@ -3,25 +3,25 @@ import pytest
 
 import rarecc.lpsolve
 from _oracles import NumpyCutLP, brute_force_lp
-from rarecc import (ContractError, InputError, LinearProgram, RareccError, UnboundedError,
-                    solve_lp)
+from rarecc import RareccError, UnboundedError
 from rarecc.lpsolve import CutLP
+
+_FREE = np.full(2, np.inf)      # two columns without an upper bound
 
 
 def test_single_constraint():
-    res = solve_lp(LinearProgram(objective=[1.0], A=[[1.0]], b=[3.0], hi=[10.0]))
-    assert res.x[0] == pytest.approx(3.0)
-    assert res.objective == pytest.approx(3.0)
+    lp = CutLP(np.array([1.0]), np.array([[1.0]]), np.array([3.0]), np.array([10.0]))
+    assert lp.x[0] == pytest.approx(3.0)
 
 
 def test_simplex_face():
-    res = solve_lp(LinearProgram(objective=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0]))
-    assert res.objective == pytest.approx(1.0)
+    f = np.array([1.0, 1.0])
+    assert f @ CutLP(f, np.array([[1.0, 1.0]]), np.array([1.0]), _FREE).x == pytest.approx(1.0)
 
 
 def test_unbounded_raises():
     with pytest.raises(UnboundedError):
-        solve_lp(LinearProgram(objective=[1.0, 1.0], A=[[1.0, -1.0]], b=[1.0]))
+        CutLP(np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.array([1.0]), _FREE)
 
 
 @pytest.mark.parametrize("f, A, hi, x, pivots", [
@@ -38,13 +38,14 @@ def test_every_row_vacuous(f, A, hi, x, pivots):
     # no x >= 0 violates a row whose coefficients are all below the pivot
     # tolerance, so the LP is solved over its bounds alone: x = 0 when no
     # cost is positive, else the bound, or UnboundedError without one
-    lp = LinearProgram(objective=f, A=A, b=[1.0], hi=hi)
+    f, A, b = np.array(f), np.array(A), np.array([1.0])
+    hi = np.full(f.size, np.inf) if hi is None else np.array(hi)
     if x is None:
         with pytest.raises(UnboundedError):
-            solve_lp(lp)
+            CutLP(f, A, b, hi)
         return
-    res = solve_lp(lp)
-    assert res.x.tolist() == x and res.iterations == pivots and res.residual == 0.0
+    lp = CutLP(f, A, b, hi)
+    assert lp.x.tolist() == x and lp.pivots == pivots and _violation(A, b, hi, lp.x) == 0.0
 
 
 def test_random_instances_match_vertex_enumeration():
@@ -56,9 +57,9 @@ def test_random_instances_match_vertex_enumeration():
         b = rng.uniform(0.0, 3.0, M)
         f = rng.uniform(-1.0, 2.0, N)
         hi = rng.uniform(0.5, 4.0, N)
-        res = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=hi))
+        x = CutLP(f, A, b, hi).x
         ref = brute_force_lp(f, A, b, hi)
-        assert res.objective == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
+        assert f @ x == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
     # the same kind of LP with a fifth of the bounds at 0, written in
     # x' = x / s for a column scale s from 1e-6 to 1e6: the optimum is that
     # of the unscaled LP, whichever units the columns are in
@@ -71,10 +72,10 @@ def test_random_instances_match_vertex_enumeration():
         hi = rng.uniform(0.5, 4.0, N)
         hi[rng.random(N) < 0.2] = 0.0
         s = 10.0 ** rng.uniform(-6.0, 6.0, N)
-        res = solve_lp(LinearProgram(objective=f * s, A=A * s, b=b, hi=hi / s))
+        x = CutLP(f * s, A * s, b, hi / s).x
         ref = brute_force_lp(f, A, b, hi)
-        assert res.objective == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
-        assert res.residual <= 1e-9, trial
+        assert f * s @ x == pytest.approx(ref, rel=1e-8, abs=1e-8), trial
+        assert _violation(A * s, b, hi / s, x) <= 1e-9, trial
 
 
 def test_feasibility_residual_bound():
@@ -84,8 +85,8 @@ def test_feasibility_residual_bound():
         A = rng.uniform(0.0, 2.0, (M, N))
         b = rng.uniform(0.5, 3.0, M)
         f = rng.uniform(0.0, 2.0, N)
-        res = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=np.full(N, 5.0)))
-        assert res.residual <= 1e-9 * (1.0 + np.abs(b).max())
+        hi = np.full(N, 5.0)
+        assert _violation(A, b, hi, CutLP(f, A, b, hi).x) <= 1e-9 * (1.0 + np.abs(b).max())
 
 
 def test_deterministic_pivoting():
@@ -93,27 +94,16 @@ def test_deterministic_pivoting():
     A = rng.uniform(0.0, 1.0, (6, 4))
     b = rng.uniform(1.0, 2.0, 6)
     f = rng.uniform(0.0, 1.0, 4)
-    lp = LinearProgram(objective=f, A=A, b=b, hi=np.full(4, 3.0))
-    r1, r2 = solve_lp(lp), solve_lp(lp)
+    hi = np.full(4, 3.0)
+    r1, r2 = CutLP(f, A, b, hi), CutLP(f, A, b, hi)
     assert r1.x.tobytes() == r2.x.tobytes()
-    assert r1.iterations == r2.iterations
+    assert r1.pivots == r2.pivots
 
 
-def test_shape_validation():
-    with pytest.raises(ContractError):
-        LinearProgram(objective=[1.0, 1.0], A=[[1.0]], b=[1.0])
-    with pytest.raises(InputError):
-        LinearProgram(objective=[np.inf], A=[[1.0]], b=[1.0])
-    with pytest.raises(InputError):
-        LinearProgram(objective=[1.0], A=[[1.0]], b=[-1.0])
-    with pytest.raises(InputError):
-        LinearProgram(objective=[1.0], A=[[1.0]], b=[1.0], hi=[-1.0])
-
-
-def _violation(lp, x):
-    """Largest violation of A x <= b, x >= 0 and x <= hi, as solve_lp's
-    residual."""
-    return max(0.0, float(np.concatenate([lp.A @ x - lp.b, -x, x - lp.hi]).max()))
+def _violation(A, b, hi, x):
+    """The residual of x in the LP: the largest violation of A x <= b,
+    x >= 0 and x <= hi, or 0.0 when x satisfies them all."""
+    return max(0.0, float(np.concatenate([A @ x - b, -x, x - hi]).max()))
 
 
 def _cut_sequence(rng, m, count):
@@ -142,21 +132,20 @@ def test_warm_start_matches_cold_solve():
         b = rng.uniform(0.5, 2.0, A.shape[0])
         warm = None
         for k in range(1, A.shape[0] + 1):
-            lp = LinearProgram(objective=f, A=A[:k], b=b[:k], hi=hi)
-            cold = solve_lp(lp)
+            cold = CutLP(f, A[:k], b[:k], hi)
             before = 0 if warm is None else warm.pivots
             if warm is None:
-                warm = CutLP(lp.objective, lp.A, lp.b, lp.hi)
+                warm = CutLP(f, A[:k], b[:k], hi)
             else:
-                warm.add(lp.A[k - 1:], lp.b[k - 1:])
+                warm.add(A[k - 1:k], b[k - 1:k])
             iters, x = warm.pivots - before, warm.x
-            scale = 1.0 + abs(cold.objective)
-            assert abs(f @ x - cold.objective) <= 1e-9 * scale, (trial, k)
+            scale = 1.0 + abs(f @ cold.x)
+            assert abs(f @ x - f @ cold.x) <= 1e-9 * scale, (trial, k)
             assert np.abs(x - cold.x).max() <= 1e-9 * (1.0 + np.abs(cold.x).max()), (trial, k)
-            assert _violation(lp, x) <= 1e-9 * (1.0 + b[:k].max()), (trial, k)
+            assert _violation(A[:k], b[:k], hi, x) <= 1e-9 * (1.0 + b[:k].max()), (trial, k)
             if k > 1:
                 warm_pivots += iters
-                cold_pivots += cold.iterations
+                cold_pivots += cold.pivots
     assert warm_pivots < cold_pivots
 
 
@@ -166,8 +155,8 @@ def test_warm_start_adds_several_rows_at_once():
     f, hi, b = rng.uniform(0.1, 2.0, 4), np.full(4, 3.0), np.ones(12)
     warm = CutLP(f, A[:2], b[:2], hi)
     warm.add(A[2:], b[2:])
-    cold = solve_lp(LinearProgram(objective=f, A=A, b=b, hi=hi))
-    assert f @ warm.x == pytest.approx(cold.objective, rel=1e-12)
+    cold = CutLP(f, A, b, hi)
+    assert f @ warm.x == pytest.approx(f @ cold.x, rel=1e-12)
     assert np.allclose(warm.x, cold.x, rtol=1e-10, atol=1e-12)
 
 
@@ -193,22 +182,23 @@ def test_appending_a_dropped_row_changes_nothing():
 
 def _degenerate_lp(rng):
     """A random LP whose vertex x = 0 is degenerate: about 60% of the
-    right-hand sides and 30% of the costs are 0.  Returns the LP and the
-    row count of a prefix to warm-start from."""
+    right-hand sides and 30% of the costs are 0.  Returns the LP's
+    (f, A, b, hi) and the row count of a prefix to warm-start from."""
     M, N = int(rng.integers(2, 11)), int(rng.integers(2, 7))
     A = rng.uniform(-1.0, 2.0, (M, N))
     b = rng.uniform(0.0, 3.0, M) * (rng.random(M) >= 0.6)
     f = rng.uniform(-1.0, 2.0, N) * (rng.random(N) >= 0.3)
     hi = rng.uniform(0.5, 4.0, N)
-    return LinearProgram(objective=f, A=A, b=b, hi=hi), int(rng.integers(1, M))
+    return (f, A, b, hi), int(rng.integers(1, M))
 
 
 def _cold_and_warm(lp, k):
     """(objective, largest violation) of the LP solved cold, and solved
     cold over its first k rows with the rest then appended."""
-    warm = CutLP(lp.objective, lp.A[:k], lp.b[:k], lp.hi)
-    warm.add(lp.A[k:], lp.b[k:])
-    return [(float(lp.objective @ x), _violation(lp, x)) for x in (solve_lp(lp).x, warm.x)]
+    f, A, b, hi = lp
+    warm = CutLP(f, A[:k], b[:k], hi)
+    warm.add(A[k:], b[k:])
+    return [(float(f @ x), _violation(A, b, hi, x)) for x in (CutLP(*lp).x, warm.x)]
 
 
 def test_blands_rule_reaches_the_default_optimum(monkeypatch):

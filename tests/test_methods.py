@@ -11,14 +11,14 @@ import rarecc.methods
 import rarecc.sampler
 from _oracles import (chained_cut_loop, empirical_cvar, exp_cc_value, exp_cvar_value,
                       family_ccp_value, family_cvar_value, pareto_cc_value, pareto_cvar_value,
-                      ru_cvar_lp, whole_sample_cvar, whole_sample_oracle)
+                      ru_cvar_lp, tail_size, whole_sample_cvar, whole_sample_oracle)
 from rarecc import (ContractError, ExperimentConfig, HeavyTailModel, InputError, LightTailModel,
                     ParameterError, ProblemInstance, RareccError, SampleBatch,
                     analytic_ccp_value, analytic_cvar_value, angular_moment, box_clip,
                     ccp_oracle, cvar_solve, phi, phi_many, rate_J, sample_size_rule,
                     scenario_solve, solve_ht_limit, solve_lt_limit, violation_prob,
                     wilson_halfwidth)
-from rarecc.lpsolve import CutLP, LinearProgram, solve_lp
+from rarecc.lpsolve import CutLP
 from rarecc.sampler import (_CHUNK, draws_range, heavy_top, sample_tail, scenario_batch,
                             tail_radius, top_rows)
 from test_sampler import STREAM_BUDGETS, random_heavy_model
@@ -133,7 +133,25 @@ def test_oracle_scalar_pareto(scalar_problem, scalar_pareto2):
     res = ccp_oracle(scalar_problem, scalar_pareto2, delta, 2_000_000, 4)
     exact = pareto_cc_value(2.0, delta)
     assert res.value == pytest.approx(exact, rel=0.05)
-    assert res.meta["quantile_rank"] == math.ceil(2_000_000 * (1 - delta))
+    assert res.meta["quantile_rank"] == 2_000_000 - math.floor(tail_size(delta, 2_000_000))
+
+
+def test_tail_counts_take_delta_n_that_rounds_an_ulp_off(scalar_problem, scalar_pareto2,
+                                                          scalar_exp):
+    # 1e-5 * 10**7 and 0.07 * 10**4 round an ulp above 100 and 700, so the
+    # ceil of the product is one row too many; 2000 (1 - 0.059) rounds above
+    # 1882, so ceil(N (1 - delta)) is one rank too high
+    res = cvar_solve(scalar_problem, scalar_pareto2, 1e-5, 10**7, 3)
+    assert res.meta["kept_scenarios"] == 100
+    res = cvar_solve(scalar_problem, scalar_exp, 0.07, 10**4, 3)
+    assert res.meta["kept_scenarios"] == 700
+    losses = np.sort(phi_many(scalar_problem, res.x, draws_range(scalar_exp, 3, 0, 10**4)))
+    assert res.meta["tau"] == losses[-700] - 1.0        # the VaR is the 700th largest loss
+    for tail in (scalar_exp, scalar_pareto2):
+        res = ccp_oracle(scalar_problem, tail, 0.059, 2000, 3)
+        # the quantile is the 119th largest score, so delta N = 118 draws exceed it
+        assert res.meta["quantile_rank"] == 1882
+        assert res.violation_estimate == 118 / 2000
 
 
 def test_oracle_scalar_exponential(scalar_problem, scalar_exp):
@@ -236,7 +254,7 @@ def test_reduced_heavy_programs_match_the_whole_sample(seed):
     assert res.x.tobytes() == x.tobytes()
     assert (res.value, res.violation_estimate, res.violation_halfwidth) == \
         (value, violation, halfwidth)
-    assert res.meta["quantile_rank"] == math.ceil(budget * (1.0 - delta))
+    assert res.meta["quantile_rank"] == budget - math.floor(tail_size(delta, budget))
 
     res = cvar_solve(problem, tail, delta, budget, seed)
     x, value, violation, halfwidth, tau, outer, pivots = \
@@ -635,13 +653,12 @@ def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pare
     assert len(loops) == len(runs)
     for (c, upper, radius, separate), res in zip(loops, runs):
         _, cut = separate(upper)
-        lp = LinearProgram(objective=c, A=[cut], b=[radius], hi=upper)
-        assert res.x.tobytes() == solve_lp(lp).x.tobytes()
+        assert res.x.tobytes() == CutLP(c, cut[None], np.array([radius]), upper).x.tobytes()
         assert res.meta["lp_iterations"] == 1
 
 
 def test_one_pivot_matches_cold_solve_bit_for_bit():
-    # the scalar cut loop's closed-form pivot against solve_lp on the same
+    # the scalar cut loop's closed-form pivot against a cold CutLP on the same
     # 1x1 LP, over twelve decades of bound and radius (the LP's absolute
     # tolerances bound the range; see the next test), with q = radius /
     # (s upper) below 1, within 1e-12 of 1 (the ratio test's tie) and above
@@ -666,9 +683,9 @@ def test_one_pivot_matches_cold_solve_bit_for_bit():
             seen["no cut"] += 1
             assert (x.tobytes(), cuts, pivots) == (upper.tobytes(), 0, 0)
             continue
-        ref = solve_lp(LinearProgram(objective=c, A=[s], b=[radius], hi=upper))
+        ref = CutLP(c, s[None], np.array([radius]), upper)
         assert x.tobytes() == ref.x.tobytes(), (c, upper, radius, s)
-        assert (cuts, pivots) == (1, ref.iterations) == (1, 1)
+        assert (cuts, pivots) == (1, ref.pivots) == (1, 1)
         q = radius / (s[0] * upper[0])
         if 1.0 < q <= 1.0 + 1e-12:
             # the tie's z = q is read into the box, not up to 1e-12 above it
@@ -678,9 +695,9 @@ def test_one_pivot_matches_cold_solve_bit_for_bit():
 
 
 def test_one_pivot_reaches_optimum_below_lp_tolerances():
-    # solve_lp's absolute tolerances misread these 1x1 cut LPs: with c h below
-    # its cost tolerance it returned x = 0, and it dropped a cut row below
-    # its pivot tolerance as vacuous and raised; the one pivot solves both
+    # c h lies below the cut LP's cost tolerance, and the second program's
+    # cut row below its pivot tolerance; the one pivot, which reads neither
+    # tolerance, reaches both optima
     batch = SampleBatch(samples=np.array([[2.0], [5.0]]), seed=0)
     res = scenario_solve(ProblemInstance(c=[1e-12], h=1.0, A=[[[1.0]]]), batch, 1.0)
     assert res.x[0] == 0.2 and res.meta["gap"] <= 1e-12
@@ -817,15 +834,14 @@ def test_scenario_equals_full_lp():
     batch = sample_tail(LightTailModel(n=3, beta=0.5, theta=2.0), 17, 2000)
     res = scenario_solve(prob, batch, 1.5)
     rows = np.concatenate([batch.samples @ a.T for a in prob.A])
-    full = solve_lp(LinearProgram(objective=prob.c, A=rows, b=np.full(rows.shape[0], 1.5),
-                                  hi=np.full(3, prob.h * 1.5)))
-    assert res.value == pytest.approx(full.objective, rel=1e-9)
+    full = CutLP(prob.c, rows, np.full(rows.shape[0], 1.5), np.full(3, prob.h * 1.5))
+    assert res.value == pytest.approx(prob.c @ full.x, rel=1e-9)
     assert res.meta["binding_candidates"] >= 2
     assert res.meta["gap"] <= 1e-12
 
 
 def test_scenario_parameter_errors(scalar_problem):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="scenario batch must be nonempty"):
         scenario_solve(scalar_problem, SampleBatch(samples=np.zeros((0, 1)), seed=0), 1.0)
     with pytest.raises(ParameterError):
         scenario_solve(scalar_problem, SampleBatch(samples=np.ones((3, 1)), seed=0), 0.0)
@@ -914,5 +930,6 @@ def test_method_result_json_keys(scalar_problem, scalar_pareto2):
 def test_wilson_halfwidth_basics():
     assert wilson_halfwidth(0, 1000) > 0.0
     assert wilson_halfwidth(500, 1000) == pytest.approx(0.031, abs=0.002)
-    with pytest.raises(ParameterError):
-        wilson_halfwidth(1, 0)
+    for successes in (0, 1):
+        with pytest.raises(ParameterError, match="trials must be positive"):
+            wilson_halfwidth(successes, 0)

@@ -127,6 +127,19 @@ def test_empty_range_reads_no_block(monkeypatch, two_atom_model):
     assert blocks == [1]
 
 
+@pytest.mark.parametrize("start, stop", [(-1, 5), (-1, -1), (5, 4), (4097, 0)])
+def test_invalid_draw_range_raises(two_atom_model, start, stop):
+    # a range must start at 0 or later and stop no earlier than it starts;
+    # heavy_radii_range reads through _heavy_uniforms, which checks it too
+    light = LightTailModel(n=2, beta=1.0, theta=2.0)
+    for read in (lambda: draws_range(light, 1, start, stop),
+                 lambda: draws_range(two_atom_model, 1, start, stop),
+                 lambda: heavy_radii_range(two_atom_model, 1, start, stop),
+                 lambda: _heavy_uniforms(two_atom_model, 1, start, stop)):
+        with pytest.raises(ParameterError, match="invalid draw range"):
+            read()
+
+
 def test_unaligned_range_owns_only_its_rows(two_atom_model):
     # a range that starts mid-block is read from the block's row 0; the rows
     # it returns must not keep the rows before ``start`` alive
