@@ -31,7 +31,28 @@ from .sampler import (HeavyTailModel, LightTailModel, TailModel, exceedances,
                       heavy_fbar_inv, heavy_radius_max, scenario_batch, tail_radius)
 # unused here, but bench/spans.py wraps these three names in this module
 from .sampler import draws_range, heavy_radii_range, sample_tail  # noqa: F401
-from .search import mix_seed
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """One step of the splitmix64 finalizer (64-bit avalanche mix)."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def mix_seed(master: int, *indices: int) -> int:
+    """Derive a child seed from a master seed and a tuple of counters.
+
+    The derivation is scheduling-independent: it depends only on the counter
+    values, never on evaluation order, so parallel workers agree bit-for-bit.
+    """
+    z = master & _MASK64
+    for k in indices:
+        z = splitmix64(z ^ splitmix64((k + 1) & _MASK64))
+    return z
 
 
 def as_count(name: str, value, least: int = 1) -> int:

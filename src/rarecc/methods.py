@@ -29,6 +29,7 @@ CVaR (:func:`~rarecc.sampler.tail_cvar`) for the CVaR one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +42,6 @@ from .model import ProblemInstance, phi_many
 # draws_range is unused here, but bench/spans.py wraps the name in this module
 from .sampler import (SampleBatch, TailModel, draws_range, exceedances,  # noqa: F401
                       tail_cvar, tail_radius, top_rows)
-from .search import quasirandom_simplex, simplex_grid
 
 _Z95 = 1.959963984540054
 
@@ -110,6 +110,44 @@ def _tail_size(delta: float, count: int) -> float:
     dn = delta * count
     near = round(dn)
     return float(near) if abs(dn - near) <= 4.0 * math.ulp(dn) else dn
+
+
+def simplex_grid(m: int, per_axis: int = 50) -> np.ndarray:
+    """Deterministic grid on the unit simplex in R^m.
+
+    Returns an array of shape (num_points, m) whose rows are nonnegative,
+    sum to one, and have coordinates that are integer multiples of
+    1/per_axis.
+    """
+    if m == 1:
+        return np.ones((1, 1))
+    pts = []
+    for comp in itertools.combinations(range(per_axis + m - 1), m - 1):
+        parts = []
+        prev = -1
+        for c in comp:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(per_axis + m - 2 - prev)
+        pts.append(parts)
+    return np.asarray(pts, dtype=float) / per_axis
+
+
+def quasirandom_simplex(m: int, count: int = 1000) -> np.ndarray:
+    """Deterministic low-discrepancy points on the unit simplex.
+
+    Uses a Kronecker (additive golden-ratio) sequence mapped to the simplex
+    through the exponential-spacings transform.
+    """
+    # generalized golden ratio for dimension m
+    phi = 2.0
+    for _ in range(40):
+        phi = (1.0 + phi) ** (1.0 / (m + 1))
+    alpha = np.array([(1.0 / phi) ** (k + 1) for k in range(m)])
+    j = np.arange(1, count + 1)[:, None]
+    v = np.mod(0.5 + j * alpha[None, :], 1.0)
+    e = -np.log1p(-v * (1.0 - 1e-12))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @functools.cache

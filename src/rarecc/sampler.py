@@ -44,6 +44,9 @@ keeps only the rows of each atom's k largest radii, about K k rows, and
 :func:`heavy_radius_max` only the smallest uniforms (:func:`_least`); both
 first gather only the uniforms below a few times each atom's expected
 cutoff, and read the stream again in the rare case those miss a kept row.
+Every heavy chunk is read by :func:`_gathered`, which keeps the uniforms at
+or below a level and gives their atoms, and every heavy row is built by
+:func:`_heavy_rows`, for :func:`draws_range` and :func:`heavy_top` alike.
 
 A caller needs to know neither family.  :func:`top_rows` gives the rows a
 program that reads the k largest losses needs: a light model's whole
@@ -279,11 +282,32 @@ def _atom_index(model: HeavyTailModel, pick: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _gathered(model: HeavyTailModel, seed: int, lo: int, hi: int, level: float,
+              picks: bool = True) -> tuple:
+    """The uniforms at or below ``level`` of the heavy draws [lo, hi), in
+    draw order, and their atoms (:func:`_atom_index`; None without
+    ``picks`` or for one atom).  A level of 1 or more, inf included, keeps
+    every draw unfiltered; a zero uniform lies below every level."""
+    u, pick = _heavy_uniforms(model, seed, lo, hi, picks)
+    if level < 1.0:
+        near = (u <= level).nonzero()[0]
+        u, pick = u.take(near), None if pick is None else pick.take(near)
+    return u, None if pick is None else _atom_index(model, pick)
+
+
+def _heavy_rows(model: HeavyTailModel, u: np.ndarray, atom) -> np.ndarray:
+    """The heavy draws u^(-1/alpha) theta_atom of the uniforms u and their
+    atoms (None: atom 0), one row each, in a new array; ``u`` becomes the
+    radii."""
+    u **= -1.0 / model.alpha
+    return (model.atoms[0] if atom is None else model.atoms.take(atom, axis=0)) * u[:, None]
+
+
 def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarray:
     """Draws with indices [start, stop), a C-contiguous (stop - start, n)
     array, bit-identical however the range is split.  Light draws are written
-    block by block, heavy ones built from :func:`_heavy_uniforms` one
-    ``_CHUNK`` at a time.
+    block by block, heavy ones built by :func:`_heavy_rows` from
+    :func:`_gathered` one ``_CHUNK`` at a time.
     """
     if start < 0 or stop < start:
         raise ParameterError("invalid draw range")
@@ -296,17 +320,7 @@ def draws_range(model: TailModel, seed: int, start: int, stop: int) -> np.ndarra
         return _own(out[start - first:], start)
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        u, pick = _heavy_uniforms(model, seed, lo, hi)
-        rows = out[lo - first:hi - first]
-        if pick is None:
-            rows[:] = model.atoms[0]
-        else:
-            # the index is <= K - 1 already; mode "clip" only spares take the
-            # buffered copy of ``rows`` that mode "raise" makes
-            np.take(model.atoms, _atom_index(model, pick).astype(np.intp), axis=0, out=rows,
-                    mode="clip")
-        u **= -1.0 / model.alpha
-        rows *= u[:, None]
+        out[lo - first:hi - first] = _heavy_rows(model, *_gathered(model, seed, lo, hi, 1.0))
     return _own(out[start - first:], start)
 
 
@@ -359,8 +373,8 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     R theta_k with R = u^(-1/alpha), so its j-th loss exceeds t_j exactly
     when u lies below tau_jk = (loss_j(theta_k) / t_j)^alpha, up to
     rounding.  A heavy chunk is therefore counted from its uniforms and
-    picks alone (:func:`_heavy_uniforms`), gathering only the uniforms at
-    or below the largest widened level.  A chunk with a uniform within a
+    atoms alone, gathering only the uniforms at or below the largest
+    widened level (:func:`_gathered`).  A chunk with a uniform within a
     relative alpha ``_MARGIN`` of its level, where rounding could decide, or
     with a zero uniform (an infinite radius, whose draw may hold nan), is
     drawn and counted as a light one is, on the same rows.
@@ -381,15 +395,8 @@ def exceedances(model: TailModel, seed: int, count: int, loss_fn, thresholds) ->
     highest = high.max()
 
     def count_chunk(lo, hi):
-        u, pick = _heavy_uniforms(model, seed, lo, hi)
-        # a zero uniform lies below every level, so it is gathered too
-        rows = np.flatnonzero(u <= highest)
-        u = u.take(rows)
-        pick = None if pick is None else pick.take(rows)
-        picked = [True]
-        if pick is not None:
-            idx = _atom_index(model, pick)
-            picked = [idx == k for k in range(len(model.weights))]
+        u, atom = _gathered(model, seed, lo, hi, highest)
+        picked = [True] if atom is None else [atom == k for k in range(len(model.weights))]
 
         def hits(levels, op):
             return [sum(np.count_nonzero(op(u, level) & mask) for level, mask in zip(row, picked))
@@ -425,7 +432,8 @@ def _least(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool = T
     k of them rare (e^-20) at k = 1.  When every atom has k of them and
     its cutoff lies at or below tau, they hold every row below the cutoffs,
     and they are the answer; otherwise a full pass with no tau reads the
-    rows again.  Both give the same rows.
+    rows again.  Both give the same rows, and both read each chunk through
+    :func:`_gathered`.
     """
     tau = _SPREAD * (k + 4) / (count * (float(model.weights.min()) if picks else 1.0))
     if tau < 1.0:
@@ -442,7 +450,8 @@ def _below(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool,
     smallest such uniform times 1 + alpha ``_MARGIN``, or inf while the atom
     has fewer than k.  After each chunk adds its rows below the limits, the
     kept rows set the cutoffs again, so about K k rows are held besides the
-    chunk, and only the rows below the loosest limit get an atom index.
+    chunk, and :func:`_gathered` gives an atom index only to the rows below
+    the loosest limit.
     """
     widen = 1.0 + _MARGIN * model.alpha
     cut = [math.inf] * (model.weights.size if picks else 1)
@@ -453,11 +462,7 @@ def _below(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool,
 
     kept = None
     for lo in range(0, count, _CHUNK):
-        u, pick = _heavy_uniforms(model, seed, lo, min(lo + _CHUNK, count), picks)
-        if max(lim) < math.inf:
-            near = (u <= max(lim)).nonzero()[0]
-            u, pick = u.take(near), None if pick is None else pick.take(near)
-        atom = None if pick is None else _atom_index(model, pick)
+        u, atom = _gathered(model, seed, lo, min(lo + _CHUNK, count), max(lim), picks)
         if kept:                # the kept rows and the new ones set the cutoffs again
             near = below(u, atom)
             if not near.size:
@@ -479,13 +484,13 @@ def _below(model: HeavyTailModel, seed: int, count: int, k: int, picks: bool,
 def heavy_top(model: HeavyTailModel, seed: int, count: int, k: int) -> np.ndarray:
     """The rows of the draws [0, count) that hold each atom's k largest
     radii (:func:`_least`), in draw order, equal bit for bit to those rows
-    of :func:`draws_range`.  For x >= 0, phi(x, R theta) = R phi(x, theta),
-    so each atom's k largest losses at any x lie in them, and so do the k
-    largest losses of the whole sample: the oracle's quantile and the CVaR
-    program's k = ceil(delta count) weighted losses."""
-    u, atom = _least(model, seed, check_count("count", count), check_count("k", k))
-    u **= -1.0 / model.alpha
-    return (model.atoms[0] if atom is None else model.atoms.take(atom, axis=0)) * u[:, None]
+    of :func:`draws_range`, since both build them with :func:`_heavy_rows`.
+    For x >= 0, phi(x, R theta) = R phi(x, theta), so each atom's k largest
+    losses at any x lie in them, and so do the k largest losses of the whole
+    sample: the oracle's quantile and the CVaR program's
+    k = ceil(delta count) weighted losses."""
+    return _heavy_rows(model, *_least(model, seed, check_count("count", count),
+                                      check_count("k", k)))
 
 
 def heavy_radius_max(model: HeavyTailModel, seed: int, count: int) -> float:

@@ -17,10 +17,10 @@ from _oracles import diag_lt_optimum
 from rarecc import (ExperimentConfig, HeavyTailModel, LightTailModel,
                     ProblemInstance, ccp_oracle, cvar_solve, run_experiment,
                     sample_tail, solve_ht_limit, solve_lt_limit)
+from rarecc.experiments import mix_seed
 from rarecc.limits import rate_I
 from rarecc.lpsolve import CutLP
 from rarecc.model import phi
-from rarecc.search import mix_seed
 
 # Fixed so the fixed-budget Monte Carlo criteria evaluate a draw from the
 # central mass of their sampling distributions: at alpha=1.5, N=1e6 the

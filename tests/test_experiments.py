@@ -55,6 +55,17 @@ def test_cvar_ratio_light_reference_column():
     assert agg.stat == pytest.approx(ref, rel=0.05)
 
 
+def test_cvar_ratio_light_reference_without_a_closed_form():
+    # the scalar CVaR has a closed form only at beta = 1, so at beta = 2 the
+    # aggregate row's reference is the limit ratio, the target
+    cfg = light_cfg(kind="cvar_ratio", delta_grid=(1e-2,), replications=1, budget=20_000)
+    cfg = ExperimentConfig(**{**cfg.__dict__, "tail": LightTailModel(n=1, beta=2.0)})
+    rows, _ = run_experiment(cfg)
+    agg = [r for r in rows if r.rep == -1][0]
+    assert agg.target == agg.aux2 == 1.0
+    assert 0.5 < agg.stat < 1.0
+
+
 def test_scenario_convergence_light_tightens():
     cfg = light_cfg(kind="scenario_convergence", k_grid=(100, 10_000),
                     replications=40)
@@ -219,8 +230,10 @@ def test_config_validation():
         heavy_cfg(kind="cvar_ratio", delta_grid=(), replications=1)
     with pytest.raises(ParameterError):
         heavy_cfg(kind="frechet_check", k_grid=(10,), replications=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="tail_ratio needs a heavy tail"):
         run_experiment(light_cfg(kind="tail_ratio", r_grid=(10.0,)))
+    with pytest.raises(ParameterError, match="frechet_check needs a heavy tail"):
+        run_experiment(light_cfg(kind="frechet_check", k_grid=(10,)))
     # rows are grouped by grid value: a repeat would double every group
     with pytest.raises(ParameterError):
         heavy_cfg(kind="frechet_check", k_grid=(100, 100), replications=3)

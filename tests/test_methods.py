@@ -398,6 +398,23 @@ def test_heavy_oracle_and_scenario_task_hold_top_rows(two_atom_model, identity_p
         assert peak < 1.5 * 2 ** 20, peak
 
 
+def test_heavy_top_memory_holds_at_uneven_weights():
+    # the rare atom has about k = 1000 draws, so one threshold for all
+    # atoms, set by its cutoff, keeps most of the common atom's rows (tens
+    # of MiB); the per-atom cutoffs of _below hold under 1 MiB, as at the
+    # even weights of the test above
+    model = HeavyTailModel.from_pairs(
+        n=2, alpha=2.0, pairs=[(0.999, [1.0, 0.0]), (0.001, [0.0, 1.0])])
+    heavy_top(model, 5, 1000, 10)       # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        heavy_top(model, 5, 10 ** 6, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
+
+
 def test_oracle_pre_violation(scalar_problem, scalar_pareto2):
     with pytest.raises(ParameterError):
         ccp_oracle(scalar_problem, scalar_pareto2, 1e-4, 100_000, 1)
@@ -885,10 +902,14 @@ def test_analytic_values_match_reference(scalar_problem, scalar_pareto2, scalar_
 
 
 @pytest.mark.parametrize("value", [analytic_ccp_value, analytic_cvar_value])
-def test_closed_forms_reject_a_tail_of_another_dimension(scalar_problem, two_atom_model, value):
+def test_closed_forms_reject_a_tail_of_another_dimension(scalar_problem, two_atom_model,
+                                                         identity_problem2, value):
     # the closed forms read the n = 2 tail's marginal and returned 0.1 and 0.05
     with pytest.raises(ContractError, match="n=2"):
         value(scalar_problem, two_atom_model, 0.01)
+    # they hold for m = n = d = 1 only
+    with pytest.raises(ParameterError, match="needs a scalar instance"):
+        value(identity_problem2, two_atom_model, 0.01)
 
 
 @pytest.mark.parametrize("seed", range(4))

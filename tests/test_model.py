@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ def test_instance_validation():
         ProblemInstance(c=[1.0, 1.0], h=1.0, A=[np.zeros((2, 2))])
     with pytest.raises(ContractError):
         ProblemInstance(c=[1.0, 1.0], h=1.0, A=np.eye(2))
+    with pytest.raises(ContractError, match="c has length 3, expected m=2"):
+        ProblemInstance(c=[1.0, 1.0, 1.0], h=1.0, A=[np.eye(2)])
+    for c, A in (([1.0, math.nan], [np.eye(2)]), ([1.0, math.inf], [np.eye(2)]),
+                 ([1.0, 1.0], [[[1.0, math.inf], [0.0, 1.0]]])):
+        with pytest.raises(InputError, match="c and A must be finite"):
+            ProblemInstance(c=c, h=1.0, A=A)
 
 
 def test_from_dict_roundtrip():

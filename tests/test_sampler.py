@@ -11,9 +11,9 @@ import pytest
 
 import rarecc.sampler
 from _oracles import ks_distance
-from rarecc import (HeavyTailModel, InputError, LightTailModel, ParameterError,
-                    ProblemInstance, heavy_fbar_inv, joint_tail_light, light_qinv,
-                    sample_tail)
+from rarecc import (ContractError, HeavyTailModel, InputError, LightTailModel,
+                    ParameterError, ProblemInstance, heavy_fbar_inv, joint_tail_light,
+                    light_qinv, sample_tail)
 from rarecc.model import phi_many
 from rarecc.sampler import (_CHUNK, _atom_index, _heavy_uniforms, draws_range, exceedances,
                             heavy_radii_range, heavy_radius_max, heavy_top, tail_radius,
@@ -528,13 +528,22 @@ def test_parameter_errors():
     assert LightTailModel(n=2, beta=1.0, theta=math.inf).theta == math.inf
 
 
-@pytest.mark.parametrize("pairs", [
-    [(1.0, [math.nan, math.nan])],
-    [(math.nan, [1.0, 0.0]), (0.5, [0.0, 1.0])],
-    [(0.5, [math.inf, 0.0]), (0.5, [0.0, 1.0])],
-    [(0.5, [1.0, 0.0]), (0.5, [math.nan, 1.0])],
-])
-def test_heavy_model_rejects_non_finite(pairs):
-    # every comparison with NaN is false, so NaN passed the sign checks
-    with pytest.raises(ParameterError, match="finite"):
+_BAD_ATOMS = [
+    ([(1.0, [math.nan, math.nan])], ParameterError, "finite"),
+    ([(math.nan, [1.0, 0.0]), (0.5, [0.0, 1.0])], ParameterError, "finite"),
+    ([(0.5, [math.inf, 0.0]), (0.5, [0.0, 1.0])], ParameterError, "finite"),
+    ([(0.5, [1.0, 0.0]), (0.5, [math.nan, 1.0])], ParameterError, "finite"),
+    ([(1.0, [1.0, 0.0, 0.0])], ContractError, r"shape \(1, 2\)"),
+    ([(1.0, [1.0, 0.0]), (0.0, [0.0, 1.0])], ParameterError, "weights must be positive"),
+    ([(1.0, [1.5, -0.5])], ParameterError, "nonnegative"),
+    ([(0.5, [1.0, 0.0]), (0.5, [0.5, 0.4])], ParameterError, "L1 unit simplex"),
+]
+
+
+@pytest.mark.parametrize("pairs, error, match", _BAD_ATOMS,
+                         ids=[f"pairs{i}" for i in range(len(_BAD_ATOMS))])
+def test_heavy_model_rejects_non_finite(pairs, error, match):
+    # every comparison with NaN is false, so NaN passed the sign checks; an
+    # atom of the wrong shape, sign or sum, or a weight of 0, fails as well
+    with pytest.raises(error, match=match):
         HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=pairs)
