@@ -118,13 +118,14 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
     """Maximize c^T y over {y >= 0 : g(y) <= 1} for a monotone, convex,
     degree-1 homogeneous g given by ``separate(y) = (g(y), gradient)``.
 
-    Since g(y) >= y_j g(e_j), the box y_j <= 1/g(e_j) cuts off nothing, and a
-    profitable coordinate with g(e_j) = 0 makes the program unbounded.
-    Every iterate z of the cut loop optimizes a relaxation (to the LP's cost
-    tolerance), so the smallest c^T z bounds the value from above, and z
-    scales to a feasible z / g(z); y starts as the best of these.  That holds
-    however the loop stops: past m = 6 it often stops at its round cap, where
-    the gap grows with m.  On a smooth boundary the gap pins y only to about
+    The cut loop runs with no bound of its own: it boxes y by
+    y_j <= 1/g(e_j), starts from those m cuts, and raises
+    :class:`UnboundedError` for a profitable coordinate with g(e_j) = 0.
+    Its last iterate x optimizes a relaxation (to the LP's cost tolerance),
+    so c^T x bounds the value from above, and every iterate z scales to a
+    feasible z / g(z); y starts as the best of these.  That holds however
+    the loop stops: past m = 6 it often stops at its round cap, where the
+    gap grows with m.  On a smooth boundary the gap pins y only to about
     the square root of the value gap, so a few Newton steps on the KKT system
     c_S = (c^T y) grad_S g(y) over the support S of y follow, the Jacobian
     taken from central differences of the gradient; a step is kept only if
@@ -133,21 +134,17 @@ def _solve_limit(c: np.ndarray, separate) -> tuple[np.ndarray, float]:
     rounding can put an exact optimum an ulp above the bound.
     """
     m = c.size
-    ge = np.array([separate(e)[0] for e in np.eye(m)])
-    if ((c > 0) & (ge == 0.0)).any():
-        raise UnboundedError("a profitable coordinate carries no tail risk")
-    upper = np.divide(1.0, ge, out=np.zeros(m), where=ge > 0.0)
-    y, value, bound = None, 0.0, math.inf
+    y, value = None, 0.0
 
     def separate_and_keep_best(z):
-        nonlocal y, value, bound
+        nonlocal y, value
         g, s = separate(z)
-        bound = min(bound, float(c @ z))
-        if c @ z > value * g:
+        if g > 0.0 and c @ z > value * g:
             y, value = z / g, float(c @ z) / g
         return g, s
 
-    cut_loop(c, upper, 1.0, separate_and_keep_best)
+    x, *_ = cut_loop(c, np.full(m, math.inf), 1.0, separate_and_keep_best)
+    bound = float(c @ x)
 
     S = np.flatnonzero(y > 0.0)
 

@@ -31,11 +31,14 @@ coordinate is col min(max(0, z), hi / col), hi / col being the bound in z
 ulp outside its box is read at the box's face.
 
 :func:`cut_loop` (Kelley 1960) solves  max c^T x  over a box subject to
-g(x) <= radius  for a convex, degree-1 homogeneous g known only through a
-separation oracle: the sampled CVaR and scenario programs of
+g(x) <= radius  for a monotone, convex, degree-1 homogeneous g known only
+through a separation oracle: the sampled CVaR and scenario programs of
 :mod:`rarecc.methods` (through :func:`exact_cut_loop`) and the limit
-programs of :mod:`rarecc.limits`.  It keeps one :class:`CutLP` and appends
-one cut per round.
+programs of :mod:`rarecc.limits`.  It separates at each unit vector first,
+shrinks the box to what g(x) <= radius implies there, x_j <= radius /
+g(e_j), so that the LP's tolerances are relative to the answer, and keeps
+those m cuts.  It then keeps one :class:`CutLP` and appends one cut per
+round.
 """
 
 from __future__ import annotations
@@ -167,12 +170,6 @@ def _scaled_rows(G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G / scale[:, None], g / scale
 
 
-def _column_unit(hi: float) -> float:
-    """The unit of a tableau column, which holds z = x / unit: the column's
-    bound hi where that is finite and > 0, else 1."""
-    return hi if 0.0 < hi < math.inf else 1.0
-
-
 class CutLP:
     """The live, optimal tableau of  max f^T x  s.t.  A x <= b,  0 <= x <= hi
     (b >= 0, hi >= 0), to which rows can be appended.
@@ -180,15 +177,15 @@ class CutLP:
     Building it is the cold solve: the rows A x <= b, then the finite
     bounds, appended to the empty tableau [-f | 0], where the dual pass makes
     no pivot and the primal pass is the simplex from the slack basis.
-    :meth:`add` appends more rows.  ``T`` holds z = x / ``col`` for the
-    units of :func:`_column_unit`, and a cost row whose largest entry is
-    below 1 is lifted into [1, 2) by a power of two, which keeps every cost's
-    bits.  ``x`` is the optimal vertex, read into the box 0 <= x <= hi,
-    ``pivots`` the pivot count so far.
+    :meth:`add` appends more rows.  ``T`` holds z = x / ``col``, a column's
+    unit being its bound hi where that is finite and > 0, else 1, and a cost
+    row whose largest entry is below 1 is lifted into [1, 2) by a power of
+    two, which keeps every cost's bits.  ``x`` is the optimal vertex, read
+    into the box 0 <= x <= hi, ``pivots`` the pivot count so far.
     """
 
     def __init__(self, f: np.ndarray, A: np.ndarray, b: np.ndarray, hi: np.ndarray):
-        self.col = col = np.array([_column_unit(h) for h in hi.tolist()])
+        self.col = col = np.array([h if 0.0 < h < math.inf else 1.0 for h in hi.tolist()])
         self._zhi = (hi / col).tolist()         # the bounds in z: 1, 0 or inf
         bounded = np.flatnonzero(np.isfinite(hi))
         cost = np.append(-f * col, 0.0)
@@ -242,80 +239,76 @@ class CutLP:
 
 def cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
     """Kelley's cutting-plane method for  max c^T x  s.t.  0 <= x <= upper,
-    g(x) <= radius,  with g convex and positively homogeneous of degree 1.
+    g(x) <= radius,  with g convex, monotone and positively homogeneous of
+    degree 1.
 
     ``separate(x)`` returns ``(g(x), s)`` with s a subgradient at x, so that
     g(x) = s^T x and s^T y <= g(y) for every y; each cut s^T y <= radius is
-    therefore valid.  Every round solves the small LP over the box and the
-    cuts so far, whose optimum bounds the true one from above, and separates
-    there.  The loop keeps that LP live in one :class:`CutLP`: round 1
-    builds it from the first cut, every later round appends the new cut; a
-    non-finite cut raises :class:`InputError`.  When x has one coordinate,
-    round 1 takes the 1x1 LP's single pivot here, in the LP's own
-    arithmetic, x = col min(q, 1) for the scaled cut z <= q, and g is linear
-    on [0, upper], so that cut ends the loop; a second round, which rounding
-    could ask for, builds the LP from both cuts.  Every LP answer, this one
-    included, is read into its box.
+    therefore valid.  The loop first separates at each unit vector e_j:
+    since g(x) >= x_j g(e_j), the box x_j <= min(upper_j, radius / g(e_j))
+    cuts off nothing, and the loop runs in that box, which is scaled to the
+    answer, so that the LP's absolute tolerances are relative to it.  A
+    profitable coordinate with g(e_j) = 0 and no finite bound raises
+    :class:`UnboundedError`.  The loop then separates at the box's corner
+    and at the optimum of each round's LP over the box and the cuts so far,
+    which bounds the true one from above.  It keeps that LP live in one
+    :class:`CutLP`: round 1 builds it from the m unit-vector cuts and the
+    corner's cut, every later round appends the new cut.  A non-finite cut
+    raises :class:`InputError` before it reaches an LP.  A scalar program's
+    corner is feasible, as g is linear on its ray, so it ends with no LP.
 
     The loop stops at the first iterate with g(x) <= radius (1 + 1e-12),
     when the LP returns the iterate it was given (its tolerances cannot
     resolve the newest cut), or after ``MAX_CUT_ROUNDS`` rounds.  It returns
     (x, g(x), cut count, pivots) for the last iterate x, which optimizes a
-    relaxation, so c^T x bounds the optimum from above.  Callers check g(x)
-    against the radius themselves.
+    relaxation, so c^T x bounds the optimum from above; the cut count
+    includes the m unit-vector cuts.  Callers check g(x) against the radius
+    themselves.
     """
+    cuts: list[np.ndarray] = []
+    box = []
+    for e, cost, hi in zip(np.eye(c.size), c.tolist(), upper.tolist()):
+        g, s = separate(e)
+        _check_cut(s)
+        cuts.append(s)
+        if g > 0.0:
+            hi = min(hi, radius / g)
+        elif cost > 0.0 and hi == math.inf:
+            raise UnboundedError("a profitable coordinate carries no tail risk")
+        box.append(hi)
+    upper = np.array(box)
     x = np.where(c > 0, upper, 0.0)
     last = x.tolist()
     rhs = np.array([radius])
-    cuts: list[np.ndarray] = []
-    pivots, lp = 0, None
+    lp = None
     g, s = separate(x)
     for _ in range(MAX_CUT_ROUNDS):
         if g <= radius * (1.0 + 1e-12):
             break
-        if not all(map(math.isfinite, s.tolist())):
-            raise InputError(f"cut coefficients must be finite, got {s!r}")
+        _check_cut(s)
         cuts.append(s)
-        if c.size == 1 and len(cuts) == 1:
-            # the 1x1 cut LP's one pivot, in its arithmetic: the scaled cut
-            # reads z <= q = radius / (s col) and the bound row z <= 1; the
-            # ratio test's tie (q within 1e-12 above 1) takes the cut row,
-            # whose z = q the LP reads into the box as 1
-            col = _column_unit(upper[0])
-            new_x = np.array([col * min(radius / (s[0] * col), 1.0)])
-            pivots = 1
-        elif lp is None:
+        if lp is None:
             lp = CutLP(c, np.array(cuts), np.full(len(cuts), radius), upper)
-            new_x = lp.x
         else:
             lp.add(s[None], rhs)
-            new_x = lp.x
-        if (new := new_x.tolist()) == last:
+        if (new := lp.x.tolist()) == last:
             break
-        x, last = new_x, new
+        x, last = lp.x, new
         g, s = separate(x)
-    return x, g, len(cuts), pivots + (lp.pivots if lp else 0)
+    return x, g, len(cuts), lp.pivots if lp else 0
+
+
+def _check_cut(s: np.ndarray) -> None:
+    if not all(map(math.isfinite, s.tolist())):
+        raise InputError(f"cut coefficients must be finite, got {s!r}")
 
 
 def exact_cut_loop(c: np.ndarray, upper: np.ndarray, radius: float, separate):
-    """:func:`cut_loop` for the sampled LPs, whose optimum it must reach.
-
-    The LP cannot see a cut's violation below ``_FEAS_TOL`` times the cut's
-    largest entry times ``upper`` (4e-10 relative in a loose box), and then
-    returns its own iterate x.  If g(x) - radius is within 10 times that,
-    the feasible x radius / g(x) is separated and returned instead; its
-    value lies below the optimum by at most a relative g(x) / radius - 1.
-    Returns :func:`cut_loop`'s tuple and that bound, the stall excess, which
-    is 0.0 when the loop's own iterate is returned.
-    """
+    """:func:`cut_loop` for the sampled LPs, whose optimum it must reach:
+    raises :class:`RareccError` unless the last iterate x is feasible,
+    g(x) <= radius (1 + 1e-12), and returns :func:`cut_loop`'s tuple."""
     x, g, cuts, pivots = cut_loop(c, upper, radius, separate)
-    excess = 0.0
-    if g > radius * (1.0 + 1e-12):
-        scaled = x * radius / g
-        g_scaled, s = separate(scaled)      # also a subgradient at x
-        if g - radius <= 10.0 * _FEAS_TOL * np.max(s * upper):
-            x, g, excess = scaled, g_scaled, g / radius - 1.0
     if g > radius * (1.0 + 1e-12):
         raise RareccError(f"cutting-plane loop stopped at g(x) / radius = {g / radius!r} "
                           f"after {cuts} cuts")
-    return x, g, cuts, pivots, excess
+    return x, g, cuts, pivots

@@ -12,8 +12,9 @@ full: the cutting-plane loop (Kelley 1960) of :mod:`rarecc.lpsolve`, which
 the limit programs of :mod:`rarecc.limits` share, solves a small LP in the
 m decision variables over the cuts found so far, evaluates g and a
 subgradient at its optimum with one pass over the sample, and adds that
-cut, until g(x) <= radius (1 + 1e-12).  The result is the optimum of the
-full LP.
+cut, until g(x) <= radius (1 + 1e-12).  It starts from the cuts at the
+unit vectors, which box x by what the constraint implies, so the result is
+the optimum of the full LP whatever the box h.
 
 No method knows the tail family.  The oracle and the CVaR program read
 :func:`~rarecc.sampler.top_rows`, and a sample of fewer rows than draws,
@@ -237,9 +238,10 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
     is at most 1, as a row left out has a loss at most its atom's k-th
     largest, which is at most the VaR; above it a reduced sample counts all
     N draws (:func:`~rarecc.sampler.exceedances`).  ``tau`` is the VaR minus
-    1, clipped to at most 0; ``gap`` is CVaR - 1 at exit, and ``stall_excess``
-    bounds how far below the optimum a rescued answer of
-    :func:`~rarecc.lpsolve.exact_cut_loop` may lie (0.0 for any other).
+    1, clipped to at most 0; ``gap`` is CVaR - 1 at exit.
+    ``outer_iterations`` counts the separations: the cut loop's m
+    unit-vector cuts, which box x by x_j <= 1 / CVaR(e_j), its later cuts
+    and the last iterate's.
     """
     check_delta(delta)
     n_total = check_count("sample_count", sample_count)
@@ -281,8 +283,7 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
             rows = np.einsum("jmn,jn->jm", mats, picked)
         return float(weights @ losses[top]), weights @ rows
 
-    x, g, cuts, pivots, excess = exact_cut_loop(problem.c, np.full(problem.m, problem.h),
-                                                1.0, separate)
+    x, g, cuts, pivots = exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0, separate)
     value_at_risk = float(losses[var])
     if reduced and value_at_risk > 1.0:
         hits = _violations(problem, x, tail, seed, n_total)
@@ -294,8 +295,7 @@ def cvar_solve(problem: ProblemInstance, tail: TailModel, delta: float,
         violation_halfwidth=wilson_halfwidth(hits, n_total),
         meta={"method": "cvar", "seed": seed, "samples": n_total,
               "tau": min(value_at_risk - 1.0, 0.0), "kept_scenarios": k,
-              "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0,
-              "stall_excess": excess},
+              "outer_iterations": cuts + 1, "lp_iterations": pivots, "gap": g - 1.0},
     )
 
 
@@ -309,9 +309,10 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
     loop: each round adds the sampled row with the largest y^T A_i L_j.
     A heavy :func:`~rarecc.sampler.scenario_batch` gives K d rows for K
     atoms, and the x and value of all its ``count`` draws (``scenarios``)
-    bit for bit.  ``binding_candidates`` counts the rows added, ``gap`` is the largest
-    row value over the radius, minus 1, at exit, and ``stall_excess`` is as
-    in :func:`cvar_solve`.
+    bit for bit.  ``binding_candidates`` counts the rows added, the cut
+    loop's m unit-vector cuts among them, which box each y_k by the radius
+    over the largest k-th entry of a sampled row, and ``gap`` is the largest
+    row value over the radius, minus 1, at exit.
     """
     if batch.count < 1:
         raise ParameterError("scenario batch must be nonempty")
@@ -325,14 +326,14 @@ def scenario_solve(problem: ProblemInstance, batch: SampleBatch,
         j = int(np.argmax(scores))
         return float(scores[j]), W[j]
 
-    x, g, cuts, pivots, excess = exact_cut_loop(
+    x, g, cuts, pivots = exact_cut_loop(
         problem.c, np.full(problem.m, problem.h * radius), radius, separate)
     return MethodResult(
         x=x, value=float(problem.c @ x), delta=None,
         violation_estimate=None, violation_halfwidth=None,
         meta={"method": "scenario", "seed": batch.seed, "radius": radius,
               "scenarios": batch.count, "binding_candidates": cuts,
-              "lp_iterations": pivots, "gap": g / radius - 1.0, "stall_excess": excess},
+              "lp_iterations": pivots, "gap": g / radius - 1.0},
     )
 
 

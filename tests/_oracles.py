@@ -14,7 +14,7 @@ import numpy as np
 
 import rarecc.lpsolve as lpsolve
 from rarecc.errors import RareccError, UnboundedError
-from rarecc.lpsolve import MAX_CUT_ROUNDS, CutLP, _column_unit, exact_cut_loop
+from rarecc.lpsolve import MAX_CUT_ROUNDS, CutLP, exact_cut_loop
 from rarecc.methods import _oracle_directions, wilson_halfwidth
 from rarecc.model import box_clip, phi_many
 from rarecc.sampler import LightTailModel, copula_exponent, draws_range
@@ -135,12 +135,19 @@ def chained_cut_loop(c, upper, radius, separate):
     ``rarecc.lpsolve.cut_loop``, which stacks every cut so far into one
     matrix each round: the first LP round builds a ``CutLP`` from it, and
     each later round appends the matrix's rows beyond those the ``CutLP``
-    holds.  The package's loop, which appends only the newest cut, must
-    match it to the bit.  A scalar program's first cut LP is taken by its
-    one pivot in closed form, as in the package."""
-    x = np.where(c > 0, upper, 0.0)
-    cuts = []
-    pivots = 0
+    holds.  It starts as the package does: the cuts at the unit vectors
+    e_j, and the box min(upper_j, radius / g(e_j)), with no bound where
+    g(e_j) = 0.  The package's loop, which appends only the newest cut,
+    must match it to the bit."""
+    cuts, box = [], upper.copy()
+    for j, e in enumerate(np.eye(c.size)):
+        g, s = separate(e)
+        cuts.append(s)
+        if g > 0.0:
+            box[j] = min(upper[j], radius / g)
+        elif c[j] > 0.0 and math.isinf(upper[j]):
+            raise UnboundedError("a profitable coordinate carries no tail risk")
+    x = np.where(c > 0, box, 0.0)
     cut_lp = None
     held = 0
     g, s = separate(x)
@@ -148,24 +155,17 @@ def chained_cut_loop(c, upper, radius, separate):
         if g <= radius * (1.0 + 1e-12):
             break
         cuts.append(s)
-        if c.size == 1 and len(cuts) == 1:
-            col = _column_unit(upper[0])
-            q = radius / (s[0] * col)
-            new_x = np.array([col * min(q, 1.0)])
-            pivots += 1
+        A, b = np.array(cuts), np.full(len(cuts), radius)
+        if cut_lp is None:
+            cut_lp = CutLP(c, A, b, box)
         else:
-            A, b = np.array(cuts), np.full(len(cuts), radius)
-            if cut_lp is None:
-                cut_lp = CutLP(c, A, b, upper)
-            else:
-                cut_lp.add(A[held:], b[held:])
-            held = len(cuts)
-            new_x = cut_lp.x
-        if np.array_equal(new_x, x):
+            cut_lp.add(A[held:], b[held:])
+        held = len(cuts)
+        if np.array_equal(cut_lp.x, x):
             break
-        x = new_x
+        x = cut_lp.x
         g, s = separate(x)
-    return x, g, len(cuts), pivots + (cut_lp.pivots if cut_lp else 0)
+    return x, g, len(cuts), cut_lp.pivots if cut_lp else 0
 
 
 def tail_size(delta, count):
@@ -226,8 +226,7 @@ def whole_sample_cvar(problem, tail, delta, count, seed):
         state.update(losses=losses, var=float(losses[largest[-1]]))
         return float(weights @ losses[top]), weights @ rows
 
-    x, g, cuts, pivots, _ = exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0,
-                                           separate)
+    x, g, cuts, pivots = exact_cut_loop(problem.c, np.full(problem.m, problem.h), 1.0, separate)
     hits = int((state["losses"] > 1.0).sum())
     return (x, float(problem.c @ x), hits / count, wilson_halfwidth(hits, count),
             min(state["var"] - 1.0, 0.0), cuts + 1, pivots)

@@ -267,7 +267,7 @@ TWO_ATOM_PROGRAM = {
 }
 TWO_ATOM_DIGESTS = {
     "oracle": "15ed752f7dac683b368e3add53b750cee44a688cf8c686a6cec9a34120075945",
-    "scenario": "ca088d64180151f795c39a92fd9031d0a150bf56c650fc095dfdf4405cdb26ca",
+    "scenario": "0981ef221adb738342639120ad07d151257f2b8da3e928e745e4ee8233f95c39",
 }
 
 

@@ -220,7 +220,8 @@ def test_lt_matches_kkt_oracle_random_diag():
 
 
 def test_lt_past_cut_round_cap_m7(monkeypatch):
-    # the cut loop stops at its round cap; c^T x still certifies the polished y
+    # the cut loop stops at its round cap, its m unit-vector cuts past the
+    # rounds'; c^T x still certifies the polished y
     rounds = []
 
     def counted(*args):
@@ -232,7 +233,7 @@ def test_lt_past_cut_round_cap_m7(monkeypatch):
     a, c = rng.uniform(0.5, 3.0, size=7), rng.uniform(0.5, 3.0, size=7)
     sol = solve_lt_limit(LightTailModel(n=7, beta=1.5, theta=2.0),
                          diag_problem(a, c))
-    assert rounds == [rarecc.lpsolve.MAX_CUT_ROUNDS]
+    assert rounds == [7 + rarecc.lpsolve.MAX_CUT_ROUNDS]
     y_ref, v_ref = diag_lt_optimum(a, c, 3.0)
     assert sol.value == pytest.approx(v_ref, rel=1e-9)
     assert np.allclose(sol.y_star, y_ref, rtol=1e-7)
@@ -378,7 +379,7 @@ def test_ht_unbounded_when_profitable_coordinate_carries_no_risk():
 ])
 def test_riskless_coordinate_is_unbounded_only_when_profitable(solve, tail):
     # y_2 enters no loss row: with c_2 > 0 both programs are unbounded and
-    # say why; with c_2 = 0 the coordinate's box is [0, 0] and the rest solves
+    # say why; with c_2 = 0 the coordinate stays at 0 and the rest solves
     A = [[[1.0, 0.5], [0.0, 0.0]]]
     with pytest.raises(UnboundedError, match="^a profitable coordinate carries no tail risk$"):
         solve(tail, ProblemInstance(c=[1.0, 1.0], h=10.0, A=A))

@@ -288,9 +288,9 @@ def test_cvar_counts_every_draw_when_the_value_at_risk_exceeds_one(
     loop = rarecc.methods.exact_cut_loop
 
     def beyond(c, upper, radius, separate):
-        x, g, cuts, pivots, excess = loop(c, upper, radius, separate)
+        x, g, cuts, pivots = loop(c, upper, radius, separate)
         g, _ = separate(4.0 * x)
-        return 4.0 * x, g, cuts, pivots, excess
+        return 4.0 * x, g, cuts, pivots
 
     monkeypatch.setattr(rarecc.methods, "exact_cut_loop", beyond)
     counted = []
@@ -366,8 +366,8 @@ def test_heavy_programs_that_keep_every_draw_count_on_them(monkeypatch, seed):
     x_high = np.full(4, 1.2 / np.sort(draws.sum(axis=1))[-100])
 
     def beyond(c, upper, radius, separate):
-        _, _, cuts, pivots, excess = loop(c, upper, radius, separate)
-        return x_high, separate(x_high)[0], cuts, pivots, excess
+        _, _, cuts, pivots = loop(c, upper, radius, separate)
+        return x_high, separate(x_high)[0], cuts, pivots
 
     monkeypatch.setattr(rarecc.methods, "exact_cut_loop", beyond)
     res = cvar_solve(problem, tail, delta, count, seed)
@@ -533,27 +533,38 @@ def test_sampled_lps_raise_when_cut_lp_stalls(stalled_lp):
         scenario_solve(prob, sample_tail(tail, 9, 200), 1.0)
 
 
-def test_cvar_returns_the_scaled_iterate_when_a_loose_box_hides_the_violation():
-    # at h = 100 the cut LP cannot see the newest cut's violation, 2.6e-10
-    # relative, and hands back its own iterate; at h = 1 the box does not bind
-    tail = HeavyTailModel.from_pairs(n=2, alpha=2.0, pairs=[(0.5, [1, 0]), (0.5, [0, 1])])
-    problems = [ProblemInstance(c=[1.0, 1.0], h=h, A=[np.eye(2)]) for h in (100.0, 1.0)]
-    loose, tight = (cvar_solve(problem, tail, 0.02, 200_000, 22) for problem in problems)
-    assert loose.meta["gap"] <= 1e-12
-    assert tight.value * (1.0 - 1e-9) <= loose.value <= tight.value * (1.0 + 1e-12)
-    # the rescue reports how far below the optimum its answer may lie
-    assert loose.meta["stall_excess"] > 0.0 and tight.meta["stall_excess"] == 0.0
-    assert loose.value >= tight.value * (1.0 - loose.meta["stall_excess"])
-    # the violation count and tau describe the returned x
-    losses = phi_many(problems[0], loose.x, draws_range(tail, 22, 0, 200_000))
-    assert loose.violation_estimate == np.count_nonzero(losses > 1.0) / 200_000
-    k = loose.meta["kept_scenarios"]
-    assert loose.meta["tau"] == min(np.sort(losses)[-k] - 1.0, 0.0)
+@pytest.mark.parametrize("seed", range(3))
+def test_a_loose_box_leaves_the_sampled_answers_unchanged(two_atom_model, seed):
+    # the cut loop boxes x by x_j <= radius / g(e_j), so a box h far above
+    # the answer does not coarsen the LP's tolerances: with two axis atoms
+    # and A = I the scenario optimum is sum_k 1 / max_j L_jk at every h, and
+    # the CVaR answer, which the box binds at no h here, keeps its bytes
+    batch = scenario_batch(two_atom_model, seed, 1000)
+    exact = 1.0 / batch.samples[:, 0].max() + 1.0 / batch.samples[:, 1].max()
+    xs = []
+    for h in (1e2, 1e4, 1e6):
+        problem = ProblemInstance(c=[1.0, 1.0], h=h, A=[np.eye(2)])
+        assert scenario_solve(problem, batch, 1.0).value == pytest.approx(exact, rel=1e-15)
+        if h != 1e4:
+            xs.append(cvar_solve(problem, two_atom_model, 0.01, 10_000, seed).x.tobytes())
+    assert xs[0] == xs[1]
+
+
+@pytest.mark.parametrize("tail", [LightTailModel(n=2, beta=1.0, theta=2.0),
+                                  HeavyTailModel.from_pairs(n=2, alpha=2.0,
+                                                            pairs=[(0.5, [1, 0]), (0.5, [0, 1])])])
+def test_sampled_programs_keep_a_riskless_profitable_coordinate_at_its_bound(tail):
+    # x_2 enters no loss row, so g(e_2) = 0 and the box keeps x_2's bound h
+    problem = ProblemInstance(c=[1.0, 2.0], h=7.0, A=[[[1.0, 0.5], [0.0, 0.0]]])
+    for res in (cvar_solve(problem, tail, 0.05, 2000, 4),
+                scenario_solve(problem, scenario_batch(tail, 4, 500), 1.0)):
+        assert res.x[1] == 7.0 and 0.0 < res.x[0] < 7.0
 
 
 def test_cut_loop_warm_starts_after_round_one(monkeypatch):
-    # round 1 builds the first cut's LP; every later round appends the one
-    # new cut to that same live LP
+    # round 1 builds the LP from the m cuts at the unit vectors and the box
+    # corner's cut; every later round appends the one new cut to that same
+    # live LP
     calls = []
 
     class Spy(CutLP):
@@ -568,8 +579,8 @@ def test_cut_loop_warm_starts_after_round_one(monkeypatch):
     monkeypatch.setattr(rarecc.lpsolve, "CutLP", Spy)
     prob, tail = _heavy_two_matrix()
     res = cvar_solve(prob, tail, 0.25, 500, 9)
-    assert len(calls) == res.meta["outer_iterations"] - 1 > 2
-    assert calls[0][0] == "build" and calls[0][2].shape == (1, prob.m)
+    assert len(calls) == res.meta["outer_iterations"] - 1 - prob.m > 2
+    assert calls[0][0] == "build" and calls[0][2].shape == (prob.m + 1, prob.m)
     for step, lp, A, _ in calls[1:]:
         assert step == "add" and lp is calls[0][1] and A.shape == (1, prob.m)
     assert res.meta["lp_iterations"] == sum(iters for *_, iters in calls) == calls[0][1].pivots
@@ -577,24 +588,27 @@ def test_cut_loop_warm_starts_after_round_one(monkeypatch):
 
 @pytest.mark.parametrize("bad_round", [1, 2])
 @pytest.mark.parametrize("m", [1, 2])
-def test_cut_loop_rejects_a_non_finite_cut(m, bad_round):
-    # at m = 2 round 1 builds the cut LP and round 2 appends to it; at m = 1
-    # round 1 takes the closed-form pivot, which read an inf cut as x = 0 and
-    # a nan cut as the start corner; a cut with an inf or nan entry is bad
-    # input either way
+def test_cut_loop_rejects_a_non_finite_cut(monkeypatch, m, bad_round):
+    # the loop separates at the m unit vectors first; round 1 then builds the
+    # cut LP from their cuts and the corner's, and round 2 appends to it.  A
+    # cut with an inf or nan entry is bad input wherever it comes from, and
+    # it raises before it reaches an LP
+    built = []
+    monkeypatch.setattr(rarecc.lpsolve, "CutLP", lambda *args: built.append(args) or CutLP(*args))
     for bad in (np.inf, np.nan):
-        cuts = iter(np.eye(m)[[0, -1]])
-        rounds = []
+        for at in (m - 1, m + bad_round - 1):       # a unit vector's cut, then the round's
+            cuts = iter([*2.0 * np.eye(m), 4.0 * np.eye(m)[0], 8.0 * np.eye(m)[-1]])
+            calls, built[:] = [], []
 
-        def separate(x):
-            rounds.append(x)
-            s = next(cuts).copy()
-            if len(rounds) == bad_round:
-                s[-1 if bad_round == 1 else 0] = bad
-            return 2.0, s
-        with pytest.raises(InputError, match="finite"):
-            rarecc.lpsolve.cut_loop(np.ones(m), np.full(m, 10.0), 1.0, separate)
-        assert len(rounds) == bad_round
+            def separate(x):
+                calls.append(x)
+                s = next(cuts).copy()
+                if len(calls) == at + 1:
+                    s[-1] = bad
+                return 2.0, s
+            with pytest.raises(InputError, match="finite"):
+                rarecc.lpsolve.cut_loop(np.ones(m), np.full(m, 10.0), 1.0, separate)
+            assert len(calls) == at + 1 and len(built) == (at == m + 1)
 
 
 def _cut_programs(seed):
@@ -623,7 +637,7 @@ def _outcome(run):
         return res.y_star.tobytes(), res.value, res.gap
     return (res.x.tobytes(), res.value, res.meta["lp_iterations"],
             res.meta.get("outer_iterations", res.meta.get("binding_candidates")),
-            res.meta["gap"], res.meta["stall_excess"])
+            res.meta["gap"])
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -655,8 +669,8 @@ def test_live_tableau_matches_chained_solve_lp(monkeypatch, seed):
 
 
 def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pareto2, scalar_exp):
-    # a scalar program's one cut is the separation at upper; its answer must
-    # be the cold solve of that 1x1 LP, bit for bit
+    # g is linear on [0, inf) for a scalar program, so the corner of its
+    # box, min(upper, radius / g(e_0)), is feasible: the answer, with no LP
     loops = []
     exact = rarecc.methods.exact_cut_loop
 
@@ -669,18 +683,20 @@ def test_one_cut_loops_match_cold_solve(monkeypatch, scalar_problem, scalar_pare
             scenario_solve(scalar_problem, sample_tail(scalar_pareto2, 4, 500), 1.0)]
     assert len(loops) == len(runs)
     for (c, upper, radius, separate), res in zip(loops, runs):
-        _, cut = separate(upper)
-        assert res.x.tobytes() == CutLP(c, cut[None], np.array([radius]), upper).x.tobytes()
-        assert res.meta["lp_iterations"] == 1
+        g0, _ = separate(np.ones(1))
+        assert radius / g0 < upper[0]
+        assert res.x.tobytes() == np.array([radius / g0]).tobytes()
+        assert res.meta["lp_iterations"] == 0
 
 
 def test_one_pivot_matches_cold_solve_bit_for_bit():
-    # the scalar cut loop's closed-form pivot against a cold CutLP on the same
-    # 1x1 LP, over twelve decades of bound and radius (the LP's absolute
-    # tolerances bound the range; see the next test), with q = radius /
-    # (s upper) below 1, within 1e-12 of 1 (the ratio test's tie) and above
+    # a scalar cut loop returns the corner of its box, min(upper, radius /
+    # g(e_0)), with one cut and no pivot, over twelve decades of bound and
+    # radius, with q = radius / (s upper) below 1, within 1e-12 of 1 and
+    # above, and with g read up to 2 ulps high, as a rounded sum can; a cold
+    # CutLP on the same 1x1 LP agrees to 1e-15
     rng = np.random.default_rng(10)
-    seen = {"cut": 0, "tie": 0, "bound": 0, "no cut": 0}
+    seen = {"cut": 0, "tie": 0, "bound": 0}
     for i in range(400):
         c = np.array([10.0 ** rng.uniform(-2, 2)])
         upper = np.array([10.0 ** rng.uniform(-6, 6)])
@@ -691,22 +707,14 @@ def test_one_pivot_matches_cold_solve_bit_for_bit():
         lifted = i % 2 == 0
 
         def separate(x):
-            # lifted: g(upper) reads above s^T upper, as a rounded sum can
-            if lifted and x[0] == upper[0]:
-                return 2.0 * radius, s
-            return float(s @ x), s
+            g = float(s @ x)
+            return (g * (1.0 + 4.4e-16) if lifted else g), s
         x, g, cuts, pivots = rarecc.lpsolve.cut_loop(c, upper, radius, separate)
-        if not lifted and s[0] * upper[0] <= radius * (1.0 + 1e-12):
-            seen["no cut"] += 1
-            assert (x.tobytes(), cuts, pivots) == (upper.tobytes(), 0, 0)
-            continue
+        box = min(upper[0], radius / separate(np.ones(1))[0])
+        assert (x.tobytes(), cuts, pivots) == (np.array([box]).tobytes(), 1, 0)
         ref = CutLP(c, s[None], np.array([radius]), upper)
-        assert x.tobytes() == ref.x.tobytes(), (c, upper, radius, s)
-        assert (cuts, pivots) == (1, ref.pivots) == (1, 1)
+        assert x[0] == pytest.approx(ref.x[0], rel=1e-15), (c, upper, radius, s)
         q = radius / (s[0] * upper[0])
-        if 1.0 < q <= 1.0 + 1e-12:
-            # the tie's z = q is read into the box, not up to 1e-12 above it
-            assert (x <= upper).all(), (c, upper, radius, s)
         seen["cut" if q <= 1.0 else "tie" if q <= 1.0 + 1e-12 else "bound"] += 1
     assert min(seen.values()) >= 15, seen
 
@@ -766,11 +774,10 @@ def test_scenario_matches_matmul_separation(m, n, d):
         return float(scores[j]), W[j]
     for radius in (0.3, 1.0, 40.0):
         res = scenario_solve(prob, batch, radius)
-        x, g, cuts, pivots, excess = rarecc.lpsolve.exact_cut_loop(
+        x, g, cuts, pivots = rarecc.lpsolve.exact_cut_loop(
             prob.c, np.full(m, prob.h * radius), radius, separate)
         assert res.x.tobytes() == x.tobytes() and res.meta["gap"] == g / radius - 1.0
         assert (res.meta["binding_candidates"], res.meta["lp_iterations"]) == (cuts, pivots)
-        assert res.meta["stall_excess"] == excess
 
 
 def test_cvar_value_does_not_depend_on_units_of_x():
